@@ -8,194 +8,163 @@ rendering only applies to univariate series output.
 Formula and verify subcommands index theorems by n while the underlying
 composition class lives on size n+k-1; a note restating the actual size
 is printed to stderr so stdout stays scriptable.
+
+Each class, formula, sequence and series token is one entry of a table
+(``_CLASSES``, ``_IDENTITIES``, ``_SERIES``) naming its flags; a missing
+flag, and a flag the token does not use, is a parameter error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from typing import Callable
 
 from compparity import compositions, formulas, partition_theorems, sequences, series
-from compparity.verify import CHECK_NAMES, SweepConfig, render_report, run_check
+from compparity.verify import CHECK_NAMES, SweepConfig, overrides, render_report, run_check
 
-CLASS_NAMES = (
-    "all",
-    "minpart",
-    "congruent",
-    "distinct",
-    "odd",
-    "small",
-    "guarded",
-    "modone",
-)
+# Parameter flags a token may use; any other one given is rejected.
+_TOKEN_FLAGS = ("k", "r", "s", "m", "y_order", "num", "den")
+
+# class token: (constructor, its flags in argument order)
+_CLASSES = {
+    "all": (compositions.All, ""),
+    "minpart": (compositions.MinPart, "k"),
+    "congruent": (compositions.MinPartCongruent, "k r s"),
+    "distinct": (compositions.DistinctParts, ""),
+    "odd": (compositions.OddParts, ""),
+    "small": (compositions.ExactSmall, "k m"),
+    "guarded": (compositions.GuardedSmall, "k m"),
+    "modone": (compositions.ModOneExcept, "k m"),
+}
+CLASS_NAMES = tuple(_CLASSES)
 
 
-def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+def _flags(
+    args: argparse.Namespace, spec: str, context: str, known: tuple[str, ...] = _TOKEN_FLAGS
+) -> None:
+    """Require the flags in ``spec`` and reject any other flag in ``known``.
+
+    A trailing ``?`` in ``spec`` marks an optional flag.
+    """
+    names = spec.split()
+    missing = [n for n in names if not n.endswith("?") and getattr(args, n) is None]
     if missing:
-        raise ValueError(f"{context} requires {', '.join(missing)}")
+        raise ValueError(f"{context} requires {_options(missing)}")
+    allowed = {n.rstrip("?") for n in names}
+    unused = [n for n in known if n not in allowed and getattr(args, n, None) is not None]
+    if unused:
+        raise ValueError(f"{context} does not use {_options(unused)}")
 
 
-def _build_class(args: argparse.Namespace) -> compositions.CompositionClass:
-    name = args.class_name
-    if name == "all":
-        return compositions.All()
-    if name == "minpart":
-        _require(args, ("k",), "class 'minpart'")
-        return compositions.MinPart(args.k)
-    if name == "congruent":
-        _require(args, ("k", "r", "s"), "class 'congruent'")
-        return compositions.MinPartCongruent(args.k, args.r, args.s)
-    if name == "distinct":
-        return compositions.DistinctParts()
-    if name == "odd":
-        return compositions.OddParts()
-    if name == "small":
-        _require(args, ("k", "m"), "class 'small'")
-        return compositions.ExactSmall(args.k, args.m)
-    if name == "guarded":
-        _require(args, ("k", "m"), "class 'guarded'")
-        return compositions.GuardedSmall(args.k, args.m)
-    if name == "modone":
-        _require(args, ("k", "m"), "class 'modone'")
-        return compositions.ModOneExcept(args.k, args.m)
-    raise ValueError(f"unknown class {name!r}; known: {', '.join(CLASS_NAMES)}")
+def _options(names: list[str]) -> str:
+    return ", ".join("--" + n.replace("_", "-") for n in names)
+
+
+def _composition_class(args: argparse.Namespace) -> compositions.CompositionClass:
+    make, spec = _CLASSES[args.class_name]
+    _flags(args, spec, f"class {args.class_name!r}")
+    return make(*(getattr(args, f) for f in spec.split()))
 
 
 # ---------------------------------------------------------------------------
 # named formulas and sequences
 # ---------------------------------------------------------------------------
 
-def _formula_value(args: argparse.Namespace) -> tuple[int, str]:
-    """Evaluate the named formula; returns (value, stderr note)."""
-    name, n = args.name, args.n
-    if name == "thm2":
-        _require(args, ("k", "n"), "formula thm2")
-        k = args.k
-        note = f"n={n}, k={k}: signed compositions of {n + k - 1} with parts >= {k}"
-        return formulas.min_part_signed(k, n), note
-    if name == "munagi":
-        _require(args, ("k", "n"), "formula munagi")
-        k = args.k
-        note = f"n={n}, k={k}: compositions of {n + k - 1} with parts >= {k}"
-        return formulas.min_part_count(k, n), note
-    if name == "thm3":
-        _require(args, ("k", "r", "s", "n"), "formula thm3")
-        k, r, s = args.k, args.r, args.s
-        note = (
-            f"n={n}, k={k}: signed compositions of {n + k - 1} with parts >= {k} "
-            f"congruent to {k + s} mod {r}"
-        )
-        return formulas.congruent_signed(k, n, r, s), note
-    if name == "cor-rs":
-        _require(args, ("r", "s", "n"), "formula cor-rs")
-        r, s = args.r, args.s
-        k = args.k if args.k is not None else r - s
-        note = f"n={n}, k={k}=r-s: class on size {n + k - 1}"
-        return formulas.congruent_indicator(k, n, r, s), note
-    if name == "cor-period":
-        _require(args, ("r", "s", "n"), "formula cor-period")
-        r, s = args.r, args.s
-        k = args.k if args.k is not None else 2 * r - s
-        note = f"n={n}, k={k}=2r-s: class on size {n + k - 1}, period {6 * r}"
-        return formulas.congruent_periodic(k, n, r, s), note
-    if name == "thm4":
-        _require(args, ("k", "m", "n"), "formula thm4")
-        k, m = args.k, args.m
-        note = (
-            f"n={n}, k={k}: signed compositions of {n + k - 1} with exactly {m} "
-            f"guarded parts < {k}"
-        )
-        if k >= 2:
-            return formulas.guarded_signed_boxed(k, n, m), note
-        return formulas.guarded_signed_sum(k, n, m), note
-    if name == "thm4a":
-        _require(args, ("k", "m", "n"), "formula thm4a")
-        k, m = args.k, args.m
-        note = (
-            f"n={n}, k={k}: compositions of {n + k - 1} with exactly {m} guarded "
-            f"parts < {k} (equivalently of {n} with {m} parts > {k} not 1 mod {k})"
-        )
-        if k >= 2:
-            return formulas.guarded_count_boxed(k, n, m), note
-        return formulas.guarded_count_sum(k, n, m), note
-    if name == "thm4bar":
-        _require(args, ("k", "m", "n"), "formula thm4bar")
-        k, m = args.k, args.m
-        note = (
-            f"n={n}, k={k}: signed compositions of {n + k - 1} with exactly {m} "
-            f"parts < {k}"
-        )
-        return formulas.small_parts_signed(k, n, m), note
-    raise ValueError(f"unknown formula {name!r}")
+@dataclass(frozen=True)
+class _Identity:
+    """A formula or sequence token.
+
+    ``flags`` names its parameters (``?`` marks an optional one) and
+    ``offset`` its first index.  ``value(a, n)`` is the term at index n and
+    ``note(a, n)`` the stderr line of ``formula``, or None for a sequence
+    with no formula; ``a`` holds the flags once ``k_default`` has filled an
+    absent --k.
+    """
+
+    flags: str
+    offset: int
+    value: Callable[[argparse.Namespace, int], int]
+    note: Callable[[argparse.Namespace, int], str] | None = None
+    k_default: Callable[[argparse.Namespace], int] | None = None
 
 
-def _seq_values(args: argparse.Namespace, first: int, last: int) -> list[int]:
-    """Terms of the named sequence for indices first..last (inclusive)."""
-    name = args.seq
-    if last < first:
-        raise ValueError(f"empty index range {first}..{last}")
-
-    def over(fn: Callable[[int], int], lo: int) -> list[int]:
-        if first < lo:
-            raise ValueError(
-                f"sequence {name!r} starts at index {lo}, requested {first}"
-            )
-        return [fn(i) for i in range(first, last + 1)]
-
-    if name == "thm2":
-        _require(args, ("k",), "sequence thm2")
-        return over(lambda n: formulas.min_part_signed(args.k, n), 1)
-    if name == "munagi":
-        _require(args, ("k",), "sequence munagi")
-        return over(lambda n: formulas.min_part_count(args.k, n), 1)
-    if name == "thm3":
-        _require(args, ("k", "r", "s"), "sequence thm3")
-        return over(lambda n: formulas.congruent_signed(args.k, n, args.r, args.s), 1)
-    if name == "cor-rs":
-        _require(args, ("r", "s"), "sequence cor-rs")
-        k = args.k if args.k is not None else args.r - args.s
-        return over(lambda n: formulas.congruent_indicator(k, n, args.r, args.s), 1)
-    if name == "cor-period":
-        _require(args, ("r", "s"), "sequence cor-period")
-        k = args.k if args.k is not None else 2 * args.r - args.s
-        return over(lambda n: formulas.congruent_periodic(k, n, args.r, args.s), 1)
-    if name == "thm4":
-        _require(args, ("k", "m"), "sequence thm4")
-        if args.k >= 2:
-            return over(lambda n: formulas.guarded_signed_boxed(args.k, n, args.m), 1)
-        return over(lambda n: formulas.guarded_signed_sum(args.k, n, args.m), 1)
-    if name == "thm4a":
-        _require(args, ("k", "m"), "sequence thm4a")
-        if args.k >= 2:
-            return over(lambda n: formulas.guarded_count_boxed(args.k, n, args.m), 1)
-        return over(lambda n: formulas.guarded_count_sum(args.k, n, args.m), 1)
-    if name == "thm4bar":
-        _require(args, ("k", "m"), "sequence thm4bar")
-        return over(lambda n: formulas.small_parts_signed(args.k, n, args.m), 1)
-    if name == "distinct":
-        return over(compositions.signed_count_distinct, 0)
-    if name == "odd-parts":
-        return over(partition_theorems.odd_parts_signed, 0)
-    if name == "legendre":
-        return over(partition_theorems.legendre_closed, 0)
-    raise ValueError(f"unknown sequence {name!r}")
-
-
-_SEQ_OFFSETS = {
-    "thm2": 1,
-    "munagi": 1,
-    "thm3": 1,
-    "cor-rs": 1,
-    "cor-period": 1,
-    "thm4": 1,
-    "thm4a": 1,
-    "thm4bar": 1,
-    "distinct": 0,
-    "odd-parts": 0,
-    "legendre": 0,
+_IDENTITIES = {
+    "thm2": _Identity(
+        "k", 1, lambda a, n: formulas.min_part_signed(a.k, n),
+        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= {a.k}"),
+    "munagi": _Identity(
+        "k", 1, lambda a, n: formulas.min_part_count(a.k, n),
+        lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with parts >= {a.k}"),
+    "thm3": _Identity(
+        "k r s", 1, lambda a, n: formulas.congruent_signed(a.k, n, a.r, a.s),
+        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= "
+        f"{a.k} congruent to {a.k + a.s} mod {a.r}"),
+    "cor-rs": _Identity(
+        "r s k?", 1, lambda a, n: formulas.congruent_indicator(a.k, n, a.r, a.s),
+        lambda a, n: f"n={n}, k={a.k}=r-s: class on size {n + a.k - 1}",
+        k_default=lambda a: a.r - a.s),
+    "cor-period": _Identity(
+        "r s k?", 1, lambda a, n: formulas.congruent_periodic(a.k, n, a.r, a.s),
+        lambda a, n: f"n={n}, k={a.k}=2r-s: class on size {n + a.k - 1}, period {6 * a.r}",
+        k_default=lambda a: 2 * a.r - a.s),
+    "thm4": _Identity(
+        "k m", 1, lambda a, n: (
+            formulas.guarded_signed_boxed if a.k >= 2 else formulas.guarded_signed_sum
+        )(a.k, n, a.m),
+        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with exactly "
+        f"{a.m} guarded parts < {a.k}"),
+    "thm4a": _Identity(
+        "k m", 1, lambda a, n: (
+            formulas.guarded_count_boxed if a.k >= 2 else formulas.guarded_count_sum
+        )(a.k, n, a.m),
+        lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with exactly {a.m} "
+        f"guarded parts < {a.k} (equivalently of {n} with {a.m} parts > {a.k} not 1 mod {a.k})"),
+    "thm4bar": _Identity(
+        "k m", 1, lambda a, n: formulas.small_parts_signed(a.k, n, a.m),
+        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with exactly "
+        f"{a.m} parts < {a.k}"),
+    "distinct": _Identity("", 0, lambda a, n: compositions.signed_count_distinct(n)),
+    "odd-parts": _Identity("", 0, lambda a, n: partition_theorems.odd_parts_signed(n)),
+    "legendre": _Identity("", 0, lambda a, n: partition_theorems.legendre_closed(n)),
 }
+FORMULA_NAMES = tuple(name for name, ident in _IDENTITIES.items() if ident.note)
+
+
+def _resolve(args: argparse.Namespace, ident: _Identity, context: str) -> argparse.Namespace:
+    """Check the token's flags; the flags with any default --k filled in."""
+    _flags(args, ident.flags, context)
+    if ident.k_default is None or args.k is not None:
+        return args
+    return argparse.Namespace(**{**vars(args), "k": ident.k_default(args)})
+
+
+def _terms(args: argparse.Namespace, count: int) -> list[int]:
+    """The first ``count`` terms of the sequence named by --seq."""
+    ident = _IDENTITIES[args.seq]
+    first = ident.offset
+    if count < 1:
+        raise ValueError(f"empty index range {first}..{first + count - 1}")
+    a = _resolve(args, ident, f"sequence {args.seq}")
+    return [ident.value(a, n) for n in range(first, first + count)]
+
+
+# series token: (flags, expansion to --order)
+_SERIES = {
+    "thm2": ("k", lambda a: series.min_part_series(a.k, a.order)),
+    "thm3": ("k r s", lambda a: series.congruent_series(a.k, a.r, a.s, a.order)),
+    "cor-period": ("r", lambda a: series.periodic_series(a.r, a.order)),
+    "thm4bar": ("k y_order?", lambda a: series.small_parts_series(
+        a.k, a.order, a.y_order if a.y_order is not None else 3)),
+    "pentagonal": ("", lambda a: series.pentagonal_product(a.order)),
+    "rational": ("num den", lambda a: series.expand_rational(
+        _polynomial(a.num), _polynomial(a.den), a.order)),
+}
+
+
+def _polynomial(text: str) -> series.IntPolynomial:
+    return series.IntPolynomial(tuple(int(t) for t in text.split(",")))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +178,7 @@ def _no_bfile(args: argparse.Namespace) -> None:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    cls = _build_class(args)
+    cls = _composition_class(args)
     value = compositions.count_compositions(args.n, cls)
     if args.fmt == "csv":
         print("class,n,count")
@@ -221,7 +190,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_signed(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    cls = _build_class(args)
+    cls = _composition_class(args)
     sc = compositions.signed_count(args.n, cls)
     if args.fmt == "csv":
         print("class,n,odd,even,diff")
@@ -233,8 +202,10 @@ def _cmd_signed(args: argparse.Namespace) -> int:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    value, note = _formula_value(args)
-    print(f"note: {note}", file=sys.stderr)
+    ident = _IDENTITIES[args.name]
+    a = _resolve(args, ident, f"formula {args.name}")
+    value = ident.value(a, args.n)
+    print(f"note: {ident.note(a, args.n)}", file=sys.stderr)
     if args.fmt == "csv":
         flags = {f: getattr(args, f) for f in ("k", "r", "s", "m")}
         cols = ",".join("" if v is None else str(v) for v in flags.values())
@@ -246,45 +217,23 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    name, order = args.name, args.order
-    if order < 0:
-        raise ValueError(f"--order must be >= 0, got {order}")
-    if name == "thm4bar":
-        _require(args, ("k",), "series thm4bar")
-        y_order = args.y_order if args.y_order is not None else 3
-        bs = series.small_parts_series(args.k, order, y_order)
+    if args.order < 0:
+        raise ValueError(f"--order must be >= 0, got {args.order}")
+    spec, expand = _SERIES[args.name]
+    _flags(args, spec, f"series {args.name}")
+    ts = expand(args)
+    if isinstance(ts, series.BivariateSeries):
         if args.fmt == "csv":
             print("x,y,coefficient")
-            for a in range(bs.x_order + 1):
-                for b in range(bs.y_order + 1):
-                    print(f"{a},{b},{bs.coeffs[a][b]}")
+            for a in range(ts.x_order + 1):
+                for b in range(ts.y_order + 1):
+                    print(f"{a},{b},{ts.coeffs[a][b]}")
         elif args.fmt == "bfile":
             raise ValueError("--format bfile only applies to univariate series output")
         else:
-            for b in range(bs.y_order + 1):
-                print(f"y^{b}: " + ",".join(str(c) for c in bs.y_slice(b).coeffs))
-        return 0
-
-    if name == "thm2":
-        _require(args, ("k",), "series thm2")
-        ts = series.min_part_series(args.k, order)
-    elif name == "thm3":
-        _require(args, ("k", "r", "s"), "series thm3")
-        ts = series.congruent_series(args.k, args.r, args.s, order)
-    elif name == "cor-period":
-        _require(args, ("r",), "series cor-period")
-        ts = series.periodic_series(args.r, order)
-    elif name == "pentagonal":
-        ts = series.pentagonal_product(order)
-    elif name == "rational":
-        _require(args, ("num", "den"), "series rational")
-        num = series.IntPolynomial(tuple(int(t) for t in args.num.split(",")))
-        den = series.IntPolynomial(tuple(int(t) for t in args.den.split(",")))
-        ts = series.expand_rational(num, den, order)
-    else:
-        raise ValueError(f"unknown series {name!r}")
-
-    if args.fmt == "csv":
+            for b in range(ts.y_order + 1):
+                print(f"y^{b}: " + ",".join(str(c) for c in ts.y_slice(b).coeffs))
+    elif args.fmt == "csv":
         print("index,coefficient")
         for i, c in enumerate(ts.coeffs):
             print(f"{i},{c}")
@@ -297,13 +246,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    config = SweepConfig(
-        max_n=args.max_n,
-        max_k=args.max_k,
-        max_r=args.max_r,
-        max_m=args.max_m,
-        jobs=args.jobs,
-    )
+    fields = ("max_n", "max_k", "max_r", "max_m")
+    spec = " ".join(f + "?" for f in overrides(args.name))
+    _flags(args, spec, f"verify {args.name}", known=fields)
+    config = SweepConfig(jobs=args.jobs, **{f: getattr(args, f) for f in fields})
     report = run_check(args.name, config)
     sys.stdout.write(render_report(report, args.fmt))
     return 0 if report.passed else 1
@@ -311,10 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_period(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    offset = _SEQ_OFFSETS.get(args.seq)
-    if offset is None:
-        raise ValueError(f"unknown sequence {args.seq!r}")
-    vals = _seq_values(args, offset, args.max_n)
+    vals = _terms(args, args.max_n - _IDENTITIES[args.seq].offset + 1)
     found = sequences.detect_period(vals)
     if args.fmt == "csv":
         print("preperiod,period")
@@ -333,19 +276,12 @@ def _cmd_period(args: argparse.Namespace) -> int:
 def _cmd_bfile(args: argparse.Namespace) -> int:
     offset = args.offset
     if offset is None:
-        offset = _SEQ_OFFSETS.get(args.seq)
-        if offset is None:
-            raise ValueError(f"unknown sequence {args.seq!r}")
+        offset = _IDENTITIES[args.seq].offset
 
     if args.action == "emit":
         if args.max_n is None:
             raise ValueError("bfile emit requires --max-n (last index to emit)")
-        natural = _SEQ_OFFSETS.get(args.seq)
-        if natural is None:
-            raise ValueError(f"unknown sequence {args.seq!r}")
-        count = args.max_n - offset + 1
-        vals = _seq_values(args, natural, natural + count - 1)
-        text = sequences.emit_bfile(vals, offset)
+        text = sequences.emit_bfile(_terms(args, args.max_n - offset + 1), offset)
         if args.file:
             with open(args.file, "w", encoding="ascii") as fh:
                 fh.write(text)
@@ -358,16 +294,12 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         raise ValueError("bfile check requires --file")
     with open(args.file, "r", encoding="ascii") as fh:
         record = sequences.parse_bfile(fh.read())
-    natural = _SEQ_OFFSETS.get(args.seq)
-    if natural is None:
-        raise ValueError(f"unknown sequence {args.seq!r}")
     count = record.last_index - offset + 1
     if count < 1:
         raise ValueError(
             f"file indices end at {record.last_index}, before offset {offset}"
         )
-    vals = _seq_values(args, natural, natural + count - 1)
-    seq = sequences.IntegerSequence(offset, tuple(vals))
+    seq = sequences.IntegerSequence(offset, tuple(_terms(args, count)))
     report = sequences.compare(seq, record)
     print(report.describe())
     return 0 if report.matched else 1
@@ -378,14 +310,15 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    rendering = argparse.ArgumentParser(add_help=False)
+    rendering.add_argument(
         "--format",
         dest="fmt",
         choices=("plain", "csv", "bfile"),
         default="plain",
         help="output rendering",
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[rendering])
     for flag in ("k", "r", "s", "m"):
         common.add_argument(f"--{flag}", type=int, default=None)
 
@@ -412,33 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_signed)
 
     p = sub.add_parser("formula", parents=[common], help="evaluate a closed formula")
-    p.add_argument(
-        "name",
-        choices=(
-            "thm2",
-            "munagi",
-            "thm3",
-            "cor-rs",
-            "cor-period",
-            "thm4",
-            "thm4a",
-            "thm4bar",
-        ),
-    )
+    p.add_argument("name", choices=FORMULA_NAMES)
     p.add_argument("--n", type=int, required=True, help="formula index n")
     p.set_defaults(handler=_cmd_formula)
 
     p = sub.add_parser("series", parents=[common], help="expand a generating function")
-    p.add_argument(
-        "name", choices=("thm2", "thm3", "cor-period", "thm4bar", "pentagonal", "rational")
-    )
+    p.add_argument("name", choices=tuple(_SERIES))
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--y-order", type=int, default=None)
     p.add_argument("--num", type=str, default=None, help="comma-separated coefficients")
     p.add_argument("--den", type=str, default=None, help="comma-separated coefficients")
     p.set_defaults(handler=_cmd_series)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification sweep")
+    p = sub.add_parser("verify", parents=[rendering], help="run a verification sweep")
     p.add_argument("name", choices=CHECK_NAMES)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
@@ -448,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("period", parents=[common], help="detect a period")
-    p.add_argument("--seq", required=True, choices=tuple(_SEQ_OFFSETS))
+    p.add_argument("--seq", required=True, choices=tuple(_IDENTITIES))
     p.add_argument("--max-n", type=int, required=True, help="last index of the window")
     p.set_defaults(handler=_cmd_period)
 
     p = sub.add_parser("bfile", parents=[common], help="emit or check b-files")
     p.add_argument("action", choices=("emit", "check"))
-    p.add_argument("--seq", required=True, choices=tuple(_SEQ_OFFSETS))
+    p.add_argument("--seq", required=True, choices=tuple(_IDENTITIES))
     p.add_argument("--offset", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None, help="last index to emit")
     p.add_argument("--file", type=str, default=None)

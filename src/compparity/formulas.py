@@ -216,21 +216,7 @@ def guarded_signed_boxed(k: int, n: int, m: int) -> int:
     i + (k+1)m + jk + |lambda| = n of
     (-1)^j C(i, m) C(i+j-1, j) m_lambda(1^m).  Requires k >= 2.
     """
-    _check_kn(k, n)
-    if k < 2:
-        raise ValueError(f"boxed form requires k >= 2, got k={k}")
-    if m < 0:
-        raise ValueError(f"requires m >= 0, got m={m}")
-    total = 0
-    for bp in boxed_partitions(k - 2, m):
-        base = (k + 1) * m + bp.size
-        if base > n:
-            continue
-        mono = monomial_specialization(bp)
-        for j in range(0, (n - base) // k + 1):
-            i = n - base - j * k
-            total += (-1) ** j * binomial(i, m) * binomial(i + j - 1, j) * mono
-    return total
+    return _guarded_boxed(k, n, m, signed=True)
 
 
 def guarded_signed_sum(k: int, n: int, m: int) -> int:
@@ -248,6 +234,10 @@ def guarded_signed_sum(k: int, n: int, m: int) -> int:
 
 def guarded_count_boxed(k: int, n: int, m: int) -> int:
     """Unsigned count: the boxed form without the (-1)^j factor."""
+    return _guarded_boxed(k, n, m, signed=False)
+
+
+def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
     _check_kn(k, n)
     if k < 2:
         raise ValueError(f"boxed form requires k >= 2, got k={k}")
@@ -261,7 +251,8 @@ def guarded_count_boxed(k: int, n: int, m: int) -> int:
         mono = monomial_specialization(bp)
         for j in range(0, (n - base) // k + 1):
             i = n - base - j * k
-            total += binomial(i, m) * binomial(i + j - 1, j) * mono
+            sign = (-1) ** j if signed else 1
+            total += sign * binomial(i, m) * binomial(i + j - 1, j) * mono
     return total
 
 

@@ -45,6 +45,8 @@ def detect_period(values: "Sequence[int] | IntegerSequence") -> tuple[int, int] 
 class IntegerSequence:
     """Values with an offset: values[i] is the term at index offset + i.
 
+    Computed sequences and parsed b-files (``parse_bfile``) alike.
+
     An optional (preperiod, period) descriptor may be attached; it is
     validated against the values on construction.
     """
@@ -91,29 +93,6 @@ class IntegerSequence:
         return self.values[index - self.offset]
 
 
-@dataclass(frozen=True)
-class BFileRecord:
-    """Parsed b-file content: consecutive indices starting at ``offset``."""
-
-    offset: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("b-file record must contain at least one entry")
-
-    @property
-    def last_index(self) -> int:
-        return self.offset + len(self.values) - 1
-
-    def term(self, index: int) -> int:
-        if not self.offset <= index <= self.last_index:
-            raise ValueError(
-                f"index {index} outside {self.offset}..{self.last_index}"
-            )
-        return self.values[index - self.offset]
-
-
 def emit_bfile(values: Sequence[int], offset: int) -> str:
     """Render values as canonical b-file text (see module doc)."""
     if not values:
@@ -121,7 +100,7 @@ def emit_bfile(values: Sequence[int], offset: int) -> str:
     return "".join(f"{offset + i} {v}\n" for i, v in enumerate(values))
 
 
-def parse_bfile(text: str) -> BFileRecord:
+def parse_bfile(text: str) -> IntegerSequence:
     """Parse b-file text; comments and blank lines are ignored.
 
     Raises ValueError naming the line number for malformed lines and for
@@ -156,7 +135,7 @@ def parse_bfile(text: str) -> BFileRecord:
         expected = index + 1
     if offset is None:
         raise ValueError("b-file contains no entries")
-    return BFileRecord(offset, tuple(values))
+    return IntegerSequence(offset, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -178,7 +157,7 @@ class MatchReport:
         )
 
 
-def compare(seq: IntegerSequence, record: BFileRecord) -> MatchReport:
+def compare(seq: IntegerSequence, record: IntegerSequence) -> MatchReport:
     """Compare over the overlapping index range; empty overlap is an error."""
     lo = max(seq.offset, record.offset)
     hi = min(seq.last_index, record.last_index)

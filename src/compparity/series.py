@@ -172,20 +172,14 @@ class TruncatedSeries:
                         out[i + j] += a * b
         return TruncatedSeries(tuple(out))
 
-    def shift(self, t: int) -> "TruncatedSeries":
-        """Multiply by x^t, keeping the truncation order."""
-        if t < 0:
-            raise ValueError(f"shift must be >= 0, got {t}")
-        out = (0,) * min(t, self.order + 1) + self.coeffs[: self.order + 1 - t]
-        return TruncatedSeries(out)
-
 
 def expand_rational(num: IntPolynomial, den: IntPolynomial, order: int) -> TruncatedSeries:
     """Coefficients of num/den up to x^order.
 
     The constant term of den must be +1 or -1; otherwise the expansion is
     not guaranteed integral and a ValueError is raised.  The result S
-    satisfies S * den = num through the truncation order (asserted).
+    satisfies S * den = num through the truncation order; the expansion
+    checks this and raises ArithmeticError otherwise.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -201,7 +195,8 @@ def expand_rational(num: IntPolynomial, den: IntPolynomial, order: int) -> Trunc
             acc -= den.coefficient(u) * c[t - u]
         c.append(acc * q0)  # q0 in {1, -1} so this is exact division
     series = TruncatedSeries(tuple(c))
-    assert (series * den.as_series(order)).coeffs == num.as_series(order).coeffs
+    if (series * den.as_series(order)).coeffs != num.as_series(order).coeffs:
+        raise ArithmeticError(f"expansion of {num}/{den} fails S * den = num")
     return series
 
 

@@ -5,7 +5,8 @@ independent routes (closed formula, recurrence, generating function,
 exhaustive enumeration) and comparing exactly.  A sweep may run its
 instances in a process pool; instances are pure functions of their
 parameters and results are reassembled in parameter order, so reports are
-byte-identical regardless of scheduling.
+byte-identical regardless of scheduling.  Each sweep is one entry of
+``_SWEEPS``: its checker and its grid, written as the report's ranges.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from compparity import compositions, formulas, partition_theorems, series
 from compparity.compositions import (
@@ -120,8 +122,12 @@ def _recurrence_row(k: int, count: int) -> tuple[int, ...]:
 # instance checkers (top level so they pickle for the process pool)
 # ---------------------------------------------------------------------------
 
+_THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
+_SHIFT_ORDER = 60  # series order of the cor-period shift/period checks
+
+
 def _check_thm1(params):
-    (n, enum_cap) = params
+    (n,) = params
     tag = (("n", n),)
     j = (n - 1) // 3
     pattern = 0 if n % 3 == 0 else (-1) ** j
@@ -131,7 +137,7 @@ def _check_thm1(params):
     rec = _recurrence_row(2, n)[n - 1]
     if rec != val:
         return Counterexample(tag, val, rec, "recurrence vs formula")
-    if n <= enum_cap:
+    if n <= _THM1_ENUMERATED:
         diff = compositions.signed_count(n + 1, MinPart(2)).diff
         if diff != val:
             return Counterexample(tag, val, diff, "enumeration vs formula")
@@ -390,208 +396,126 @@ def _check_andrews_d(params):
 # sweep definitions
 # ---------------------------------------------------------------------------
 
-def _build_thm1(c: SweepConfig):
-    max_n = c.max_n or 60
-    enum_cap = min(max_n, 20)
-    inst = [(n, enum_cap) for n in range(1, max_n + 1)]
-    return inst, f"n=1..{max_n} (enumeration to n={enum_cap})"
+# The SweepConfig field that overrides each axis's last value; the single
+# series order of the pentagonal sweep is set by max_n.
+_OVERRIDE = {"n": "max_n", "order": "max_n", "k": "max_k", "r": "max_r", "m": "max_m"}
 
 
-def _build_thm2(c: SweepConfig):
-    max_k = c.max_k or 6
-    max_n = c.max_n or 20
-    order = max_n + max_k
-    inst = [(k, n, order) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
-    return inst, f"k=1..{max_k} n=1..{max_n}"
+@dataclass(frozen=True)
+class _Sweep:
+    """One named sweep: the check run on each instance and the grid it covers.
+
+    ``grid`` reads as the report's ranges.  A term ``a=first..last`` is an
+    axis whose integer ``last`` is the default that ``SweepConfig``
+    overrides; ``s=0..r-1`` bounds an axis by an earlier one; ``order=100``
+    is a single point; any other term (``k=r-s``) is text only.  The
+    points, in axis order, pass through ``instances``, which may append
+    parameters shared by the whole grid; ``note`` extends the ranges text.
+    Both read the axes' effective last values.
+    """
+
+    check: Callable[[tuple], Counterexample | None]
+    grid: str
+    instances: Callable[[list[tuple], dict[str, int]], list[tuple]] = lambda p, last: p
+    note: Callable[[dict[str, int]], str] = lambda last: ""
 
 
-def _build_thm3(c: SweepConfig):
-    max_k = c.max_k or 6
-    max_r = c.max_r or 5
-    max_n = c.max_n or 18
-    order = max_n + max_k
-    inst = [
-        (k, r, s, n, order)
-        for k in range(1, max_k + 1)
-        for r in range(1, max_r + 1)
-        for s in range(0, r)
-        for n in range(1, max_n + 1)
-    ]
-    return inst, f"k=1..{max_k} r=1..{max_r} s=0..r-1 n=1..{max_n}"
+def _with_order(points: list[tuple], last: dict[str, int]) -> list[tuple]:
+    """Append the one series order, n+k, that covers every instance."""
+    return [p + (last["n"] + last["k"],) for p in points]
 
 
-def _build_cor_rs(c: SweepConfig):
-    max_r = c.max_r or 5
-    max_n = c.max_n or 18
-    inst = [
-        (r, s, n)
-        for r in range(1, max_r + 1)
-        for s in range(0, r)
-        if r - s >= 1
-        for n in range(1, max_n + 1)
-    ]
-    return inst, f"r=1..{max_r} s=0..r-1 k=r-s n=1..{max_n}"
+def _with_shift_checks(points: list[tuple], last: dict[str, int]) -> list[tuple]:
+    """Tag the value instances and add one shift/period check per (r, s)."""
+    shifts = {("shift", r, s, _SHIFT_ORDER) for r, s, _ in points}
+    return [("value", *p) for p in points] + list(shifts)
 
 
-def _build_cor_period(c: SweepConfig):
-    max_r = c.max_r or 5
-    max_n = c.max_n or 18
-    inst: list[tuple] = []
-    for r in range(1, max_r + 1):
-        for s in range(0, r):
-            inst.append(("shift", r, s, 60))
-            for n in range(1, max_n + 1):
-                inst.append(("value", r, s, n))
-    return inst, f"r=1..{max_r} s=0..r-1 k=2r-s n=1..{max_n}; shift/period to order 60"
-
-
-def _build_thm4(c: SweepConfig):
-    max_k = c.max_k or 4
-    max_m = c.max_m if c.max_m is not None else 3
-    max_n = c.max_n or 16
-    inst = [
-        (k, m, n)
-        for k in range(2, max_k + 1)
-        for m in range(0, max_m + 1)
-        for n in range(1, max_n + 1)
-    ]
-    return inst, f"k=2..{max_k} m=0..{max_m} n=1..{max_n}"
-
-
-def _build_thm4bar(c: SweepConfig):
-    max_k = c.max_k or 4
-    max_m = c.max_m if c.max_m is not None else 3
-    max_n = c.max_n or 16
-    inst = [
-        (k, m, n, max_n + k - 1, max_m)
-        for k in range(1, max_k + 1)
-        for m in range(0, max_m + 1)
-        for n in range(1, max_n + 1)
-    ]
-    return inst, f"k=1..{max_k} m=0..{max_m} n=1..{max_n}"
-
-
-def _build_comp1(c: SweepConfig):
-    max_n = c.max_n or 22
-    return [(n,) for n in range(1, max_n + 1)], f"n=1..{max_n}"
-
-
-def _build_comp2(c: SweepConfig):
-    max_k = c.max_k or 5
-    max_n = c.max_n or 20
-    inst = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
-    return inst, f"k=1..{max_k} n=1..{max_n}"
-
-
-def _build_comp3(c: SweepConfig):
-    max_k = c.max_k or 4
-    max_m = c.max_m if c.max_m is not None else 3
-    max_n = c.max_n or 16
-    inst = [
-        (k, m, n)
-        for k in range(1, max_k + 1)
-        for m in range(0, max_m + 1)
-        for n in range(1, max_n + 1)
-    ]
-    return inst, f"k=1..{max_k} m=0..{max_m} n=1..{max_n}"
-
-
-def _build_legendre(c: SweepConfig):
-    max_n = c.max_n or 50
-    return [(n, max_n) for n in range(0, max_n + 1)], f"n=0..{max_n}"
-
-
-def _build_pentagonal(c: SweepConfig):
-    order = c.max_n or 100
-    return [(order,)], f"order={order}"
-
-
-def _build_euler(c: SweepConfig):
-    max_n = c.max_n or 30
-    return [(n,) for n in range(0, max_n + 1)], f"n=0..{max_n}"
-
-
-def _build_glaisher(c: SweepConfig):
-    max_k = c.max_k or 4
-    max_n = c.max_n or 30
-    inst = [(k, n) for k in range(1, max_k + 1) for n in range(0, max_n + 1)]
-    return inst, f"k=1..{max_k} n=0..{max_n}"
-
-
-def _build_franklin(c: SweepConfig):
-    max_k = c.max_k or 3
-    max_m = c.max_m if c.max_m is not None else 3
-    max_n = c.max_n or 25
-    inst = [
-        (k, m, n)
-        for k in range(1, max_k + 1)
-        for m in range(0, max_m + 1)
-        for n in range(0, max_n + 1)
-    ]
-    return inst, f"k=1..{max_k} m=0..{max_m} n=0..{max_n}"
-
-
-def _build_nyirenda_d(c: SweepConfig):
-    max_r = c.max_r or 3
-    max_n = c.max_n or 40
-    inst = [(r, n) for r in range(1, max_r + 1) for n in range(0, max_n + 1)]
-    return inst, f"r=1..{max_r} n=0..{max_n}"
-
-
-_build_nyirenda_c = _build_nyirenda_d
-
-
-def _build_andrews(c: SweepConfig):
-    max_k = c.max_k or 3
-    max_n = c.max_n or 30
-    inst = [(k, n) for k in range(1, max_k + 1) for n in range(0, max_n + 1)]
-    return inst, f"k=1..{max_k} n=0..{max_n}"
-
-
-def _build_andrews_d(c: SweepConfig):
-    max_m = c.max_m if c.max_m is not None else 7
-    max_n = c.max_n or 30
-    inst = [(m, n) for m in range(0, max_m + 1) for n in range(0, max_n + 1)]
-    return inst, f"m=0..{max_m} n=0..{max_n}"
-
-
-_CHECKS = {
-    "thm1": (_build_thm1, _check_thm1),
-    "thm2": (_build_thm2, _check_thm2),
-    "thm3": (_build_thm3, _check_thm3),
-    "cor-rs": (_build_cor_rs, _check_cor_rs),
-    "cor-period": (_build_cor_period, _check_cor_period),
-    "thm4": (_build_thm4, _check_thm4),
-    "thm4bar": (_build_thm4bar, _check_thm4bar),
-    "comp1": (_build_comp1, _check_comp1),
-    "comp2": (_build_comp2, _check_comp2),
-    "comp3": (_build_comp3, _check_comp3),
-    "legendre": (_build_legendre, _check_legendre),
-    "pentagonal": (_build_pentagonal, _check_pentagonal),
-    "euler": (_build_euler, _check_euler),
-    "glaisher": (_build_glaisher, _check_glaisher),
-    "franklin": (_build_franklin, _check_franklin),
-    "nyirenda-d": (_build_nyirenda_d, _check_nyirenda_d),
-    "nyirenda-c": (_build_nyirenda_c, _check_nyirenda_c),
-    "andrews": (_build_andrews, _check_andrews),
-    "andrews-d": (_build_andrews_d, _check_andrews_d),
+_SWEEPS = {
+    "thm1": _Sweep(_check_thm1, "n=1..60",
+                   note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
+    "thm2": _Sweep(_check_thm2, "k=1..6 n=1..20", _with_order),
+    "thm3": _Sweep(_check_thm3, "k=1..6 r=1..5 s=0..r-1 n=1..18", _with_order),
+    "cor-rs": _Sweep(_check_cor_rs, "r=1..5 s=0..r-1 k=r-s n=1..18"),
+    "cor-period": _Sweep(_check_cor_period, "r=1..5 s=0..r-1 k=2r-s n=1..18", _with_shift_checks,
+                         note=lambda last: f"; shift/period to order {_SHIFT_ORDER}"),
+    "thm4": _Sweep(_check_thm4, "k=2..4 m=0..3 n=1..16"),
+    "thm4bar": _Sweep(_check_thm4bar, "k=1..4 m=0..3 n=1..16", lambda points, last: [
+        (k, m, n, last["n"] + k - 1, last["m"]) for k, m, n in points]),
+    "comp1": _Sweep(_check_comp1, "n=1..22"),
+    "comp2": _Sweep(_check_comp2, "k=1..5 n=1..20"),
+    "comp3": _Sweep(_check_comp3, "k=1..4 m=0..3 n=1..16"),
+    "legendre": _Sweep(_check_legendre, "n=0..50",
+                       lambda points, last: [p + (last["n"],) for p in points]),
+    "pentagonal": _Sweep(_check_pentagonal, "order=100"),
+    "euler": _Sweep(_check_euler, "n=0..30"),
+    "glaisher": _Sweep(_check_glaisher, "k=1..4 n=0..30"),
+    "franklin": _Sweep(_check_franklin, "k=1..3 m=0..3 n=0..25"),
+    "nyirenda-d": _Sweep(_check_nyirenda_d, "r=1..3 n=0..40"),
+    "nyirenda-c": _Sweep(_check_nyirenda_c, "r=1..3 n=0..40"),
+    "andrews": _Sweep(_check_andrews, "k=1..3 n=0..30"),
+    "andrews-d": _Sweep(_check_andrews_d, "m=0..7 n=0..30"),
 }
 
-CHECK_NAMES = tuple(_CHECKS)
+CHECK_NAMES = tuple(_SWEEPS)
+
+
+def _sweep(name: str) -> _Sweep:
+    if name not in _SWEEPS:
+        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    return _SWEEPS[name]
+
+
+def _terms(sweep: _Sweep) -> list[tuple[str, str, str, str]]:
+    """(axis, first, "..", last) per grid term; "" where a part is absent."""
+    out = []
+    for term in sweep.grid.split():
+        axis, _, value = term.partition("=")
+        out.append((axis, *value.rpartition("..")))
+    return out
+
+
+def overrides(name: str) -> tuple[str, ...]:
+    """The SweepConfig fields that the named sweep reads."""
+    return tuple(_OVERRIDE[axis] for axis, _, _, last in _terms(_sweep(name)) if last.isdigit())
+
+
+def _expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
+    """The sweep's instances, sorted, and the ranges text of its report."""
+    sweep = _sweep(name)
+    points: list[dict[str, int]] = [{}]
+    last: dict[str, int] = {}
+    text: list[str] = []
+    for axis, first, dots, top in _terms(sweep):
+        if top.isdigit():
+            override = getattr(config, _OVERRIDE[axis])
+            top = last[axis] = int(top) if override is None else override
+            lo = int(first) if dots else top
+            points = [{**p, axis: v} for p in points for v in range(lo, top + 1)]
+        elif dots:  # bounded by an earlier axis, as in s=0..r-1
+            ref, _, minus = top.partition("-")
+            points = [
+                {**p, axis: v} for p in points for v in range(int(first), p[ref] - int(minus) + 1)
+            ]
+        text.append(f"{axis}={first}{dots}{top}")
+    instances = sweep.instances([tuple(p.values()) for p in points], last)
+    return sorted(instances), " ".join(text) + sweep.note(last)
 
 
 def _dispatch(tagged):
     name, params = tagged
-    return _CHECKS[name][1](params)
+    return _SWEEPS[name].check(params)
 
 
 def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationReport:
-    """Run one named sweep and return its report."""
-    if name not in _CHECKS:
-        raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    build, _ = _CHECKS[name]
-    instances, ranges = build(config)
-    instances = sorted(instances)
+    """Run one named sweep and return its report.
+
+    Raises ValueError for an unknown name and for a grid with no instances,
+    so a sweep can never pass vacuously.
+    """
+    instances, ranges = _expand(name, config)
+    if not instances:
+        raise ValueError(f"check {name} has no instances over {ranges}")
     tagged = [(name, p) for p in instances]
     if config.jobs > 1 and len(tagged) > 1:
         with multiprocessing.Pool(config.jobs) as pool:

@@ -184,3 +184,41 @@ def test_fixture_files_verify(capsys):
             "--file", str(fixtures / name),
         )
         assert code == 0, (name, out)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify thm1 --max-n 0", "no instances over n=1..0"),
+        ("verify thm1 --max-n -3", "no instances over n=1..-3"),
+        ("verify thm4 --max-k 1", "no instances over k=2..1"),
+        ("verify thm2 --max-k 0", "no instances over k=1..0"),
+        ("verify thm2 --k 3", "unrecognized arguments: --k 3"),
+        ("verify legendre --max-k 9", "verify legendre does not use --max-k"),
+        ("formula thm2 --k 2 --n 4 --m 5", "formula thm2 does not use --m"),
+        ("series pentagonal --k 4 --order 5", "series pentagonal does not use --k"),
+        ("series thm2 --k 2 --y-order 7 --order 5", "series thm2 does not use --y-order"),
+        ("period --seq legendre --k 3 --max-n 10", "sequence legendre does not use --k"),
+        ("bfile emit --seq distinct --r 2 --max-n 5", "sequence distinct does not use --r"),
+        ("count --class all --k 5 --n 4", "class 'all' does not use --k"),
+        ("signed --class minpart --k 2 --m 1 --n 4", "class 'minpart' does not use --m"),
+    ],
+)
+def test_unused_flags_and_empty_grids_exit_2(capsys, argv, message):
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:  # argparse rejects flags a subcommand never defines
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
+def test_optional_k_of_collapsed_identities(capsys):
+    code, out, err = run_cli(capsys, "formula", "cor-period", "--k", "3", "--r", "2", "--s", "1",
+                             "--n", "4")
+    assert (code, out) == (0, "1\n")
+    assert "k=3=2r-s" in err
+    code, out, _ = run_cli(capsys, "period", "--seq", "cor-rs", "--k", "2", "--r", "3", "--s", "1",
+                           "--max-n", "12")
+    assert code == 0

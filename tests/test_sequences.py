@@ -72,7 +72,7 @@ def test_emit_bfile_canonical():
 
 def test_parse_bfile_comments_and_blanks():
     rec = Q.parse_bfile("# header\n\n3 7\n4 -2\n")
-    assert rec == Q.BFileRecord(3, (7, -2))
+    assert rec == Q.IntegerSequence(3, (7, -2))
     assert rec.term(4) == -2
 
 
@@ -98,7 +98,7 @@ def test_bfile_round_trip(values, offset):
 
 def test_compare_match():
     seq = Q.IntegerSequence(0, (1, 2, 3, 4, 5))
-    rec = Q.BFileRecord(2, (3, 4))
+    rec = Q.IntegerSequence(2, (3, 4))
     rep = Q.compare(seq, rec)
     assert rep.matched
     assert (rep.overlap_start, rep.overlap_end) == (2, 3)
@@ -108,7 +108,7 @@ def test_compare_match():
 
 def test_compare_mismatch():
     seq = Q.IntegerSequence(0, (1, 2, 3))
-    rec = Q.BFileRecord(1, (2, 9))
+    rec = Q.IntegerSequence(1, (2, 9))
     rep = Q.compare(seq, rec)
     assert not rep.matched
     assert rep.first_mismatch == (2, 3, 9)
@@ -117,6 +117,6 @@ def test_compare_mismatch():
 
 def test_compare_empty_overlap():
     seq = Q.IntegerSequence(0, (1, 2))
-    rec = Q.BFileRecord(5, (9,))
+    rec = Q.IntegerSequence(5, (9,))
     with pytest.raises(ValueError):
         Q.compare(seq, rec)

@@ -53,11 +53,6 @@ def test_truncated_series_arithmetic():
         geo.coefficient(6)
 
 
-def test_series_shift():
-    ts = S.TruncatedSeries((1, 2, 3, 4))
-    assert ts.shift(2).coeffs == (0, 0, 1, 2)
-
-
 def test_expand_rational_requires_unit():
     with pytest.raises(ValueError):
         S.expand_rational(S.IntPolynomial((1,)), S.IntPolynomial((2, 1)), 5)

@@ -1,0 +1,27 @@
+"""Properties of the source tree itself: no asserts, docs match the tables."""
+
+import ast
+import pathlib
+
+from compparity import cli
+from compparity.verify import CHECK_NAMES
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips asserts, so a self-check written as one would vanish
+    found = []
+    for path in sorted((ROOT / "src" / "compparity").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_readme_catalog_lists_every_token_once():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Identity catalog", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    tokens = [row.split("|")[1].strip() for row in rows[1:]]  # skip the header
+    assert sorted(tokens) == sorted(set(CHECK_NAMES) | set(cli.FORMULA_NAMES))

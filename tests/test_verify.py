@@ -7,6 +7,7 @@ from compparity.verify import (
     Counterexample,
     SweepConfig,
     VerificationReport,
+    overrides,
     render_report,
     run_check,
 )
@@ -80,3 +81,32 @@ def test_render_rejects_unknown_format():
     report = run_check("thm2", SweepConfig(max_n=4, max_k=1))
     with pytest.raises(ValueError):
         render_report(report, "yaml")
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("thm1", SweepConfig(max_n=0)),
+        ("thm1", SweepConfig(max_n=-3)),
+        ("thm4", SweepConfig(max_k=1)),
+        ("cor-rs", SweepConfig(max_r=0)),
+    ],
+)
+def test_empty_grid_rejected(name, config):
+    with pytest.raises(ValueError, match="no instances"):
+        run_check(name, config)
+
+
+def test_zero_overrides_are_honoured():
+    report = run_check("andrews-d", SweepConfig(max_m=0, max_n=0))
+    assert (report.ranges, report.instances) == ("m=0..0 n=0..0", 1)
+
+
+def test_absent_axes_are_ignored():
+    # one config may be shared by every sweep, as scripts/run_all_checks.py does
+    assert overrides("legendre") == ("max_n",)
+    report = run_check("legendre", SweepConfig(max_n=5, max_k=9, max_r=9, max_m=9))
+    assert report.ranges == "n=0..5"
+    assert {f for name in CHECK_NAMES for f in overrides(name)} == {
+        "max_n", "max_k", "max_r", "max_m"
+    }
