@@ -1,10 +1,11 @@
 """Length-parity counting for compositions and partitions with restricted parts.
 
-The package pairs an exhaustive enumeration oracle (`compositions`,
-`partitions`) with closed formulas (`formulas`), generating function
-expansions (`series`), part-rewriting bijections (`maps`), classical
-partition identities (`partition_theorems`), sequence utilities
-(`sequences`) and batch verification sweeps (`verify`).  Signed counts
+The package pairs an enumeration oracle (`compositions`, `partitions`:
+class definitions, counted by a membership-automaton tally) with closed
+formulas (`formulas`), generating function expansions (`series`),
+part-rewriting bijections (`maps`), classical partition identities
+(`partition_theorems`), sequence utilities (`sequences`) and batch
+verification sweeps (`verify`).  Signed counts
 follow the convention odd-length minus even-length for compositions and
 even minus odd for the partition identities, matching the usual
 statements of each.

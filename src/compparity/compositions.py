@@ -1,12 +1,21 @@
-"""Exhaustive enumeration of compositions with restricted parts.
+"""Compositions with restricted parts: definitions, enumeration and counts.
 
 A composition of n is an ordered tuple of positive integers summing to n;
 the empty composition is the unique composition of 0.  Each restriction
 class pairs a membership predicate (``contains``) with a pruned recursive
 generator (``iter_parts``); the test suite checks the two against each
-other, and the enumeration here is the ground truth against which every
-closed formula, generating function and bijection in this package is
-verified.
+other, and together they define the class.
+
+Counts do not walk the members.  Each class also states its membership
+rule as an automaton that reads one part at a time (``start``, ``step``,
+``accept``), and ``signed_count`` / ``count_compositions`` tally members
+by length parity over (size, state) in ``compparity._automaton``.  The
+tests hold that tally to a parity count taken straight from
+``iter_parts``; it uses no closed form, so it stays the enumeration route
+against which every formula, generating function and bijection in this
+package is verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
+``ValueError``: one-state classes reach n = 1999, compositions into
+distinct parts about 65.
 
 Enumeration order is lexicographic on part tuples, so golden outputs are
 stable.  Signed counting tracks length parity: ``SignedCount.diff`` is the
@@ -16,7 +25,9 @@ number of odd-length members minus the number of even-length members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Hashable, Iterator
+
+from compparity._automaton import tally_compositions
 
 
 @dataclass(frozen=True, order=True)
@@ -59,9 +70,12 @@ class SignedCount:
 class CompositionClass:
     """Base class for part restrictions.
 
-    Subclasses supply ``contains`` (a direct predicate on part tuples) and
+    Subclasses supply ``contains`` (a direct predicate on part tuples),
     ``iter_parts`` (a generator over all members of given size, in
-    lexicographic order, each exactly once).
+    lexicographic order, each exactly once) and ``step``, which with
+    ``start`` and ``accept`` reads a member one part at a time: it returns
+    the state after ``part`` or ``None`` when no member continues so.  The
+    defaults suit a one-state rule on each part alone.
     """
 
     def contains(self, parts: tuple[int, ...]) -> bool:
@@ -69,6 +83,15 @@ class CompositionClass:
 
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         raise NotImplementedError
+
+    def start(self) -> Hashable:
+        return 0
+
+    def step(self, state: Hashable, part: int) -> Hashable | None:
+        raise NotImplementedError
+
+    def accept(self, state: Hashable) -> bool:
+        return True
 
 
 def _check_size(n: int) -> None:
@@ -97,6 +120,9 @@ class All(CompositionClass):
         _check_size(n)
         return _iter_progression(n, 1, 1)
 
+    def step(self, state: int, part: int) -> int:
+        return 0
+
 
 @dataclass(frozen=True)
 class MinPart(CompositionClass):
@@ -114,6 +140,9 @@ class MinPart(CompositionClass):
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         _check_size(n)
         return _iter_progression(n, self.k, 1)
+
+    def step(self, state: int, part: int) -> int | None:
+        return 0 if part >= self.k else None
 
 
 @dataclass(frozen=True)
@@ -146,6 +175,10 @@ class MinPartCongruent(CompositionClass):
         _check_size(n)
         return _iter_progression(n, self.k + self.s, self.r)
 
+    def step(self, state: int, part: int) -> int | None:
+        k, r, s = self.k, self.r, self.s
+        return 0 if part >= k and part % r == (k + s) % r else None
+
 
 @dataclass(frozen=True)
 class OddParts(CompositionClass):
@@ -157,6 +190,9 @@ class OddParts(CompositionClass):
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         _check_size(n)
         return _iter_progression(n, 1, 2)
+
+    def step(self, state: int, part: int) -> int | None:
+        return 0 if part % 2 == 1 else None
 
 
 @dataclass(frozen=True)
@@ -181,6 +217,10 @@ class DistinctParts(CompositionClass):
 
         return rec(n, frozenset())
 
+    def step(self, used: int, part: int) -> int | None:
+        # the state is the set of parts used so far, as a bit mask
+        return None if used >> part & 1 else used | 1 << part
+
 
 @dataclass(frozen=True)
 class ExactSmall(CompositionClass):
@@ -202,6 +242,15 @@ class ExactSmall(CompositionClass):
         _check_size(n)
         return _iter_exact_small(n, self.k, self.m)
 
+    def step(self, small: int, part: int) -> int | None:
+        # the state counts the small parts read so far
+        if part < self.k:
+            small += 1
+        return small if small <= self.m else None
+
+    def accept(self, small: int) -> bool:
+        return small == self.m
+
 
 def _iter_exact_small(n: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
     # prune as soon as the small-part budget m is overdrawn
@@ -215,6 +264,10 @@ def _iter_exact_small(n: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
             continue
         for rest in _iter_exact_small(n - first, k, m2):
             yield (first,) + rest
+
+
+# phases of the GuardedSmall automaton
+_OPEN, _BIG, _PENDING, _MUST_END = range(4)
 
 
 def is_guarded(parts: tuple[int, ...], k: int) -> bool:
@@ -260,6 +313,31 @@ class GuardedSmall(CompositionClass):
         k = self.k
         return (c for c in _iter_exact_small(n, k, self.m) if is_guarded(c, k))
 
+    # A transfer-matrix state (small parts used, phase) with the phases:
+    # nothing read yet; last part >= k; a small part waiting for a
+    # successor > k; and must end, after a part equal to k has followed a
+    # small part (that k may only be the final part).
+    def start(self) -> tuple[int, int]:
+        return 0, _OPEN
+
+    def step(self, state: tuple[int, int], part: int) -> tuple[int, int] | None:
+        small, phase = state
+        k = self.k
+        if phase == _MUST_END:
+            return None
+        if part < k:
+            # a small part needs a predecessor >= k and no more than m of them
+            if phase != _BIG or small == self.m:
+                return None
+            return small + 1, _PENDING
+        if phase == _PENDING and part == k:
+            return small, _MUST_END
+        return small, _BIG
+
+    def accept(self, state: tuple[int, int]) -> bool:
+        small, phase = state
+        return small == self.m and phase != _PENDING
+
 
 @dataclass(frozen=True)
 class ModOneExcept(CompositionClass):
@@ -287,6 +365,16 @@ class ModOneExcept(CompositionClass):
         _check_size(n)
         return _iter_mod_one_except(n, self.k, self.m)
 
+    def step(self, bad: int, part: int) -> int | None:
+        # the state counts the exceptional parts read so far
+        k = self.k
+        if part % k == 1 % k:
+            return bad
+        return bad + 1 if part > k and bad < self.m else None
+
+    def accept(self, bad: int) -> bool:
+        return bad == self.m
+
 
 def _iter_mod_one_except(n: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
@@ -311,25 +399,17 @@ def enumerate_compositions(n: int, cls: CompositionClass) -> list[Composition]:
 
 
 def count_compositions(n: int, cls: CompositionClass) -> int:
-    total = 0
-    for _ in cls.iter_parts(n):
-        total += 1
-    return total
+    return signed_count(n, cls).total
 
 
 def signed_count(n: int, cls: CompositionClass) -> SignedCount:
-    """Tally members of the class by length parity, exhaustively.
+    """Tally members of the class by length parity over its automaton.
 
     The empty composition of 0 has length 0 and counts as even, so
     ``signed_count(0, All()).diff == -1``.
     """
-    odd = even = 0
-    for parts in cls.iter_parts(n):
-        if len(parts) % 2:
-            odd += 1
-        else:
-            even += 1
-    return SignedCount(odd, even)
+    _check_size(n)
+    return SignedCount(*tally_compositions(n, cls))
 
 
 def signed_count_distinct(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Classical partition identities, each checked by exhaustive enumeration.
+"""Classical partition identities, each checked against the enumeration oracle.
 
 The signed quantities on the partition side are reported as even-length
 minus odd-length, the orientation in which Legendre's theorem produces
@@ -10,6 +10,7 @@ lives in ``compparity.partitions``.
 from __future__ import annotations
 
 from compparity import partitions
+from compparity._automaton import tally_partitions
 from compparity.partitions import (
     DistinctInResidues,
     DistinctParts,
@@ -58,7 +59,7 @@ def odd_parts_signed(n: int) -> int:
     """Even minus odd length count over odd-part partitions of n.
 
     Every part odd forces length = n (mod 2), so the value is (-1)^n times
-    the total count; the enumeration here does not use that shortcut.
+    the total count; the tally here does not use that shortcut.
     """
     _check_n(n)
     sc = partitions.signed_count(n, OddParts())
@@ -159,16 +160,9 @@ def andrews_singleton_delta(n: int, m: int) -> tuple[int, int, bool]:
     _check_n(n)
     if m < 0:
         raise ValueError(f"requires m >= 0, got m={m}")
-    delta = 0
-    for parts in InitialTwoRepsWithMarks(m).iter_parts(n):
-        singles = 0
-        seen: dict[int, int] = {}
-        for p in parts:
-            seen[p] = seen.get(p, 0) + 1
-        for c in seen.values():
-            if c == 1:
-                singles += 1
-        delta += (-1) ** singles
+    # a block of multiplicity one flips the sign
+    odd, even = tally_partitions(n, InitialTwoRepsWithMarks(m), lambda c: c == 1)
+    delta = even - odd
 
     closed = (-1) ** m if n == m * (m + 1) // 2 else 0
     return delta, closed, delta == closed

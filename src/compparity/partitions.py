@@ -1,10 +1,16 @@
-"""Exhaustive enumeration of integer partitions with restricted parts.
+"""Integer partitions with restricted parts: definitions, enumeration, counts.
 
 Partitions are weakly decreasing tuples of positive integers.  Enumeration
 is in descending lexicographic order on part tuples, e.g. for n = 4:
 (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  As with compositions, every class
-carries both a predicate and a generator and the enumeration is the oracle
-for the classical partition identities checked elsewhere in the package.
+carries both a predicate and a generator, which define it, and a
+membership automaton that reads a partition one block at a time: a value
+above the previous one with its multiplicity, and the values skipped in
+between.  ``signed_count`` and ``count_partitions`` tally that automaton
+over (size, state) in ``compparity._automaton`` instead of walking the
+members; the tests hold the tally to ``iter_parts``.  It is the oracle for
+the classical partition identities checked elsewhere in the package, and
+raises ``ValueError`` past ``_automaton.MAX_TRIALS`` trials.
 
 Partition-side signed results in this package are conventionally reported
 as even-length minus odd-length (the opposite orientation from the
@@ -15,8 +21,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
+from compparity._automaton import tally_partitions
 from compparity.compositions import SignedCount
 
 
@@ -46,13 +53,31 @@ class Partition:
 
 
 class PartitionClass:
-    """Base class for partition restrictions."""
+    """Base class for partition restrictions.
+
+    Besides ``contains`` and ``iter_parts``, a subclass supplies ``step``,
+    which with ``start`` and ``accept`` reads a partition in blocks of
+    increasing value: ``mult`` copies of ``value``, after the values in
+    ``skipped`` that do not occur.  It returns the next state, or ``None``
+    when no member continues so.  The defaults suit a one-state rule on
+    each block alone.
+    """
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         raise NotImplementedError
 
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         raise NotImplementedError
+
+    def start(self) -> Hashable:
+        return 0
+
+    def step(self, state: Hashable, value: int, mult: int,
+             skipped: range) -> Hashable | None:
+        raise NotImplementedError
+
+    def accept(self, state: Hashable) -> bool:
+        return True
 
 
 def _check_size(n: int) -> None:
@@ -91,6 +116,9 @@ class All(PartitionClass):
         _check_size(n)
         return _iter_partitions(n, n if n else 1, None, False)
 
+    def step(self, state: int, value: int, mult: int, skipped: range) -> int:
+        return 0
+
 
 @dataclass(frozen=True)
 class DistinctParts(PartitionClass):
@@ -101,6 +129,9 @@ class DistinctParts(PartitionClass):
         _check_size(n)
         return _iter_partitions(n, n if n else 1, None, True)
 
+    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
+        return 0 if mult == 1 else None
+
 
 @dataclass(frozen=True)
 class OddParts(PartitionClass):
@@ -110,6 +141,9 @@ class OddParts(PartitionClass):
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         _check_size(n)
         return _iter_partitions(n, n if n else 1, lambda p: p % 2 == 1, False)
+
+    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
+        return 0 if value % 2 == 1 else None
 
 
 @dataclass(frozen=True)
@@ -139,6 +173,9 @@ class DistinctInResidues(PartitionClass):
         mod, res = self.modulus, self.residues
         return _iter_partitions(n, n if n else 1, lambda p: p % mod in res, True)
 
+    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
+        return 0 if mult == 1 and value % self.modulus in self.residues else None
+
 
 @dataclass(frozen=True)
 class MaxMultiplicity(PartitionClass):
@@ -158,6 +195,9 @@ class MaxMultiplicity(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
+    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
+        return 0 if mult < self.bound else None
+
 
 @dataclass(frozen=True)
 class NoPartDivisibleBy(PartitionClass):
@@ -174,6 +214,9 @@ class NoPartDivisibleBy(PartitionClass):
         _check_size(n)
         k = self.k
         return _iter_partitions(n, n if n else 1, lambda p: p % k != 0, False)
+
+    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
+        return 0 if value % self.k != 0 else None
 
 
 @dataclass(frozen=True)
@@ -197,6 +240,14 @@ class FranklinRepeated(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
+    def step(self, repeated: int, value: int, mult: int, skipped: range) -> int | None:
+        # the state counts the values read so far that occur >= k times
+        repeated += mult >= self.k
+        return repeated if repeated <= self.m else None
+
+    def accept(self, repeated: int) -> bool:
+        return repeated == self.m
+
 
 @dataclass(frozen=True)
 class FranklinDivisible(PartitionClass):
@@ -219,6 +270,14 @@ class FranklinDivisible(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
+    def step(self, divisible: int, value: int, mult: int, skipped: range) -> int | None:
+        # the state counts the values read so far that k divides
+        divisible += value % self.k == 0
+        return divisible if divisible <= self.m else None
+
+    def accept(self, divisible: int) -> bool:
+        return divisible == self.m
+
 
 def has_initial_repetitions(parts: tuple[int, ...], k: int) -> bool:
     """True when repetitions are concentrated at the small end.
@@ -234,6 +293,19 @@ def has_initial_repetitions(parts: tuple[int, ...], k: int) -> bool:
                 if counts.get(v, 0) < k:
                     return False
     return True
+
+
+def _initial_reps_step(intact: bool, mult: int, k: int, skipped: range) -> bool | None:
+    """Read one block of a partition with initial k-repetitions.
+
+    ``intact`` says that every value from 1 up to the previous block occurs
+    at least k times; a block of k or more copies needs that, with no value
+    skipped before it.
+    """
+    intact = intact and not skipped
+    if mult >= k and not intact:
+        return None
+    return intact and mult >= k
 
 
 @dataclass(frozen=True)
@@ -252,6 +324,12 @@ class InitialKReps(PartitionClass):
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         _check_size(n)
         return _filtered(n, self.contains)
+
+    def start(self) -> bool:
+        return True
+
+    def step(self, intact: bool, value: int, mult: int, skipped: range) -> bool | None:
+        return _initial_reps_step(intact, mult, self.k, skipped)
 
 
 @dataclass(frozen=True)
@@ -276,6 +354,21 @@ class InitialTwoRepsWithMarks(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
+    # the state is (values read so far, initial 2-repetitions intact)
+    def start(self) -> tuple[int, bool]:
+        return 0, True
+
+    def step(self, state: tuple[int, bool], value: int, mult: int,
+             skipped: range) -> tuple[int, bool] | None:
+        values, intact = state
+        if values == self.m:
+            return None
+        intact = _initial_reps_step(intact, mult, 2, skipped)
+        return None if intact is None else (values + 1, intact)
+
+    def accept(self, state: tuple[int, bool]) -> bool:
+        return state[0] == self.m
+
 
 def enumerate_partitions(n: int, cls: PartitionClass) -> list[Partition]:
     """All partitions of n in the class, descending lex order, each once."""
@@ -283,18 +376,13 @@ def enumerate_partitions(n: int, cls: PartitionClass) -> list[Partition]:
 
 
 def count_partitions(n: int, cls: PartitionClass) -> int:
-    total = 0
-    for _ in cls.iter_parts(n):
-        total += 1
-    return total
+    return signed_count(n, cls).total
 
 
 def signed_count(n: int, cls: PartitionClass) -> SignedCount:
-    """Tally partitions in the class by length parity, exhaustively."""
-    odd = even = 0
-    for parts in cls.iter_parts(n):
-        if len(parts) % 2:
-            odd += 1
-        else:
-            even += 1
-    return SignedCount(odd, even)
+    """Tally partitions in the class by length parity over its automaton.
+
+    A block of c equal parts changes the length parity when c is odd.
+    """
+    _check_size(n)
+    return SignedCount(*tally_partitions(n, cls, lambda mult: mult % 2 == 1))

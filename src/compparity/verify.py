@@ -2,7 +2,8 @@
 
 Each check sweeps a parameter grid, re-deriving every quantity along
 independent routes (closed formula, recurrence, generating function,
-exhaustive enumeration) and comparing exactly.  A sweep may run its
+enumeration, i.e. the membership-automaton tally of the class) and
+comparing exactly.  A sweep may run its
 instances in a process pool; instances are pure functions of their
 parameters and results are reassembled in parameter order, so reports are
 byte-identical regardless of scheduling.  Each sweep is one entry of

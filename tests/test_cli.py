@@ -1,8 +1,16 @@
 """Command line behavior: exact stdout, exit codes, file round trips."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
 import pytest
 
 from compparity import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -222,3 +230,30 @@ def test_optional_k_of_collapsed_identities(capsys):
     code, out, _ = run_cli(capsys, "period", "--seq", "cor-rs", "--k", "2", "--r", "3", "--s", "1",
                            "--max-n", "12")
     assert code == 0
+
+
+def test_count_all_at_40_answers_at_once(capsys):
+    code, out, _ = run_cli(capsys, "count", "--class", "all", "--n", "40")
+    assert (code, out) == (0, "549755813888\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "signed --class distinct --n 10000",
+    "count --class all --n 100000",
+])
+def test_sizes_past_the_tally_limit_exit_2_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: size ") and "tally limit" in err
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "compparity.cli", "count", "--class", "all", "--n", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "16\n", "")

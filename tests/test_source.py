@@ -25,3 +25,26 @@ def test_readme_catalog_lists_every_token_once():
     rows = [line for line in section.splitlines() if line.startswith("| ")]
     tokens = [row.split("|")[1].strip() for row in rows[1:]]  # skip the header
     assert sorted(tokens) == sorted(set(CHECK_NAMES) | set(cli.FORMULA_NAMES))
+
+
+def imported_modules(path: pathlib.Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative to the package
+                module = "compparity" + (f".{module}" if module else "")
+            names.add(module)
+            names |= {f"{module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_enumeration_route_imports_no_other_route():
+    # the tally is checked against formulas and series, so it may not use them
+    for name in ("compositions.py", "partitions.py", "_automaton.py"):
+        imported = imported_modules(ROOT / "src" / "compparity" / name)
+        for other in ("compparity.formulas", "compparity.series"):
+            assert other not in imported, (name, other)
