@@ -7,16 +7,29 @@ odd-part partitions, Legendre deltas) plus two OEIS alignment candidates
 whose offsets could not be pinned down from published data; those two
 carry a warning header and are meant for eyeball comparison, not as
 regression fixtures.
+
+The min-part and small-part rows come from the generating function,
+spot-checked against the closed form, exactly as ``compparity bfile emit``
+writes them.  --terms below 1, or past what a route can reach, exits 2
+with an ``error:`` line and writes nothing.
 """
 
 import argparse
 import pathlib
 import sys
 
+from compparity import cli
 from compparity import compositions as C
 from compparity import formulas as F
 from compparity import partition_theorems as PT
 from compparity import sequences as Q
+
+
+def _row(seq: str, terms: int, *flags: str) -> list[int]:
+    """The row ``compparity bfile emit --seq <seq> <flags>`` writes, same route."""
+    args = cli.build_parser().parse_args(
+        ["bfile", "emit", "--seq", seq, *flags, "--max-n", str(terms)])
+    return cli.sequence_terms(args, terms)
 
 
 def standard_files(terms: int):
@@ -24,13 +37,13 @@ def standard_files(terms: int):
         "minpart2_signed.txt",
         "Odd-length minus even-length compositions of n+1 with parts >= 2.",
         1,
-        [F.min_part_signed(2, n) for n in range(1, terms + 1)],
+        _row("thm2", terms, "--k", "2"),
     )
     yield (
         "minpart3_signed.txt",
         "Odd-length minus even-length compositions of n+2 with parts >= 3.",
         1,
-        [F.min_part_signed(3, n) for n in range(1, terms + 1)],
+        _row("thm2", terms, "--k", "3"),
     )
     yield (
         "minpart2_count.txt",
@@ -54,7 +67,7 @@ def standard_files(terms: int):
         "smallparts_k2_m1_signed.txt",
         "Signed compositions of n+1 with exactly one part below 2.",
         1,
-        [F.small_parts_signed(2, n, 1) for n in range(1, terms + 1)],
+        _row("thm4bar", terms, "--k", "2", "--m", "1"),
     )
     yield (
         "distinct_compositions_signed.txt",
@@ -90,7 +103,7 @@ def candidate_files(terms: int):
         "CANDIDATE alignment for OEIS A122918: signed compositions of n with "
         "exactly two parts below 1; identically zero, so the match is dubious.",
         1,
-        [F.small_parts_signed(1, n, 2) for n in range(1, terms + 1)],
+        _row("thm4bar", terms, "--k", "1", "--m", "2"),
     )
 
 
@@ -99,12 +112,22 @@ def main() -> int:
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("bfiles"))
     ap.add_argument("--terms", type=int, default=60)
     args = ap.parse_args()
+    if args.terms < 1:
+        print(f"error: --terms must be >= 1, got {args.terms}", file=sys.stderr)
+        return 2
+
+    try:
+        files = list(standard_files(args.terms)) + list(candidate_files(args.terms))
+    except ValueError as exc:  # e.g. a size past the enumeration tally's limit
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a row disagrees with its closed form
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     args.out.mkdir(parents=True, exist_ok=True)
     count = 0
-    for name, blurb, offset, values in list(standard_files(args.terms)) + list(
-        candidate_files(args.terms)
-    ):
+    for name, blurb, offset, values in files:
         path = args.out / name
         header = f"# {blurb}\n"
         path.write_text(header + Q.emit_bfile(values, offset), encoding="ascii")

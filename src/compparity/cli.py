@@ -80,7 +80,8 @@ class _Identity:
     ``offset`` its first index.  ``value(a, n)`` is the term at index n and
     ``note(a, n)`` the stderr line of ``formula``, or None for a sequence
     with no formula; ``a`` holds the flags once ``k_default`` has filled an
-    absent --k.
+    absent --k.  ``row(a, count)``, where given, is the first ``count``
+    terms from the generating function, on a route ``value`` does not take.
     """
 
     flags: str
@@ -88,12 +89,15 @@ class _Identity:
     value: Callable[[argparse.Namespace, int], int]
     note: Callable[[argparse.Namespace, int], str] | None = None
     k_default: Callable[[argparse.Namespace], int] | None = None
+    row: Callable[[argparse.Namespace, int], list[int]] | None = None
 
 
 _IDENTITIES = {
     "thm2": _Identity(
         "k", 1, lambda a, n: formulas.min_part_signed(a.k, n),
-        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= {a.k}"),
+        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= {a.k}",
+        row=lambda a, count: series.signed_values(
+            series.min_part_series(a.k, count + a.k - 1), a.k, count)),
     "munagi": _Identity(
         "k", 1, lambda a, n: formulas.min_part_count(a.k, n),
         lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with parts >= {a.k}"),
@@ -124,7 +128,9 @@ _IDENTITIES = {
     "thm4bar": _Identity(
         "k m", 1, lambda a, n: formulas.small_parts_signed(a.k, n, a.m),
         lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with exactly "
-        f"{a.m} parts < {a.k}"),
+        f"{a.m} parts < {a.k}",
+        row=lambda a, count: series.signed_values(
+            series.small_parts_series(a.k, count + a.k - 1, a.m).y_slice(a.m), a.k, count)),
     "distinct": _Identity("", 0, lambda a, n: compositions.signed_count_distinct(n)),
     "odd-parts": _Identity("", 0, lambda a, n: partition_theorems.odd_parts_signed(n)),
     "legendre": _Identity("", 0, lambda a, n: partition_theorems.legendre_closed(n)),
@@ -140,14 +146,37 @@ def _resolve(args: argparse.Namespace, ident: _Identity, context: str) -> argpar
     return argparse.Namespace(**{**vars(args), "k": ident.k_default(args)})
 
 
-def _terms(args: argparse.Namespace, count: int) -> list[int]:
-    """The first ``count`` terms of the sequence named by --seq."""
+# Indices, from the first, at which a row is checked against ``value``.
+_SPOT_CHECKS = 32
+# Most coefficients a row's series may hold, (count+k) x (m+1); a longer
+# row, which a large k or m pads with slices nobody reads, is not built.
+_ROW_CELLS = 2_000_000
+
+
+def sequence_terms(args: argparse.Namespace, count: int) -> list[int]:
+    """The first ``count`` terms of the sequence named by ``args.seq``.
+
+    ``args`` holds every token flag, None when absent, as the parser sets
+    them.  A token with a ``row`` is served whole from it, once its first
+    ``_SPOT_CHECKS`` terms agree with ``value``; a mismatch raises
+    ArithmeticError.  Past ``_ROW_CELLS`` every term comes from ``value``.
+    """
     ident = _IDENTITIES[args.seq]
     first = ident.offset
     if count < 1:
         raise ValueError(f"empty index range {first}..{first + count - 1}")
     a = _resolve(args, ident, f"sequence {args.seq}")
-    return [ident.value(a, n) for n in range(first, first + count)]
+    if ident.row is None or (count + a.k) * ((a.m or 0) + 1) > _ROW_CELLS:
+        return [ident.value(a, n) for n in range(first, first + count)]
+    # closed form first, so that a bad parameter fails with its message
+    spot = [ident.value(a, n) for n in range(first, first + min(count, _SPOT_CHECKS))]
+    row = ident.row(a, count)
+    for n, (want, got) in enumerate(zip(spot, row), start=first):
+        if want != got:
+            raise ArithmeticError(
+                f"sequence {args.seq}: the generating function gives {got} at n={n}, "
+                f"the closed form {want}")
+    return row
 
 
 # series token: (flags, expansion to --order)
@@ -257,7 +286,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_period(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    vals = _terms(args, args.max_n - _IDENTITIES[args.seq].offset + 1)
+    vals = sequence_terms(args, args.max_n - _IDENTITIES[args.seq].offset + 1)
     found = sequences.detect_period(vals)
     if args.fmt == "csv":
         print("preperiod,period")
@@ -281,7 +310,7 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
     if args.action == "emit":
         if args.max_n is None:
             raise ValueError("bfile emit requires --max-n (last index to emit)")
-        text = sequences.emit_bfile(_terms(args, args.max_n - offset + 1), offset)
+        text = sequences.emit_bfile(sequence_terms(args, args.max_n - offset + 1), offset)
         if args.file:
             with open(args.file, "w", encoding="ascii") as fh:
                 fh.write(text)
@@ -299,7 +328,7 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         raise ValueError(
             f"file indices end at {record.last_index}, before offset {offset}"
         )
-    seq = sequences.IntegerSequence(offset, tuple(_terms(args, count)))
+    seq = sequences.IntegerSequence(offset, tuple(sequence_terms(args, count)))
     report = sequences.compare(seq, record)
     print(report.describe())
     return 0 if report.matched else 1
@@ -393,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # two routes disagree: a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

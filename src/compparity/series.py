@@ -15,6 +15,7 @@ the signed value at index n is minus the series coefficient at n+k-1;
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,14 +163,19 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Product truncated at the smaller order.
+
+        Loops over the nonzero terms of the sparser operand, so a product
+        with a sparse series (a rational denominator) is linear in the order.
+        """
         order = min(self.order, other.order)
+        a, b = self.coeffs[: order + 1], other.coeffs[: order + 1]
+        if a.count(0) < b.count(0):
+            a, b = b, a
         out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a:
-                for j in range(order - i + 1):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
+        for i, v in enumerate(a):
+            if v:
+                out[i:] = map(operator.add, out[i:], [v * w for w in b[: order + 1 - i]])
         return TruncatedSeries(tuple(out))
 
 
@@ -188,11 +194,10 @@ def expand_rational(num: IntPolynomial, den: IntPolynomial, order: int) -> Trunc
         raise ValueError(
             f"denominator constant term must be +1 or -1, got {q0}"
         )
+    terms = [(u, d) for u, d in enumerate(den.coeffs) if u and d]
     c: list[int] = []
     for t in range(order + 1):
-        acc = num.coefficient(t)
-        for u in range(1, min(t, den.degree) + 1):
-            acc -= den.coefficient(u) * c[t - u]
+        acc = num.coefficient(t) - sum(d * c[t - u] for u, d in terms if u <= t)
         c.append(acc * q0)  # q0 in {1, -1} so this is exact division
     series = TruncatedSeries(tuple(c))
     if (series * den.as_series(order)).coeffs != num.as_series(order).coeffs:
@@ -254,9 +259,8 @@ def pentagonal_product(order: int) -> TruncatedSeries:
         raise ValueError(f"order must be >= 0, got {order}")
     c = [0] * (order + 1)
     c[0] = 1
-    for n in range(1, order + 1):
-        for t in range(order, n - 1, -1):
-            c[t] -= c[t - n]
+    for n in range(1, order + 1):  # times (1 - x^n); both slices hold the old values
+        c[n:] = map(operator.sub, c[n:], c[: order + 1 - n])
     return TruncatedSeries(tuple(c))
 
 
@@ -298,16 +302,6 @@ class BivariateSeries:
         if any(len(row) != width for row in self.coeffs):
             raise ValueError("ragged coefficient rows")
 
-    @classmethod
-    def zero(cls, x_order: int, y_order: int) -> "BivariateSeries":
-        return cls(tuple((0,) * (y_order + 1) for _ in range(x_order + 1)))
-
-    @classmethod
-    def one(cls, x_order: int, y_order: int) -> "BivariateSeries":
-        rows = [[0] * (y_order + 1) for _ in range(x_order + 1)]
-        rows[0][0] = 1
-        return cls(tuple(tuple(r) for r in rows))
-
     @property
     def x_order(self) -> int:
         return len(self.coeffs) - 1
@@ -327,62 +321,30 @@ class BivariateSeries:
         """The univariate series of x-coefficients of y^b."""
         return TruncatedSeries(tuple(row[b] for row in self.coeffs))
 
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        xo = min(self.x_order, other.x_order)
-        yo = min(self.y_order, other.y_order)
-        return BivariateSeries(
-            tuple(
-                tuple(self.coeffs[a][b] + other.coeffs[a][b] for b in range(yo + 1))
-                for a in range(xo + 1)
-            )
-        )
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        xo = min(self.x_order, other.x_order)
-        yo = min(self.y_order, other.y_order)
-        out = [[0] * (yo + 1) for _ in range(xo + 1)]
-        for a in range(xo + 1):
-            row = self.coeffs[a]
-            for b in range(yo + 1):
-                v = row[b]
-                if not v:
-                    continue
-                for c in range(xo - a + 1):
-                    orow = other.coeffs[c]
-                    for d in range(yo - b + 1):
-                        w = orow[d]
-                        if w:
-                            out[a + c][b + d] += v * w
-        return BivariateSeries(tuple(tuple(r) for r in out))
-
 
 def small_parts_series(k: int, x_order: int, y_order: int) -> BivariateSeries:
-    """Geometric sum of T = -y(x+..+x^(k-1)) - (x^k+x^(k+1)+..).
+    """Geometric sum S = 1/(1-T), T = -y(x+..+x^(k-1)) - (x^k+x^(k+1)+..).
 
     Each factor of T selects one part: small parts (< k) carry a marker y,
     every part carries a sign -1.  Summing T^i over i >= 0 gives, at
     x^(n+k-1) y^m, minus the signed count of compositions of n+k-1 with
-    exactly m parts < k.  Since every monomial of T is divisible by x the
-    sum terminates at i = x_order.
+    exactly m parts < k.  The rows of S are filled from S = 1 + T*S: the
+    x^a row is minus the rows a-k+1..a-1 shifted up one power of y, minus
+    the rows 0..a-k, both read off running column sums, in O(x_order *
+    y_order).
     """
     if k < 1:
         raise ValueError(f"requires k >= 1, got k={k}")
     if x_order < 0 or y_order < 0:
         raise ValueError(f"orders must be >= 0, got ({x_order},{y_order})")
-    rows = [[0] * (y_order + 1) for _ in range(x_order + 1)]
+    rows = [[1] + [0] * y_order]
+    sums = [[0] * (y_order + 1), rows[0]]  # sums[a]: column sums of rows 0..a-1
     for a in range(1, x_order + 1):
-        if a < k:
-            if y_order >= 1:
-                rows[a][1] = -1
-        else:
-            rows[a][0] = -1
-    t = BivariateSeries(tuple(tuple(r) for r in rows))
-    total = BivariateSeries.one(x_order, y_order)
-    power = BivariateSeries.one(x_order, y_order)
-    for _ in range(x_order):
-        power = power * t
-        total = total + power
-    return total
+        lo, hi = sums[max(a - k + 1, 0)], sums[a]
+        row = [-lo[0]] + [lo[b - 1] - hi[b - 1] - lo[b] for b in range(1, y_order + 1)]
+        rows.append(row)
+        sums.append(list(map(operator.add, hi, row)))
+    return BivariateSeries(tuple(map(tuple, rows)))
 
 
 def bivariate_signed_value(series: BivariateSeries, k: int, n: int, m: int) -> int:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from compparity import cli
+from compparity import cli, formulas
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -257,3 +257,52 @@ def test_module_entry_point_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "16\n", "")
+
+
+# ---------------------------------------------------------------------------
+# rows served from the generating function
+# ---------------------------------------------------------------------------
+
+def seq_args(seq, **flags):
+    return cli.build_parser().parse_args(
+        ["period", "--seq", seq, "--max-n", "1"]
+        + [x for f, v in flags.items() for x in ("--" + f, str(v))])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_thm2_row_equals_closed_form_at_every_index(k):
+    row = cli.sequence_terms(seq_args("thm2", k=k), 300)
+    assert row == [formulas.min_part_signed(k, n) for n in range(1, 301)]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("m", range(4))
+def test_thm4bar_row_equals_closed_form_at_every_index(k, m):
+    row = cli.sequence_terms(seq_args("thm4bar", k=k, m=m), 150)
+    assert row == [formulas.small_parts_signed(k, n, m) for n in range(1, 151)]
+
+
+@pytest.mark.parametrize("argv", [
+    "bfile emit --seq thm2 --k 2 --max-n 40",
+    "period --seq thm2 --k 2 --max-n 40",
+    "bfile check --seq thm2 --k 2 --file {fixtures}/minpart2_signed.txt",
+])
+def test_row_disagreeing_with_closed_form_exits_1(capsys, monkeypatch, argv):
+    exact = formulas.min_part_signed
+    monkeypatch.setattr(formulas, "min_part_signed", lambda k, n: exact(k, n) + (n == 7))
+    code, out, err = run_cli(capsys, *argv.format(fixtures=ROOT / "tests" / "fixtures").split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sequence thm2: ") and "at n=7" in err
+
+
+def test_row_spot_check_stops_before_the_last_index(monkeypatch):
+    exact = formulas.min_part_signed
+    monkeypatch.setattr(formulas, "min_part_signed", lambda k, n: exact(k, n) + (n == 33))
+    assert cli.sequence_terms(seq_args("thm2", k=2), 40) == [exact(2, n) for n in range(1, 41)]
+
+
+def test_row_past_the_cell_limit_comes_from_the_closed_form(monkeypatch):
+    monkeypatch.setattr(cli, "_ROW_CELLS", 100)
+    monkeypatch.setattr(cli.series, "min_part_series", None)  # not called
+    assert cli.sequence_terms(seq_args("thm2", k=2), 120) == [
+        formulas.min_part_signed(2, n) for n in range(1, 121)]

@@ -2,10 +2,13 @@
 
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
 import pytest
+
+from compparity import compositions
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -28,3 +31,36 @@ def test_run_all_checks_rejects_invalid_arguments_with_exit_2(args, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith(message)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_emit_sequence_bfiles_rejects_empty_rows_with_exit_2(tmp_path, terms):
+    out = tmp_path / "bfiles"
+    proc = run_script("emit_sequence_bfiles.py", "--out", str(out), "--terms", terms)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --terms must be >= 1, got {terms}\n"
+    assert not out.exists()
+
+
+def test_emit_sequence_bfiles_writes_the_cli_rows(tmp_path):
+    out = tmp_path / "bfiles"
+    proc = run_script("emit_sequence_bfiles.py", "--out", str(out), "--terms", "24")
+    assert proc.returncode == 0, proc.stderr
+    fixture = (ROOT / "tests" / "fixtures" / "minpart2_signed.txt").read_text()
+    written = (out / "minpart2_signed.txt").read_text()
+    assert written.splitlines()[1:] == [line for line in fixture.splitlines()
+                                        if not line.startswith("#")][:24]
+
+
+def test_emit_sequence_bfiles_reports_a_route_past_its_limit_with_exit_2(
+        tmp_path, monkeypatch, capsys):
+    def past_limit(n):
+        raise ValueError(f"size {n} is past the tally limit")
+
+    script = runpy.run_path(str(ROOT / "scripts" / "emit_sequence_bfiles.py"))
+    monkeypatch.setattr(compositions, "signed_count_distinct", past_limit)
+    out = tmp_path / "bfiles"
+    monkeypatch.setattr(sys, "argv", ["emit_sequence_bfiles.py", "--out", str(out)])
+    assert script["main"]() == 2
+    assert capsys.readouterr().err == "error: size 0 is past the tally limit\n"
+    assert not out.exists()

@@ -1,5 +1,8 @@
 """Generating function engine: polynomials, truncated series, expansions."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +92,34 @@ def test_periodic_series_row():
 
 def test_pentagonal_product_equals_rhs():
     assert S.pentagonal_product(100).coeffs == S.pentagonal_rhs(100).coeffs
+    assert S.pentagonal_product(3000).coeffs == S.pentagonal_rhs(3000).coeffs
+
+
+def schoolbook(a, b, order):
+    out = [0] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def random_series(rng):
+    """Runs of zeros between runs of nonzero (possibly large) coefficients."""
+    coeffs = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs += [0] * rng.randint(0, 12)
+        coeffs += [rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 30))
+                   for _ in range(rng.randint(0, 4))]
+    return S.TruncatedSeries(tuple(coeffs) or (0,))
+
+
+def test_sparse_product_equals_schoolbook():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        a, b = random_series(rng), random_series(rng)
+        order = min(a.order, b.order)
+        assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs, order)
+        assert (b * a).coeffs == (a * b).coeffs
 
 
 def test_bivariate_small_parts_slices():
@@ -99,6 +130,34 @@ def test_bivariate_small_parts_slices():
                 assert S.bivariate_signed_value(bs, k, n, m) == F.small_parts_signed(
                     k, n, m
                 )
+
+
+def geometric_sum_of_t(k, x_order, y_order):
+    """Sum of T^i for i = 0..x_order by repeated products, T as documented."""
+    t = [[0] * (y_order + 1) for _ in range(x_order + 1)]
+    for a in range(1, x_order + 1):
+        if a >= k:
+            t[a][0] = -1
+        elif y_order >= 1:
+            t[a][1] = -1
+    power = [[int(a == b == 0) for b in range(y_order + 1)] for a in range(x_order + 1)]
+    total = [row[:] for row in power]
+    for _ in range(x_order):
+        nxt = [[0] * (y_order + 1) for _ in range(x_order + 1)]
+        for a, b, c, d in itertools.product(range(x_order + 1), range(y_order + 1), repeat=2):
+            if a + c <= x_order and b + d <= y_order:
+                nxt[a + c][b + d] += power[a][b] * t[c][d]
+        power = nxt
+        total = [[u + v for u, v in zip(r, s)] for r, s in zip(total, power)]
+    return tuple(map(tuple, total))
+
+
+def test_small_parts_series_equals_geometric_sum():
+    for k in range(1, 6):
+        for x_order in range(13):
+            for y_order in range(5):
+                assert S.small_parts_series(k, x_order, y_order).coeffs == geometric_sum_of_t(
+                    k, x_order, y_order), (k, x_order, y_order)
 
 
 def test_bivariate_y0_slice_is_min_part_series():
