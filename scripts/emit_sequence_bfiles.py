@@ -10,8 +10,10 @@ regression fixtures.
 
 The min-part and small-part rows come from the generating function,
 spot-checked against the closed form, exactly as ``compparity bfile emit``
-writes them.  --terms below 1, or past what a route can reach, exits 2
-with an ``error:`` line and writes nothing.
+writes them.  The distinct-composition and odd-part rows are enumerated,
+each from one tally of its class to the last index.  --terms below 1, or
+past what a route can reach, exits 2 with an ``error:`` line and writes
+nothing.
 """
 
 import argparse
@@ -22,6 +24,7 @@ from compparity import cli
 from compparity import compositions as C
 from compparity import formulas as F
 from compparity import partition_theorems as PT
+from compparity import partitions as P
 from compparity import sequences as Q
 
 
@@ -69,12 +72,16 @@ def standard_files(terms: int):
         1,
         _row("thm4bar", terms, "--k", "2", "--m", "1"),
     )
+    # one tally to the last index fills every smaller one, and each term
+    # after it is a lookup
+    C.signed_count(terms - 1, C.DistinctParts())
     yield (
         "distinct_compositions_signed.txt",
         "Even-length minus odd-length compositions into distinct parts (OEIS A339435).",
         0,
         [C.signed_count_distinct(n) for n in range(terms)],
     )
+    P.signed_count(terms - 1, P.OddParts())
     yield (
         "odd_partitions_signed.txt",
         "Even-length minus odd-length partitions into odd parts (OEIS A081360).",

@@ -13,10 +13,20 @@ the values skipped since the previous block.
 reachable by a prefix of size ``s`` to the (odd, even) numbers of such
 prefixes, split by length parity.  Rows are filled in increasing order and
 every piece has positive size, so no recursion is needed and the work is
-polynomial in n for every class whose states stay few.  The tally uses only
-each class's own membership rule, never a closed form, so it stays an
+polynomial in n for every class whose states stay few.  A row is complete
+once every smaller row has been expanded, so one tally to size n reads the
+accepted counts of every size 0..n on the way.  The tally uses only each
+class's own membership rule, never a closed form, so it stays an
 independent route; ``iter_parts`` remains the definition that the tests
 hold it to.
+
+No class is tallied twice for the same sizes: ``tally_compositions`` and
+``tally_partitions`` keep, per (side, class, parity statistic), the counts
+of every size up to the largest one tallied so far.  A smaller size is a
+lookup; a larger one tallies afresh and replaces the stored counts.  Only
+counts are kept, never the rows of states.  The sweeps in
+``compparity.verify`` ask for each class's largest size first, so each of
+their classes is tallied once.
 
 ``MAX_TRIALS`` bounds the tally: each state of a row is tried against every
 part or block value that still fits, and a tally that would make more than
@@ -38,20 +48,37 @@ MAX_TRIALS = 2_000_000
 Moves = Callable[[Hashable, int], Iterator[tuple[Hashable, int, bool]]]
 
 
+# (side, class, parity statistic) -> (odd, even) counts of sizes 0..N, for
+# the largest N tallied in this process
+_COUNTS: dict[tuple, tuple[tuple[int, int], ...]] = {}
+
+
+def _accepted(row: dict, accept: Callable[[Hashable], bool]) -> tuple[int, int]:
+    odd = even = 0
+    for state, (o, e) in row.items():
+        if accept(state):
+            odd += o
+            even += e
+    return odd, even
+
+
 def _tally(n: int, start: Hashable, moves: Moves,
-           accept: Callable[[Hashable], bool]) -> tuple[int, int]:
-    """(odd, even) counts of accepted readings of total size n.
+           accept: Callable[[Hashable], bool]) -> tuple[tuple[int, int], ...]:
+    """(odd, even) counts of accepted readings of each total size 0..n.
 
     ``moves(state, room)`` yields ``(next_state, size, flip)`` for every
     piece of size at most ``room`` the automaton accepts from ``state``;
     ``flip`` says whether the piece changes the length parity.
     """
     rows = {0: {start: [0, 1]}}  # the empty reading has even length
+    counts = []
     work = 0
     for size in range(n):
         row = rows.pop(size, None)
         if row is None:
+            counts.append((0, 0))
             continue
+        counts.append(_accepted(row, accept))  # no later piece reaches this row
         room = n - size
         # this row's trials, plus those its states would still make with a
         # single successor on every later row
@@ -72,12 +99,17 @@ def _tally(n: int, start: Hashable, moves: Moves,
                 else:
                     cell[0] += o
                     cell[1] += e
-    odd = even = 0
-    for state, (o, e) in rows.get(n, {}).items():
-        if accept(state):
-            odd += o
-            even += e
-    return odd, even
+    counts.append(_accepted(rows.get(n, {}), accept))
+    return tuple(counts)
+
+
+def _counts(key: tuple, n: int, start: Hashable, moves: Moves,
+            accept: Callable[[Hashable], bool]) -> tuple[int, int]:
+    """(odd, even) counts at size n >= 0: stored under ``key`` or tallied to n."""
+    row = _COUNTS.get(key)
+    if row is None or len(row) <= n:
+        row = _COUNTS[key] = _tally(n, start, moves, accept)
+    return row[n]
 
 
 def tally_compositions(n: int, cls) -> tuple[int, int]:
@@ -90,14 +122,16 @@ def tally_compositions(n: int, cls) -> tuple[int, int]:
             if nxt is not None:
                 yield nxt, part, True
 
-    return _tally(n, cls.start(), moves, cls.accept)
+    return _counts(("compositions", cls, None), n, cls.start(), moves, cls.accept)
 
 
 def tally_partitions(n: int, cls, flip: Callable[[int], bool]) -> tuple[int, int]:
     """(odd, even) member counts of a partition class.
 
     A block of multiplicity c flips the parity when ``flip(c)``; with
-    ``c % 2 == 1`` the parity is that of the length.
+    ``c % 2 == 1`` the parity is that of the length.  The counts are kept
+    per ``flip``, so it must be one named function per statistic: a new
+    function object on every call would tally the class on every call.
     """
     step = cls.step
 
@@ -110,4 +144,5 @@ def tally_partitions(n: int, cls, flip: Callable[[int], bool]) -> tuple[int, int
                 if nxt is not None:
                     yield (value, nxt), value * mult, flip(mult)
 
-    return _tally(n, (0, cls.start()), moves, lambda state: cls.accept(state[1]))
+    return _counts(("partitions", cls, flip), n, (0, cls.start()), moves,
+                   lambda state: cls.accept(state[1]))

@@ -150,6 +150,7 @@ def _resolve(args: argparse.Namespace, ident: _Identity, context: str) -> argpar
 _SPOT_CHECKS = 32
 # Most coefficients a row's series may hold, (count+k) x (m+1); a longer
 # row, which a large k or m pads with slices nobody reads, is not built.
+# ``series thm4bar`` refuses a table of more cells than this.
 _ROW_CELLS = 2_000_000
 
 
@@ -184,12 +185,21 @@ _SERIES = {
     "thm2": ("k", lambda a: series.min_part_series(a.k, a.order)),
     "thm3": ("k r s", lambda a: series.congruent_series(a.k, a.r, a.s, a.order)),
     "cor-period": ("r", lambda a: series.periodic_series(a.r, a.order)),
-    "thm4bar": ("k y_order?", lambda a: series.small_parts_series(
+    "thm4bar": ("k y_order?", lambda a: _small_parts_table(
         a.k, a.order, a.y_order if a.y_order is not None else 3)),
     "pentagonal": ("", lambda a: series.pentagonal_product(a.order)),
     "rational": ("num den", lambda a: series.expand_rational(
         _polynomial(a.num), _polynomial(a.den), a.order)),
 }
+
+
+def _small_parts_table(k: int, x_order: int, y_order: int) -> series.BivariateSeries:
+    cells = (x_order + 1) * (y_order + 1)
+    if cells > _ROW_CELLS:
+        raise ValueError(
+            f"series thm4bar to x^{x_order} y^{y_order} holds {cells} coefficients, "
+            f"more than {_ROW_CELLS}")
+    return series.small_parts_series(k, x_order, y_order)
 
 
 def _polynomial(text: str) -> series.IntPolynomial:

@@ -15,7 +15,10 @@ tests hold that tally to a parity count taken straight from
 against which every formula, generating function and bijection in this
 package is verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
 ``ValueError``: one-state classes reach n = 1999, compositions into
-distinct parts about 65.
+distinct parts about 65.  A tally to size n yields the counts of every
+size up to n, and only those counts are kept, per class, for the rest of
+the process: a smaller size is then a lookup, and a larger one tallies
+afresh.
 
 Enumeration order is lexicographic on part tuples, so golden outputs are
 stable.  Signed counting tracks length parity: ``SignedCount.diff`` is the

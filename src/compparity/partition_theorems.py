@@ -150,6 +150,11 @@ def andrews_counts(n: int, k: int) -> tuple[int, int, int, bool]:
     return a, b, c, a == b == c
 
 
+def _is_singleton(mult: int) -> bool:
+    """A value of multiplicity one flips the singleton sign."""
+    return mult == 1
+
+
 def andrews_singleton_delta(n: int, m: int) -> tuple[int, int, bool]:
     """Initial 2-repetitions, m part values, signed by singleton values.
 
@@ -160,8 +165,7 @@ def andrews_singleton_delta(n: int, m: int) -> tuple[int, int, bool]:
     _check_n(n)
     if m < 0:
         raise ValueError(f"requires m >= 0, got m={m}")
-    # a block of multiplicity one flips the sign
-    odd, even = tally_partitions(n, InitialTwoRepsWithMarks(m), lambda c: c == 1)
+    odd, even = tally_partitions(n, InitialTwoRepsWithMarks(m), _is_singleton)
     delta = even - odd
 
     closed = (-1) ** m if n == m * (m + 1) // 2 else 0

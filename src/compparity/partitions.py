@@ -10,7 +10,11 @@ between.  ``signed_count`` and ``count_partitions`` tally that automaton
 over (size, state) in ``compparity._automaton`` instead of walking the
 members; the tests hold the tally to ``iter_parts``.  It is the oracle for
 the classical partition identities checked elsewhere in the package, and
-raises ``ValueError`` past ``_automaton.MAX_TRIALS`` trials.
+raises ``ValueError`` past ``_automaton.MAX_TRIALS`` trials.  As on the
+composition side, the counts of every size up to the largest one tallied
+are kept per class and statistic for the rest of the process, never the
+states; the length parity here and the singleton sign of
+``andrews_singleton_delta`` are kept apart.
 
 Partition-side signed results in this package are conventionally reported
 as even-length minus odd-length (the opposite orientation from the
@@ -379,10 +383,12 @@ def count_partitions(n: int, cls: PartitionClass) -> int:
     return signed_count(n, cls).total
 
 
-def signed_count(n: int, cls: PartitionClass) -> SignedCount:
-    """Tally partitions in the class by length parity over its automaton.
+def _flips_length(mult: int) -> bool:
+    """A block of ``mult`` equal parts changes the length parity when mult is odd."""
+    return mult % 2 == 1
 
-    A block of c equal parts changes the length parity when c is odd.
-    """
+
+def signed_count(n: int, cls: PartitionClass) -> SignedCount:
+    """Tally partitions in the class by length parity over its automaton."""
     _check_size(n)
-    return SignedCount(*tally_partitions(n, cls, lambda mult: mult % 2 == 1))
+    return SignedCount(*tally_partitions(n, cls, _flips_length))

@@ -220,12 +220,25 @@ def signed_values(series: TruncatedSeries, k: int, count: int) -> list[int]:
 # generating functions of the signed composition counts
 # ---------------------------------------------------------------------------
 
+def _up_to(order: int, *terms: tuple[int, int]) -> IntPolynomial:
+    """The sum of c*x^d over the (d, c) terms with d <= order.
+
+    An expansion to x^order reads no coefficient above it, so the dropped
+    terms cannot change it, and a huge exponent allocates nothing.
+    """
+    kept = [(d, v) for d, v in terms if d <= order]
+    c = [0] * (max((d for d, _ in kept), default=-1) + 1)
+    for d, v in kept:
+        c[d] += v
+    return IntPolynomial(tuple(c))
+
+
 def min_part_series(k: int, order: int) -> TruncatedSeries:
     """(1-x) / (1-x+x^k): signed min-part-k counts at exponent n+k-1."""
     if k < 1:
         raise ValueError(f"requires k >= 1, got k={k}")
-    num = IntPolynomial.from_terms({0: 1, 1: -1})
-    den = IntPolynomial.from_terms({0: 1, 1: -1}) + IntPolynomial.from_terms({k: 1})
+    num = _up_to(order, (0, 1), (1, -1))
+    den = _up_to(order, (0, 1), (1, -1), (k, 1))
     return expand_rational(num, den, order)
 
 
@@ -235,8 +248,8 @@ def congruent_series(k: int, r: int, s: int, order: int) -> TruncatedSeries:
         raise ValueError(f"requires k >= 1, got k={k}")
     if r < 1 or not 0 <= s < r:
         raise ValueError(f"requires 0 <= s < r and r >= 1, got r={r}, s={s}")
-    num = IntPolynomial.from_terms({0: 1, r: -1})
-    den = IntPolynomial.from_terms({0: 1, r: -1}) + IntPolynomial.from_terms({k + s: 1})
+    num = _up_to(order, (0, 1), (r, -1))
+    den = _up_to(order, (0, 1), (r, -1), (k + s, 1))
     return expand_rational(num, den, order)
 
 
@@ -248,8 +261,8 @@ def periodic_series(r: int, order: int) -> TruncatedSeries:
     """
     if r < 1:
         raise ValueError(f"requires r >= 1, got r={r}")
-    num = IntPolynomial.from_terms({0: 1, 2 * r: -1})
-    den = IntPolynomial.from_terms({0: 1, 3 * r: 1})
+    num = _up_to(order, (0, 1), (2 * r, -1))
+    den = _up_to(order, (0, 1), (3 * r, 1))
     return expand_rational(num, den, order)
 
 

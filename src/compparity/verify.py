@@ -6,8 +6,11 @@ enumeration, i.e. the membership-automaton tally of the class) and
 comparing exactly.  A sweep may run its
 instances in a process pool; instances are pure functions of their
 parameters and results are reassembled in parameter order, so reports are
-byte-identical regardless of scheduling.  Each sweep is one entry of
-``_SWEEPS``: its checker and its grid, written as the report's ranges.
+byte-identical regardless of scheduling.  Instances run largest-first, in
+reverse parameter order, so that the enumeration route tallies each class
+once at its largest size and reads every smaller size from that tally.
+Each sweep is one entry of ``_SWEEPS``: its checker and its grid, written
+as the report's ranges.
 """
 
 from __future__ import annotations
@@ -517,13 +520,16 @@ def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationRep
     instances, ranges = _expand(name, config)
     if not instances:
         raise ValueError(f"check {name} has no instances over {ranges}")
-    tagged = [(name, p) for p in instances]
+    # n is the last axis of every grid, so the reversed order asks for each
+    # class's largest size first and one tally serves all its smaller sizes
+    tagged = [(name, p) for p in reversed(instances)]
     if config.jobs > 1 and len(tagged) > 1:
         with multiprocessing.Pool(config.jobs) as pool:
             chunk = max(1, len(tagged) // (config.jobs * 4))
             results = pool.map(_dispatch, tagged, chunksize=chunk)
     else:
         results = [_dispatch(t) for t in tagged]
+    results.reverse()
     first_failure = next((r for r in results if r is not None), None)
     return VerificationReport(
         name=name,

@@ -4,11 +4,15 @@
 membership automaton.  Every reference value here is taken straight from
 the definition instead: from ``iter_parts``, and from ``contains`` filtered
 over all compositions or partitions of n, which also checks ``iter_parts``.
-No reference goes through ``signed_count``.
+No reference goes through ``signed_count``.  Since a tally's counts are
+kept for every smaller size, the sizes are also asked in several orders.
 """
+
+import random
 
 import pytest
 
+from compparity import _automaton
 from compparity import compositions as C
 from compparity import formulas
 from compparity import partition_theorems as PT
@@ -127,3 +131,78 @@ def test_one_state_classes_reach_the_tally_limit():
     assert C.count_compositions(1950, C.MinPartCongruent(50, 50, 0)) == 2**38
     with pytest.raises(ValueError, match="tally limit"):
         C.count_compositions(2000, C.MinPartCongruent(50, 50, 0))
+
+
+# ---------------------------------------------------------------------------
+# the stored counts: one tally per class, any request order
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_counts(monkeypatch):
+    """An empty store of tallied counts for the test, restored after it."""
+    monkeypatch.setattr(_automaton, "_COUNTS", {})
+
+
+@pytest.fixture(scope="module")
+def member_counts():
+    """(side, class) -> parity counts from ``iter_parts`` at sizes 0..MAX_N."""
+    return {
+        (side, cls): [parity_count(cls.iter_parts(n)) for n in range(MAX_N + 1)]
+        for side, classes in ((C, COMPOSITION_CLASSES), (P, PARTITION_CLASSES))
+        for cls in classes
+    }
+
+
+def ascending(keys):
+    return [(side, cls, n) for side, cls in keys for n in range(MAX_N + 1)]
+
+
+def descending(keys):
+    return [(side, cls, n) for side, cls in keys for n in range(MAX_N, -1, -1)]
+
+
+def interleaved(keys):
+    requests = ascending(keys)
+    random.Random(5).shuffle(requests)
+    return requests
+
+
+@pytest.mark.parametrize("order", [ascending, descending, interleaved])
+def test_counts_do_not_depend_on_the_request_order(fresh_counts, member_counts, order):
+    for side, cls, n in order(list(member_counts)):
+        count = C.count_compositions if side is C else P.count_partitions
+        expected = member_counts[side, cls][n]
+        assert side.signed_count(n, cls) == expected, (cls, n)
+        assert count(n, cls) == expected.total, (cls, n)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_length_and_singleton_statistics_keep_their_own_counts(fresh_counts, m):
+    cls = P.InitialTwoRepsWithMarks(m)
+    for n in [*range(MAX_N, -1, -1), *range(MAX_N + 1)]:
+        members = list(cls.iter_parts(n))
+        # alternate which statistic reaches the class first
+        asks = [
+            lambda: P.signed_count(n, cls) == parity_count(members),
+            lambda: PT.andrews_singleton_delta(n, m)[0] == singleton_sign_sum(members),
+        ]
+        for ask in asks[::-1] if n % 2 else asks:
+            assert ask(), (m, n)
+
+
+@pytest.mark.parametrize("served, refused", [
+    (lambda: C.signed_count(20, C.DistinctParts()),
+     lambda: C.signed_count(10_000, C.DistinctParts())),
+    (lambda: C.count_compositions(1950, C.MinPartCongruent(50, 50, 0)),
+     lambda: C.count_compositions(2000, C.MinPartCongruent(50, 50, 0))),
+    (lambda: P.count_partitions(30, P.All()),
+     lambda: P.count_partitions(10**9, P.All())),
+    (lambda: PT.andrews_singleton_delta(20, 3),
+     lambda: PT.andrews_singleton_delta(10**9, 3)),
+])
+def test_a_size_past_the_limit_raises_after_a_smaller_one_was_served(
+        fresh_counts, served, refused):
+    first = served()
+    with pytest.raises(ValueError, match="tally limit"):
+        refused()
+    assert served() == first

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -306,3 +307,47 @@ def test_row_past_the_cell_limit_comes_from_the_closed_form(monkeypatch):
     monkeypatch.setattr(cli.series, "min_part_series", None)  # not called
     assert cli.sequence_terms(seq_args("thm2", k=2), 120) == [
         formulas.min_part_signed(2, n) for n in range(1, 121)]
+
+
+# ---------------------------------------------------------------------------
+# series tables sized by the output, not by a parameter
+# ---------------------------------------------------------------------------
+
+ADDRESS_SPACE = 1 << 30  # an oversized table fails to allocate under this cap
+
+
+def run_capped_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "compparity.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)),
+    )
+
+
+@pytest.mark.parametrize("argv, out", [
+    ("series thm2 --k 1000000000 --order 5", "1,0,0,0,0,0\n"),
+    ("series thm3 --k 2 --r 1000000000 --s 0 --order 5", "1,0,-1,0,1,0\n"),
+    ("series cor-period --r 1000000000 --order 5", "1,0,0,0,0,0\n"),
+])
+def test_series_with_a_huge_exponent_answers_at_once(argv, out):
+    proc = run_capped_cli(*argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+def test_series_thm4bar_past_the_cell_limit_exits_2():
+    proc = run_capped_cli(*"series thm4bar --k 2 --order 5 --y-order 1000000000".split())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: series thm4bar to x^5 y^1000000000 holds 6000000006 "
+                           "coefficients, more than 2000000\n")
+
+
+def test_series_thm4bar_cell_limit_edge(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_ROW_CELLS", 24)
+    code, out, _ = run_cli(capsys, *"series thm4bar --k 2 --order 5 --y-order 3".split())
+    assert (code, len(out.splitlines())) == (0, 4)
+    code, out, err = run_cli(capsys, *"series thm4bar --k 2 --order 5 --y-order 4".split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: series thm4bar to x^5 y^4 holds 30 coefficients")

@@ -1,7 +1,11 @@
 """Verification sweep registry: every check runs, reports are stable."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from compparity import _automaton, verify
 from compparity.verify import (
     CHECK_NAMES,
     Counterexample,
@@ -110,3 +114,64 @@ def test_absent_axes_are_ignored():
     assert {f for name in CHECK_NAMES for f in overrides(name)} == {
         "max_n", "max_k", "max_r", "max_m"
     }
+
+
+# ---------------------------------------------------------------------------
+# instances run largest-first; reports keep parameter order
+# ---------------------------------------------------------------------------
+
+FAILING = {(1, 3), (2, 5)}
+
+
+def fail_at_two_instances(params):
+    k, n, _ = params
+    if (k, n) in FAILING:
+        return Counterexample((("k", k), ("n", n)), 0, 1, "planted")
+    return None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_first_counterexample_in_parameter_order_is_reported(monkeypatch, jobs):
+    sweep = dataclasses.replace(verify._SWEEPS["thm2"], check=fail_at_two_instances)
+    monkeypatch.setitem(verify._SWEEPS, "thm2", sweep)
+    report = run_check("thm2", SweepConfig(max_n=6, max_k=2, jobs=jobs))
+    assert (report.passed, report.instances) == (False, 12)
+    assert report.counterexample.describe() == "k=1 n=3: expected 0, got 1 (planted)"
+
+
+def test_every_class_is_tallied_once_per_sweep(monkeypatch):
+    """A serial run of the 19 default sweeps, with every tally recorded.
+
+    Within a sweep no (side, class, statistic) is tallied twice, and a later
+    sweep tallies a class again only to reach a larger size than any stored.
+    A statistic made afresh on every call shows up as one name tallied over
+    and over, so keys are compared by the statistic's qualified name.
+    """
+    stored = []  # (key, largest size) of every tally, in order
+
+    class Recording(dict):
+        def __setitem__(self, key, counts):
+            side, cls, stat = key
+            stored.append(((side, cls, getattr(stat, "__qualname__", stat)), len(counts) - 1))
+            super().__setitem__(key, counts)
+
+    calls = []
+    tally = _automaton._tally
+
+    def counted(*args):
+        calls.append(args)
+        return tally(*args)
+
+    monkeypatch.setattr(_automaton, "_COUNTS", Recording())
+    monkeypatch.setattr(_automaton, "_tally", counted)
+    for name in CHECK_NAMES:
+        before = len(stored)
+        assert run_check(name).passed, name
+        keys = [key for key, _ in stored[before:]]
+        assert [k for k, times in Counter(keys).items() if times > 1] == [], name
+
+    assert len(calls) == len(stored)
+    largest = {}
+    for key, size in stored:
+        assert size > largest.get(key, -1), (key, size)
+        largest[key] = size
