@@ -160,7 +160,9 @@ def sequence_terms(args: argparse.Namespace, count: int) -> list[int]:
     ``args`` holds every token flag, None when absent, as the parser sets
     them.  A token with a ``row`` is served whole from it, once its first
     ``_SPOT_CHECKS`` terms agree with ``value``; a mismatch raises
-    ArithmeticError.  Past ``_ROW_CELLS`` every term comes from ``value``.
+    ArithmeticError.  Otherwise, and past ``_ROW_CELLS``, every term comes
+    from ``value``, the last index first, so that a tallied class such as
+    ``distinct`` is tallied once.
     """
     ident = _IDENTITIES[args.seq]
     first = ident.offset
@@ -168,7 +170,7 @@ def sequence_terms(args: argparse.Namespace, count: int) -> list[int]:
         raise ValueError(f"empty index range {first}..{first + count - 1}")
     a = _resolve(args, ident, f"sequence {args.seq}")
     if ident.row is None or (count + a.k) * ((a.m or 0) + 1) > _ROW_CELLS:
-        return [ident.value(a, n) for n in range(first, first + count)]
+        return [ident.value(a, n) for n in range(first + count - 1, first - 1, -1)][::-1]
     # closed form first, so that a bad parameter fails with its message
     spot = [ident.value(a, n) for n in range(first, first + min(count, _SPOT_CHECKS))]
     row = ident.row(a, count)

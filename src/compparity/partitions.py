@@ -4,21 +4,19 @@ Partitions are weakly decreasing tuples of positive integers.  Enumeration
 is in descending lexicographic order on part tuples, e.g. for n = 4:
 (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  As with compositions, every class
 carries both a predicate and a generator, which define it, and a
-membership automaton that reads a partition one block at a time: a value
-above the previous one with its multiplicity, and the values skipped in
-between.  ``signed_count`` and ``count_partitions`` tally that automaton
-over (size, state) in ``compparity._automaton`` instead of walking the
-members; the tests hold the tally to ``iter_parts``.  It is the oracle for
-the classical partition identities checked elsewhere in the package, and
-raises ``ValueError`` past ``_automaton.MAX_TRIALS`` trials.  As on the
-composition side, the counts of every size up to the largest one tallied
-are kept per class and statistic for the rest of the process, never the
-states; the length parity here and the singleton sign of
-``andrews_singleton_delta`` are kept apart.
+membership automaton that reads a partition one value at a time, 1, 2, ...,
+each with its multiplicity (0 when the value does not occur).
+``signed_count`` and ``count_partitions`` tally that automaton in
+``compparity._automaton`` instead of walking the members; the tests hold
+the tally to ``iter_parts``.  It is the oracle for the classical partition
+identities checked elsewhere in the package.  A one-state class reaches
+n = 697; past ``_automaton.MAX_TRIALS`` trials the tally raises
+``ValueError``.  Counts are kept per class and statistic, so the length
+parity here and the singleton sign of ``andrews_singleton_delta`` never mix.
 
-Partition-side signed results in this package are conventionally reported
-as even-length minus odd-length (the opposite orientation from the
-composition side); ``signed_count`` itself just returns both tallies.
+Partition-side signed results are reported as even-length minus odd-length
+(the opposite orientation from the composition side); ``signed_count``
+itself just returns both tallies.
 """
 
 from __future__ import annotations
@@ -60,11 +58,11 @@ class PartitionClass:
     """Base class for partition restrictions.
 
     Besides ``contains`` and ``iter_parts``, a subclass supplies ``step``,
-    which with ``start`` and ``accept`` reads a partition in blocks of
-    increasing value: ``mult`` copies of ``value``, after the values in
-    ``skipped`` that do not occur.  It returns the next state, or ``None``
-    when no member continues so.  The defaults suit a one-state rule on
-    each block alone.
+    which with ``start`` and ``accept`` reads the values 1, 2, ... in turn:
+    ``mult >= 0`` copies of ``value``.  It returns the next state, or
+    ``None`` when no member continues so; reading ``mult == 0`` past a
+    member's largest part must leave ``accept`` unchanged.  The defaults
+    suit a one-state rule on each value alone.
     """
 
     def contains(self, parts: tuple[int, ...]) -> bool:
@@ -76,8 +74,7 @@ class PartitionClass:
     def start(self) -> Hashable:
         return 0
 
-    def step(self, state: Hashable, value: int, mult: int,
-             skipped: range) -> Hashable | None:
+    def step(self, state: Hashable, value: int, mult: int) -> Hashable | None:
         raise NotImplementedError
 
     def accept(self, state: Hashable) -> bool:
@@ -120,7 +117,7 @@ class All(PartitionClass):
         _check_size(n)
         return _iter_partitions(n, n if n else 1, None, False)
 
-    def step(self, state: int, value: int, mult: int, skipped: range) -> int:
+    def step(self, state: int, value: int, mult: int) -> int:
         return 0
 
 
@@ -133,8 +130,8 @@ class DistinctParts(PartitionClass):
         _check_size(n)
         return _iter_partitions(n, n if n else 1, None, True)
 
-    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
-        return 0 if mult == 1 else None
+    def step(self, state: int, value: int, mult: int) -> int | None:
+        return 0 if mult <= 1 else None
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,8 @@ class OddParts(PartitionClass):
         _check_size(n)
         return _iter_partitions(n, n if n else 1, lambda p: p % 2 == 1, False)
 
-    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
-        return 0 if value % 2 == 1 else None
+    def step(self, state: int, value: int, mult: int) -> int | None:
+        return 0 if mult == 0 or value % 2 == 1 else None
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,8 @@ class DistinctInResidues(PartitionClass):
         mod, res = self.modulus, self.residues
         return _iter_partitions(n, n if n else 1, lambda p: p % mod in res, True)
 
-    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
-        return 0 if mult == 1 and value % self.modulus in self.residues else None
+    def step(self, state: int, value: int, mult: int) -> int | None:
+        return 0 if mult == 0 or mult == 1 and value % self.modulus in self.residues else None
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ class MaxMultiplicity(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
-    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
+    def step(self, state: int, value: int, mult: int) -> int | None:
         return 0 if mult < self.bound else None
 
 
@@ -219,8 +216,8 @@ class NoPartDivisibleBy(PartitionClass):
         k = self.k
         return _iter_partitions(n, n if n else 1, lambda p: p % k != 0, False)
 
-    def step(self, state: int, value: int, mult: int, skipped: range) -> int | None:
-        return 0 if value % self.k != 0 else None
+    def step(self, state: int, value: int, mult: int) -> int | None:
+        return 0 if mult == 0 or value % self.k != 0 else None
 
 
 @dataclass(frozen=True)
@@ -244,7 +241,7 @@ class FranklinRepeated(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
-    def step(self, repeated: int, value: int, mult: int, skipped: range) -> int | None:
+    def step(self, repeated: int, value: int, mult: int) -> int | None:
         # the state counts the values read so far that occur >= k times
         repeated += mult >= self.k
         return repeated if repeated <= self.m else None
@@ -274,9 +271,9 @@ class FranklinDivisible(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
-    def step(self, divisible: int, value: int, mult: int, skipped: range) -> int | None:
-        # the state counts the values read so far that k divides
-        divisible += value % self.k == 0
+    def step(self, divisible: int, value: int, mult: int) -> int | None:
+        # the state counts the values read so far that occur and that k divides
+        divisible += mult > 0 and value % self.k == 0
         return divisible if divisible <= self.m else None
 
     def accept(self, divisible: int) -> bool:
@@ -299,14 +296,8 @@ def has_initial_repetitions(parts: tuple[int, ...], k: int) -> bool:
     return True
 
 
-def _initial_reps_step(intact: bool, mult: int, k: int, skipped: range) -> bool | None:
-    """Read one block of a partition with initial k-repetitions.
-
-    ``intact`` says that every value from 1 up to the previous block occurs
-    at least k times; a block of k or more copies needs that, with no value
-    skipped before it.
-    """
-    intact = intact and not skipped
+def _initial_reps_step(intact: bool, mult: int, k: int) -> bool | None:
+    """Read ``mult`` copies of the next value; ``intact``: all values so far occur >= k times."""
     if mult >= k and not intact:
         return None
     return intact and mult >= k
@@ -332,8 +323,8 @@ class InitialKReps(PartitionClass):
     def start(self) -> bool:
         return True
 
-    def step(self, intact: bool, value: int, mult: int, skipped: range) -> bool | None:
-        return _initial_reps_step(intact, mult, self.k, skipped)
+    def step(self, intact: bool, value: int, mult: int) -> bool | None:
+        return _initial_reps_step(intact, mult, self.k)
 
 
 @dataclass(frozen=True)
@@ -358,17 +349,13 @@ class InitialTwoRepsWithMarks(PartitionClass):
         _check_size(n)
         return _filtered(n, self.contains)
 
-    # the state is (values read so far, initial 2-repetitions intact)
+    # the state is (values occurring so far, initial 2-repetitions intact)
     def start(self) -> tuple[int, bool]:
         return 0, True
 
-    def step(self, state: tuple[int, bool], value: int, mult: int,
-             skipped: range) -> tuple[int, bool] | None:
-        values, intact = state
-        if values == self.m:
-            return None
-        intact = _initial_reps_step(intact, mult, 2, skipped)
-        return None if intact is None else (values + 1, intact)
+    def step(self, state: tuple[int, bool], value: int, mult: int) -> tuple[int, bool] | None:
+        values, intact = state[0] + (mult > 0), _initial_reps_step(state[1], mult, 2)
+        return None if intact is None or values > self.m else (values, intact)
 
     def accept(self, state: tuple[int, bool]) -> bool:
         return state[0] == self.m
@@ -384,7 +371,7 @@ def count_partitions(n: int, cls: PartitionClass) -> int:
 
 
 def _flips_length(mult: int) -> bool:
-    """A block of ``mult`` equal parts changes the length parity when mult is odd."""
+    """``mult`` copies of a value change the length parity when mult is odd."""
     return mult % 2 == 1
 
 

@@ -96,6 +96,26 @@ def test_partition_tally_matches_predicate():
             assert P.signed_count(n, cls) == expected, (cls, n)
 
 
+def read_by_value(cls, parts):
+    """The state after reading ``parts`` value by value up to its largest part."""
+    state = cls.start()
+    for value in range(1, max(parts, default=0) + 1):
+        state = cls.step(state, value, parts.count(value))
+        assert state is not None, (cls, parts, value)
+    return state
+
+
+@pytest.mark.parametrize("cls", PARTITION_CLASSES, ids=repr)
+def test_absent_values_past_the_largest_part_keep_accept(cls):
+    for n in range(MAX_N + 1):
+        for parts in cls.iter_parts(n):
+            state = read_by_value(cls, parts)
+            assert cls.accept(state), (parts, state)
+            for value in range(max(parts, default=0) + 1, 2 * MAX_N + 1):
+                state = cls.step(state, value, 0)
+                assert state is not None and cls.accept(state), (parts, value, state)
+
+
 def singleton_sign_sum(members) -> int:
     return sum((-1) ** sum(1 for v in set(p) if p.count(v) == 1) for p in members)
 
@@ -197,6 +217,8 @@ def test_length_and_singleton_statistics_keep_their_own_counts(fresh_counts, m):
      lambda: C.count_compositions(2000, C.MinPartCongruent(50, 50, 0))),
     (lambda: P.count_partitions(30, P.All()),
      lambda: P.count_partitions(10**9, P.All())),
+    (lambda: P.count_partitions(697, P.All()),
+     lambda: P.count_partitions(698, P.All())),
     (lambda: PT.andrews_singleton_delta(20, 3),
      lambda: PT.andrews_singleton_delta(10**9, 3)),
 ])

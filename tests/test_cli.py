@@ -241,6 +241,7 @@ def test_count_all_at_40_answers_at_once(capsys):
 @pytest.mark.parametrize("argv", [
     "signed --class distinct --n 10000",
     "count --class all --n 100000",
+    "bfile emit --seq odd-parts --max-n 698",  # one past the edge of a one-state partition class
 ])
 def test_sizes_past_the_tally_limit_exit_2_at_once(capsys, argv):
     t0 = time.perf_counter()
@@ -248,6 +249,13 @@ def test_sizes_past_the_tally_limit_exit_2_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: size ") and "tally limit" in err
+
+
+@pytest.mark.parametrize("seq, max_n", [("distinct", 30), ("odd-parts", 60)])
+def test_enumerated_sequences_tally_their_class_once(capsys, tallies, seq, max_n):
+    code, out, _ = run_cli(capsys, "bfile", "emit", "--seq", seq, "--max-n", str(max_n))
+    assert (code, len(out.splitlines())) == (0, max_n + 1)
+    assert [args[0] for args in tallies] == [max_n]
 
 
 def test_module_entry_point_runs_the_cli():

@@ -66,23 +66,14 @@ def test_emit_sequence_bfiles_reports_a_route_past_its_limit_with_exit_2(
     assert not out.exists()
 
 
-def test_emit_sequence_bfiles_tallies_each_enumerated_class_once(tmp_path, monkeypatch):
-    sizes = []
-    tally = _automaton._tally
-
-    def counted(n, *args):
-        sizes.append(n)
-        return tally(n, *args)
-
-    monkeypatch.setattr(_automaton, "_COUNTS", {})
-    monkeypatch.setattr(_automaton, "_tally", counted)
+def test_emit_sequence_bfiles_tallies_each_enumerated_class_once(tmp_path, monkeypatch, tallies):
     script = runpy.run_path(str(ROOT / "scripts" / "emit_sequence_bfiles.py"))
     out = tmp_path / "bfiles"
     monkeypatch.setattr(sys, "argv", ["emit_sequence_bfiles.py", "--out", str(out),
                                       "--terms", "30"])
     assert script["main"]() == 0
     # the distinct-composition and odd-part rows, each tallied once to index 29
-    assert sizes == [29, 29]
+    assert [args[0] for args in tallies] == [29, 29]
     assert set(_automaton._COUNTS) == {
         ("compositions", compositions.DistinctParts(), None),
         ("partitions", partitions.OddParts(), partitions._flips_length),

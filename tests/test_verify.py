@@ -1,6 +1,7 @@
 """Verification sweep registry: every check runs, reports are stable."""
 
 import dataclasses
+import time
 from collections import Counter
 
 import pytest
@@ -139,7 +140,7 @@ def test_the_first_counterexample_in_parameter_order_is_reported(monkeypatch, jo
     assert report.counterexample.describe() == "k=1 n=3: expected 0, got 1 (planted)"
 
 
-def test_every_class_is_tallied_once_per_sweep(monkeypatch):
+def test_every_class_is_tallied_once_per_sweep(monkeypatch, tallies):
     """A serial run of the 19 default sweeps, with every tally recorded.
 
     Within a sweep no (side, class, statistic) is tallied twice, and a later
@@ -155,23 +156,26 @@ def test_every_class_is_tallied_once_per_sweep(monkeypatch):
             stored.append(((side, cls, getattr(stat, "__qualname__", stat)), len(counts) - 1))
             super().__setitem__(key, counts)
 
-    calls = []
-    tally = _automaton._tally
-
-    def counted(*args):
-        calls.append(args)
-        return tally(*args)
-
     monkeypatch.setattr(_automaton, "_COUNTS", Recording())
-    monkeypatch.setattr(_automaton, "_tally", counted)
     for name in CHECK_NAMES:
         before = len(stored)
         assert run_check(name).passed, name
         keys = [key for key, _ in stored[before:]]
         assert [k for k, times in Counter(keys).items() if times > 1] == [], name
 
-    assert len(calls) == len(stored)
+    assert len(tallies) == len(stored)
     largest = {}
     for key, size in stored:
         assert size > largest.get(key, -1), (key, size)
         largest[key] = size
+
+
+def test_partition_sweeps_pass_on_wide_grids(monkeypatch):
+    """The partition sweeps at grids several times their defaults, from an empty store."""
+    monkeypatch.setattr(_automaton, "_COUNTS", {})
+    t0 = time.perf_counter()
+    for name, max_n, instances in [("franklin", 80, 972), ("andrews-d", 80, 648),
+                                   ("glaisher", 120, 484), ("legendre", 200, 201)]:
+        report = run_check(name, SweepConfig(max_n=max_n))
+        assert (report.passed, report.instances) == (True, instances), name
+    assert time.perf_counter() - t0 < 5.0
