@@ -8,12 +8,12 @@ whose offsets could not be pinned down from published data; those two
 carry a warning header and are meant for eyeball comparison, not as
 regression fixtures.
 
-The min-part and small-part rows come from the generating function,
-spot-checked against the closed form, exactly as ``compparity bfile emit``
-writes them.  The distinct-composition and odd-part rows are enumerated,
-each from one tally of its class to the last index.  --terms below 1, or
-past what a route can reach, exits 2 with an ``error:`` line and writes
-nothing.
+Every row is the one ``compparity bfile emit`` writes, on the same route:
+the signed min-part and small-part rows from the generating function,
+spot-checked against the closed form; the other closed-form rows term by
+term; the distinct-composition and odd-part rows from one tally of their
+class to the last index.  --terms below 1, or past what a route can
+reach, exits 2 with an ``error:`` line and writes nothing.
 """
 
 import argparse
@@ -21,10 +21,6 @@ import pathlib
 import sys
 
 from compparity import cli
-from compparity import compositions as C
-from compparity import formulas as F
-from compparity import partition_theorems as PT
-from compparity import partitions as P
 from compparity import sequences as Q
 
 
@@ -52,19 +48,19 @@ def standard_files(terms: int):
         "minpart2_count.txt",
         "Compositions of n+1 with parts >= 2 (Fibonacci numbers).",
         1,
-        [F.min_part_count(2, n) for n in range(1, terms + 1)],
+        _row("munagi", terms, "--k", "2"),
     )
     yield (
         "congruent_2mod3_signed.txt",
         "Signed compositions of n+1, parts >= 2 and congruent to 0 mod 3.",
         1,
-        [F.congruent_signed(2, n, 3, 1) for n in range(1, terms + 1)],
+        _row("thm3", terms, "--k", "2", "--r", "3", "--s", "1"),
     )
     yield (
         "guarded_k2_m1_signed.txt",
         "Signed compositions of n+1 with exactly one guarded part below 2.",
         1,
-        [F.guarded_signed_boxed(2, n, 1) for n in range(1, terms + 1)],
+        _row("thm4", terms, "--k", "2", "--m", "1"),
     )
     yield (
         "smallparts_k2_m1_signed.txt",
@@ -72,27 +68,23 @@ def standard_files(terms: int):
         1,
         _row("thm4bar", terms, "--k", "2", "--m", "1"),
     )
-    # one tally to the last index fills every smaller one, and each term
-    # after it is a lookup
-    C.signed_count(terms - 1, C.DistinctParts())
     yield (
         "distinct_compositions_signed.txt",
         "Even-length minus odd-length compositions into distinct parts (OEIS A339435).",
         0,
-        [C.signed_count_distinct(n) for n in range(terms)],
+        _row("distinct", terms),
     )
-    P.signed_count(terms - 1, P.OddParts())
     yield (
         "odd_partitions_signed.txt",
         "Even-length minus odd-length partitions into odd parts (OEIS A081360).",
         0,
-        [PT.odd_parts_signed(n) for n in range(terms)],
+        _row("odd-parts", terms),
     )
     yield (
         "legendre_delta.txt",
         "Even minus odd distinct partitions (Legendre/pentagonal deltas).",
         0,
-        [PT.legendre_closed(n) for n in range(terms)],
+        _row("legendre", terms),
     )
 
 
@@ -103,7 +95,7 @@ def candidate_files(terms: int):
         "CANDIDATE alignment for OEIS A281862: signed compositions of n+1 with "
         "exactly two guarded parts below 2; offset not confirmed.",
         1,
-        [F.guarded_signed_boxed(2, n, 2) for n in range(1, terms + 1)],
+        _row("thm4", terms, "--k", "2", "--m", "2"),
     )
     yield (
         "candidate_a122918.txt",

@@ -34,11 +34,9 @@ of parts used, about 65.
 from __future__ import annotations
 
 from operator import add
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
 MAX_TRIALS = 2_000_000
-
-Moves = Callable[[Hashable, int], Iterator[tuple[Hashable, int, bool]]]
 
 
 # (side, class, parity statistic) -> (odd, even) counts of sizes 0..N, for
@@ -59,15 +57,14 @@ def _accepted(row: dict, accept: Callable[[Hashable], bool]) -> tuple[int, int]:
     return odd, even
 
 
-def _tally(n: int, start: Hashable, moves: Moves,
-           accept: Callable[[Hashable], bool]) -> tuple[tuple[int, int], ...]:
-    """(odd, even) counts of accepted readings of each total size 0..n.
+def _tally(n: int, cls) -> tuple[tuple[int, int], ...]:
+    """(odd, even) counts of accepted compositions of each size 0..n.
 
-    ``moves(state, room)`` yields ``(next_state, size, flip)`` for every
-    piece of size at most ``room`` the automaton accepts from ``state``;
-    ``flip`` says whether the piece changes the length parity.
+    A composition is read one part at a time, and every part flips the
+    length parity.
     """
-    rows = {0: {start: [0, 1]}}  # the empty reading has even length
+    step = cls.step
+    rows = {0: {cls.start(): [0, 1]}}  # the empty composition has even length
     counts = []
     work = 0
     for size in range(n):
@@ -75,7 +72,7 @@ def _tally(n: int, start: Hashable, moves: Moves,
         if row is None:
             counts.append((0, 0))
             continue
-        counts.append(_accepted(row, accept))  # no later piece reaches this row
+        counts.append(_accepted(row, cls.accept))  # no later part reaches this row
         room = n - size
         # this row's trials, plus those its states would still make with a
         # single successor on every later row
@@ -83,18 +80,20 @@ def _tally(n: int, start: Hashable, moves: Moves,
             raise _past_limit(n)
         work += len(row) * room
         for state, (odd, even) in row.items():
-            for nxt, piece, flip in moves(state, room):
-                o, e = (even, odd) if flip else (odd, even)
-                target = rows.get(size + piece)
+            for part in range(1, room + 1):
+                nxt = step(state, part)
+                if nxt is None:
+                    continue
+                target = rows.get(size + part)
                 if target is None:
-                    target = rows[size + piece] = {}
+                    target = rows[size + part] = {}
                 cell = target.get(nxt)
                 if cell is None:
-                    target[nxt] = [o, e]
+                    target[nxt] = [even, odd]
                 else:
-                    cell[0] += o
-                    cell[1] += e
-    counts.append(_accepted(rows.get(n, {}), accept))
+                    cell[0] += even
+                    cell[1] += odd
+    counts.append(_accepted(rows.get(n, {}), cls.accept))
     return tuple(counts)
 
 
@@ -137,15 +136,7 @@ def _counts(key: tuple, n: int, tally: Callable, *args) -> tuple[int, int]:
 
 def tally_compositions(n: int, cls) -> tuple[int, int]:
     """(odd-length, even-length) member counts of a composition class."""
-    step = cls.step
-
-    def moves(state, room):
-        for part in range(1, room + 1):
-            nxt = step(state, part)
-            if nxt is not None:
-                yield nxt, part, True
-
-    return _counts(("compositions", cls, None), n, _tally, cls.start(), moves, cls.accept)
+    return _counts(("compositions", cls, None), n, _tally, cls)
 
 
 def tally_partitions(n: int, cls, flip: Callable[[int], bool]) -> tuple[int, int]:

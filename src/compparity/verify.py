@@ -1,27 +1,34 @@
-"""Named verification sweeps: formula vs enumeration vs series.
+"""Named verification sweeps: every route to a value must give the same integer.
 
-Each check sweeps a parameter grid, re-deriving every quantity along
-independent routes (closed formula, recurrence, generating function,
-enumeration, i.e. the membership-automaton tally of the class) and
-comparing exactly.  A sweep may run its
-instances in a process pool; instances are pure functions of their
-parameters and results are reassembled in parameter order, so reports are
-byte-identical regardless of scheduling.  Instances run largest-first, in
-reverse parameter order, so that the enumeration route tallies each class
-once at its largest size and reads every smaller size from that tally.
-Each sweep is one entry of ``_SWEEPS``: its checker and its grid, written
-as the report's ranges.
+Each sweep covers a parameter grid and, at each instance, derives the
+value along independent routes, named from ``ROUTES``: enumeration (the
+membership-automaton tally of the class), closed forms, recurrence,
+generating function and companion classes.  A sweep declares its routes
+once, in ``_SWEEPS``, as functions of the instance parameters: a
+reference route, then the routes compared with it, each optionally
+limited to the instances a guard accepts.  ``_compare`` evaluates them in
+that order and reports the first disagreement as ``<route> vs
+<reference>``.  The two checks that are not value comparisons,
+cor-period's shift/period check and the pentagonal coefficient scan, are
+written out.
+
+A sweep may run its instances in a process pool; instances are pure
+functions of their parameters and results are reassembled in parameter
+order, so reports are byte-identical regardless of scheduling.  Instances
+run largest-first, in reverse parameter order, so that the enumeration
+route tallies each class once at its largest size and reads every smaller
+size from that tally.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from compparity import compositions, formulas, partition_theorems, series
 from compparity.compositions import (
+    ExactSmall,
     GuardedSmall,
     MinPart,
     MinPartCongruent,
@@ -99,119 +106,113 @@ def render_report(report: VerificationReport, fmt: str = "plain") -> str:
 
 
 # ---------------------------------------------------------------------------
-# cached heavy intermediates (per process)
+# routes and the one comparison loop
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _min_part_gf(k: int, order: int) -> tuple[int, ...]:
-    return series.min_part_series(k, order).coeffs
+# The names a route may carry, and so the words of a failure's detail.
+ROUTES = (
+    "enumeration",
+    "closed form",
+    "second closed form",
+    "recurrence",
+    "series",
+    "companion class",
+)
+
+# (function, args) -> function(*args), for the series and recurrence rows
+# that many instances index into; kept for the rest of the process
+_MEMO: dict[tuple, object] = {}
 
 
-@lru_cache(maxsize=None)
-def _congruent_gf(k: int, r: int, s: int, order: int) -> tuple[int, ...]:
-    return series.congruent_series(k, r, s, order).coeffs
+def _memo(fn: Callable, *args):
+    """``fn(*args)``, computed once per process.
+
+    Callers look ``fn`` up at call time, so a function wrapped or replaced
+    since is computed afresh rather than read from its predecessor's entry.
+    """
+    key = (fn, args)
+    if key not in _MEMO:
+        _MEMO[key] = fn(*args)
+    return _MEMO[key]
 
 
-@lru_cache(maxsize=None)
-def _small_parts_gf(k: int, x_order: int, y_order: int) -> series.BivariateSeries:
-    return series.small_parts_series(k, x_order, y_order)
+@dataclass(frozen=True, slots=True)
+class _Route:
+    """One route to an instance's value, named from ``ROUTES``.
+
+    ``value`` and ``when`` take the instance parameters, followed, in a
+    sweep with a ``theorem``, by that function's result.  The route runs at
+    the instances ``when`` accepts, or at every instance when it is None.
+    """
+
+    name: str
+    value: Callable[..., object]
+    when: Callable[..., bool] | None = None
 
 
-@lru_cache(maxsize=None)
-def _recurrence_row(k: int, count: int) -> tuple[int, ...]:
-    return tuple(formulas.min_part_signed_sequence(k, count))
+@dataclass(frozen=True)
+class _Sweep:
+    """One named sweep: the grid it covers and the routes compared on it.
+
+    ``grid`` reads as the report's ranges.  A term ``a=first..last`` is an
+    axis whose integer ``last`` is the default that ``SweepConfig``
+    overrides; ``s=0..r-1`` bounds an axis by an earlier one; ``order=100``
+    is a single point; any other term (``k=r-s``) is text only.  The
+    points, in axis order, pass through ``instances``, which may append
+    parameters shared by the whole grid; ``note`` extends the ranges text.
+    Both read the axes' effective last values.
+
+    ``routes`` holds the reference route, then the routes compared with
+    it; ``also`` adds a (quantity, routes) pair per further quantity.  In
+    a partition sweep, ``theorem`` calls the ``partition_theorems``
+    function that computes all its values at once, with n first and then
+    the other axes in grid order; it runs once per instance.  A sweep with
+    a ``check`` runs it on each instance's parameters instead of comparing
+    its routes.
+    """
+
+    grid: str
+    routes: tuple[_Route, ...] = ()
+    instances: Callable[[list[tuple], dict[str, int]], list[tuple]] = lambda p, last: p
+    note: Callable[[dict[str, int]], str] = lambda last: ""
+    theorem: Callable[..., tuple] | None = None
+    also: tuple[tuple[str, tuple[_Route, ...]], ...] = ()
+    check: Callable[[tuple], Counterexample | None] | None = None
+
+
+def _compare(sweep: _Sweep, params: tuple) -> Counterexample | None:
+    """The first route, in order, that disagrees with its reference, or None.
+
+    No route after the first disagreement is evaluated.  The detail reads
+    ``<route> vs <reference>``, after ``<quantity>: `` for an ``also`` pair.
+    """
+    args = params if sweep.theorem is None else params + (sweep.theorem(*params),)
+    for quantity, routes in (("", sweep.routes),) + sweep.also:
+        reference = None
+        for route in routes:
+            if route.when is None or route.when(*args):
+                got = route.value(*args)
+                if reference is None:
+                    reference, expected = route, got
+                elif got != expected:
+                    axes = [axis for axis, _, dots, last in _terms(sweep.grid)
+                            if dots or last.isdigit()]
+                    detail = f"{route.name} vs {reference.name}"
+                    return Counterexample(tuple(zip(axes, params)), expected, got,
+                                          f"{quantity}: {detail}" if quantity else detail)
+    return None
 
 
 # ---------------------------------------------------------------------------
-# instance checkers (top level so they pickle for the process pool)
+# the two checks that are not value comparisons
 # ---------------------------------------------------------------------------
 
-_THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
 _SHIFT_ORDER = 60  # series order of the cor-period shift/period checks
-
-
-def _check_thm1(params):
-    (n,) = params
-    tag = (("n", n),)
-    j = (n - 1) // 3
-    pattern = 0 if n % 3 == 0 else (-1) ** j
-    val = formulas.min_part_signed(2, n)
-    if val != pattern:
-        return Counterexample(tag, pattern, val, "period-6 pattern vs formula")
-    rec = _recurrence_row(2, n)[n - 1]
-    if rec != val:
-        return Counterexample(tag, val, rec, "recurrence vs formula")
-    if n <= _THM1_ENUMERATED:
-        diff = compositions.signed_count(n + 1, MinPart(2)).diff
-        if diff != val:
-            return Counterexample(tag, val, diff, "enumeration vs formula")
-    return None
-
-
-def _check_thm2(params):
-    (k, n, order) = params
-    tag = (("k", k), ("n", n))
-    val = formulas.min_part_signed(k, n)
-    diff = compositions.signed_count(n + k - 1, MinPart(k)).diff
-    if diff != val:
-        return Counterexample(tag, val, diff, "enumeration vs formula")
-    rec = _recurrence_row(k, n)[n - 1]
-    if rec != val:
-        return Counterexample(tag, val, rec, "recurrence vs formula")
-    gf = -_min_part_gf(k, order)[n + k - 1]
-    if gf != val:
-        return Counterexample(tag, val, gf, "series vs formula")
-    return None
-
-
-def _check_thm3(params):
-    (k, r, s, n, order) = params
-    tag = (("k", k), ("r", r), ("s", s), ("n", n))
-    val = formulas.congruent_signed(k, n, r, s)
-    diff = compositions.signed_count(n + k - 1, MinPartCongruent(k, r, s)).diff
-    if diff != val:
-        return Counterexample(tag, val, diff, "enumeration vs formula")
-    gf = -_congruent_gf(k, r, s, order)[n + k - 1]
-    if gf != val:
-        return Counterexample(tag, val, gf, "series vs formula")
-    if k == r - s:
-        ind = formulas.congruent_indicator(k, n, r, s)
-        if ind != val:
-            return Counterexample(tag, val, ind, "indicator special case")
-    if k == 2 * r - s:
-        per = formulas.congruent_periodic(k, n, r, s)
-        if per != val:
-            return Counterexample(tag, val, per, "periodic special case")
-    return None
-
-
-def _check_cor_rs(params):
-    (r, s, n) = params
-    k = r - s
-    tag = (("r", r), ("s", s), ("n", n))
-    val = formulas.congruent_indicator(k, n, r, s)
-    form = formulas.congruent_signed(k, n, r, s)
-    if form != val:
-        return Counterexample(tag, val, form, "general formula vs indicator")
-    diff = compositions.signed_count(n + k - 1, MinPartCongruent(k, r, s)).diff
-    if diff != val:
-        return Counterexample(tag, val, diff, "enumeration vs indicator")
-    return None
 
 
 def _check_cor_period(params):
     if params[0] == "value":
-        (_, r, s, n) = params
-        k = 2 * r - s
-        tag = (("r", r), ("s", s), ("n", n))
-        val = formulas.congruent_periodic(k, n, r, s)
-        form = formulas.congruent_signed(k, n, r, s)
-        if form != val:
-            return Counterexample(tag, val, form, "general formula vs periodic form")
-        diff = compositions.signed_count(n + k - 1, MinPartCongruent(k, r, s)).diff
-        if diff != val:
-            return Counterexample(tag, val, diff, "enumeration vs periodic form")
-        return None
+        return _compare(_SWEEPS["cor-period"], params[1:])
     (_, r, s, order) = params
     tag = (("r", r), ("s", s))
     report = series.cyclotomic_shift_check(r, s, order)
@@ -225,90 +226,6 @@ def _check_cor_period(params):
             "period check",
         )
     return None
-
-
-def _check_thm4(params):
-    (k, m, n) = params
-    tag = (("k", k), ("m", m), ("n", n))
-    val = formulas.guarded_signed_boxed(k, n, m)
-    alt = formulas.guarded_signed_sum(k, n, m)
-    if alt != val:
-        return Counterexample(tag, val, alt, "quadruple sum vs boxed form")
-    diff = compositions.signed_count(n + k - 1, GuardedSmall(k, m)).diff
-    if diff != val:
-        return Counterexample(tag, val, diff, "enumeration vs boxed form")
-    cnt = formulas.guarded_count_boxed(k, n, m)
-    cnt_alt = formulas.guarded_count_sum(k, n, m)
-    if cnt_alt != cnt:
-        return Counterexample(tag, cnt, cnt_alt, "unsigned quadruple vs boxed")
-    total = compositions.count_compositions(n + k - 1, GuardedSmall(k, m))
-    if total != cnt:
-        return Counterexample(tag, cnt, total, "unsigned enumeration vs boxed")
-    return None
-
-
-def _check_thm4bar(params):
-    (k, m, n, x_order, y_order) = params
-    tag = (("k", k), ("m", m), ("n", n))
-    val = formulas.small_parts_signed(k, n, m)
-    diff = compositions.signed_count(n + k - 1, compositions.ExactSmall(k, m)).diff
-    if diff != val:
-        return Counterexample(tag, val, diff, "enumeration vs formula")
-    gf = series.bivariate_signed_value(_small_parts_gf(k, x_order, y_order), k, n, m)
-    if gf != val:
-        return Counterexample(tag, val, gf, "bivariate series vs formula")
-    return None
-
-
-def _check_comp1(params):
-    (n,) = params
-    tag = (("n", n),)
-    a = compositions.count_compositions(n, OddParts())
-    b = compositions.count_compositions(n + 1, MinPart(2))
-    if a != b:
-        return Counterexample(tag, a, b, "odd parts vs parts >= 2")
-    return None
-
-
-def _check_comp2(params):
-    (k, n) = params
-    tag = (("k", k), ("n", n))
-    a = compositions.count_compositions(n, MinPartCongruent(1, k, 0))
-    b = compositions.count_compositions(n + k - 1, MinPart(k))
-    if a != b:
-        return Counterexample(tag, a, b, "parts = 1 mod k vs parts >= k")
-    f = formulas.min_part_count(k, n)
-    if f != a:
-        return Counterexample(tag, a, f, "count formula vs enumeration")
-    return None
-
-
-def _check_comp3(params):
-    (k, m, n) = params
-    tag = (("k", k), ("m", m), ("n", n))
-    a = compositions.count_compositions(n, ModOneExcept(k, m))
-    b = compositions.count_compositions(n + k - 1, GuardedSmall(k, m))
-    if a != b:
-        return Counterexample(tag, a, b, "mod-one-except vs guarded class")
-    return None
-
-
-def _check_legendre(params):
-    (n, order) = params
-    tag = (("n", n),)
-    val = partition_theorems.legendre_closed(n)
-    delta = partition_theorems.legendre_delta(n)
-    if delta != val:
-        return Counterexample(tag, val, delta, "enumeration vs closed form")
-    coeff = _pentagonal_coeffs(order)[n]
-    if coeff != val:
-        return Counterexample(tag, val, coeff, "product coefficient vs closed form")
-    return None
-
-
-@lru_cache(maxsize=None)
-def _pentagonal_coeffs(order: int) -> tuple[int, ...]:
-    return series.pentagonal_product(order).coeffs
 
 
 def _check_pentagonal(params):
@@ -328,100 +245,15 @@ def _check_pentagonal(params):
     return None
 
 
-def _check_euler(params):
-    (n,) = params
-    d, o, ok = partition_theorems.euler_distinct_odd(n)
-    if not ok:
-        return Counterexample((("n", n),), d, o, "distinct vs odd")
-    signed = partition_theorems.odd_parts_signed(n)
-    expected = (-1) ** n * o
-    if signed != expected:
-        return Counterexample((("n", n),), expected, signed, "signed odd-part count")
-    return None
-
-
-def _check_glaisher(params):
-    (k, n) = params
-    a, b, ok = partition_theorems.glaisher_check(n, k)
-    if not ok:
-        return Counterexample((("k", k), ("n", n)), a, b, "multiplicity vs divisibility")
-    return None
-
-
-def _check_franklin(params):
-    (k, m, n) = params
-    a, b, ok = partition_theorems.franklin_check(n, k, m)
-    if not ok:
-        return Counterexample(
-            (("k", k), ("m", m), ("n", n)), a, b, "repeated vs divisible values"
-        )
-    return None
-
-
-def _check_nyirenda_d(params):
-    (r, n) = params
-    delta, closed, ok = partition_theorems.nyirenda_d(n, r)
-    if not ok:
-        return Counterexample((("r", r), ("n", n)), closed, delta, "d-class")
-    return None
-
-
-def _check_nyirenda_c(params):
-    (r, n) = params
-    delta, closed, ok = partition_theorems.nyirenda_c(n, r)
-    if not ok:
-        return Counterexample((("r", r), ("n", n)), closed, delta, "c-class")
-    if r == 1:
-        leg = partition_theorems.legendre_closed(n)
-        if leg != closed:
-            return Counterexample((("r", r), ("n", n)), leg, closed, "r=1 vs Legendre")
-    return None
-
-
-def _check_andrews(params):
-    (k, n) = params
-    a, b, c, ok = partition_theorems.andrews_counts(n, k)
-    if not ok:
-        return Counterexample(
-            (("k", k), ("n", n)), a, (b, c), "initial reps vs companions"
-        )
-    return None
-
-
-def _check_andrews_d(params):
-    (m, n) = params
-    delta, closed, ok = partition_theorems.andrews_singleton_delta(n, m)
-    if not ok:
-        return Counterexample((("m", m), ("n", n)), closed, delta, "singleton signs")
-    return None
-
-
 # ---------------------------------------------------------------------------
 # sweep definitions
 # ---------------------------------------------------------------------------
 
+_THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
+
 # The SweepConfig field that overrides each axis's last value; the single
 # series order of the pentagonal sweep is set by max_n.
 _OVERRIDE = {"n": "max_n", "order": "max_n", "k": "max_k", "r": "max_r", "m": "max_m"}
-
-
-@dataclass(frozen=True)
-class _Sweep:
-    """One named sweep: the check run on each instance and the grid it covers.
-
-    ``grid`` reads as the report's ranges.  A term ``a=first..last`` is an
-    axis whose integer ``last`` is the default that ``SweepConfig``
-    overrides; ``s=0..r-1`` bounds an axis by an earlier one; ``order=100``
-    is a single point; any other term (``k=r-s``) is text only.  The
-    points, in axis order, pass through ``instances``, which may append
-    parameters shared by the whole grid; ``note`` extends the ranges text.
-    Both read the axes' effective last values.
-    """
-
-    check: Callable[[tuple], Counterexample | None]
-    grid: str
-    instances: Callable[[list[tuple], dict[str, int]], list[tuple]] = lambda p, last: p
-    note: Callable[[dict[str, int]], str] = lambda last: ""
 
 
 def _with_order(points: list[tuple], last: dict[str, int]) -> list[tuple]:
@@ -436,29 +268,124 @@ def _with_shift_checks(points: list[tuple], last: dict[str, int]) -> list[tuple]
 
 
 _SWEEPS = {
-    "thm1": _Sweep(_check_thm1, "n=1..60",
-                   note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
-    "thm2": _Sweep(_check_thm2, "k=1..6 n=1..20", _with_order),
-    "thm3": _Sweep(_check_thm3, "k=1..6 r=1..5 s=0..r-1 n=1..18", _with_order),
-    "cor-rs": _Sweep(_check_cor_rs, "r=1..5 s=0..r-1 k=r-s n=1..18"),
-    "cor-period": _Sweep(_check_cor_period, "r=1..5 s=0..r-1 k=2r-s n=1..18", _with_shift_checks,
-                         note=lambda last: f"; shift/period to order {_SHIFT_ORDER}"),
-    "thm4": _Sweep(_check_thm4, "k=2..4 m=0..3 n=1..16"),
-    "thm4bar": _Sweep(_check_thm4bar, "k=1..4 m=0..3 n=1..16", lambda points, last: [
-        (k, m, n, last["n"] + k - 1, last["m"]) for k, m, n in points]),
-    "comp1": _Sweep(_check_comp1, "n=1..22"),
-    "comp2": _Sweep(_check_comp2, "k=1..5 n=1..20"),
-    "comp3": _Sweep(_check_comp3, "k=1..4 m=0..3 n=1..16"),
-    "legendre": _Sweep(_check_legendre, "n=0..50",
-                       lambda points, last: [p + (last["n"],) for p in points]),
-    "pentagonal": _Sweep(_check_pentagonal, "order=100"),
-    "euler": _Sweep(_check_euler, "n=0..30"),
-    "glaisher": _Sweep(_check_glaisher, "k=1..4 n=0..30"),
-    "franklin": _Sweep(_check_franklin, "k=1..3 m=0..3 n=0..25"),
-    "nyirenda-d": _Sweep(_check_nyirenda_d, "r=1..3 n=0..40"),
-    "nyirenda-c": _Sweep(_check_nyirenda_c, "r=1..3 n=0..40"),
-    "andrews": _Sweep(_check_andrews, "k=1..3 n=0..30"),
-    "andrews-d": _Sweep(_check_andrews_d, "m=0..7 n=0..30"),
+    "thm1": _Sweep("n=1..60", (
+        _Route("closed form", lambda n: formulas.min_part_signed(2, n)),
+        _Route("second closed form", lambda n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3)),
+        _Route("recurrence", lambda n: _memo(formulas.min_part_signed_sequence, 2, n)[n - 1]),
+        _Route("enumeration", lambda n: compositions.signed_count(n + 1, MinPart(2)).diff,
+               lambda n: n <= _THM1_ENUMERATED),
+    ), note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
+    "thm2": _Sweep("k=1..6 n=1..20", (
+        _Route("closed form", lambda k, n, order: formulas.min_part_signed(k, n)),
+        _Route("enumeration", lambda k, n, order:
+               compositions.signed_count(n + k - 1, MinPart(k)).diff),
+        _Route("recurrence", lambda k, n, order:
+               _memo(formulas.min_part_signed_sequence, k, n)[n - 1]),
+        _Route("series", lambda k, n, order:
+               -_memo(series.min_part_series, k, order).coeffs[n + k - 1]),
+    ), _with_order),
+    "thm3": _Sweep("k=1..6 r=1..5 s=0..r-1 n=1..18", (
+        _Route("closed form", lambda k, r, s, n, order: formulas.congruent_signed(k, n, r, s)),
+        _Route("enumeration", lambda k, r, s, n, order:
+               compositions.signed_count(n + k - 1, MinPartCongruent(k, r, s)).diff),
+        _Route("series", lambda k, r, s, n, order:
+               -_memo(series.congruent_series, k, r, s, order).coeffs[n + k - 1]),
+        _Route("second closed form", lambda k, r, s, n, order:
+               formulas.congruent_indicator(k, n, r, s),
+               lambda k, r, s, n, order: k == r - s),
+        _Route("second closed form", lambda k, r, s, n, order:
+               formulas.congruent_periodic(k, n, r, s),
+               lambda k, r, s, n, order: k == 2 * r - s),
+    ), _with_order),
+    "cor-rs": _Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
+        _Route("closed form", lambda r, s, n: formulas.congruent_indicator(r - s, n, r, s)),
+        _Route("second closed form", lambda r, s, n: formulas.congruent_signed(r - s, n, r, s)),
+        _Route("enumeration", lambda r, s, n:
+               compositions.signed_count(n + r - s - 1, MinPartCongruent(r - s, r, s)).diff),
+    )),
+    "cor-period": _Sweep("r=1..5 s=0..r-1 k=2r-s n=1..18", (
+        _Route("closed form", lambda r, s, n: formulas.congruent_periodic(2 * r - s, n, r, s)),
+        _Route("second closed form", lambda r, s, n:
+               formulas.congruent_signed(2 * r - s, n, r, s)),
+        _Route("enumeration", lambda r, s, n: compositions.signed_count(
+            n + 2 * r - s - 1, MinPartCongruent(2 * r - s, r, s)).diff),
+    ), _with_shift_checks, note=lambda last: f"; shift/period to order {_SHIFT_ORDER}",
+        check=_check_cor_period),
+    "thm4": _Sweep("k=2..4 m=0..3 n=1..16", (
+        _Route("closed form", lambda k, m, n: formulas.guarded_signed_boxed(k, n, m)),
+        _Route("second closed form", lambda k, m, n: formulas.guarded_signed_sum(k, n, m)),
+        _Route("enumeration", lambda k, m, n:
+               compositions.signed_count(n + k - 1, GuardedSmall(k, m)).diff),
+    ), also=(("unsigned", (
+        _Route("closed form", lambda k, m, n: formulas.guarded_count_boxed(k, n, m)),
+        _Route("second closed form", lambda k, m, n: formulas.guarded_count_sum(k, n, m)),
+        _Route("enumeration", lambda k, m, n:
+               compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
+    )),)),
+    "thm4bar": _Sweep("k=1..4 m=0..3 n=1..16", (
+        _Route("closed form", lambda k, m, n, xo, yo: formulas.small_parts_signed(k, n, m)),
+        _Route("enumeration", lambda k, m, n, xo, yo:
+               compositions.signed_count(n + k - 1, ExactSmall(k, m)).diff),
+        _Route("series", lambda k, m, n, xo, yo: series.bivariate_signed_value(
+            _memo(series.small_parts_series, k, xo, yo), k, n, m)),
+    ), lambda points, last: [(k, m, n, last["n"] + k - 1, last["m"]) for k, m, n in points]),
+    "comp1": _Sweep("n=1..22", (
+        _Route("enumeration", lambda n: compositions.count_compositions(n, OddParts())),
+        _Route("companion class", lambda n: compositions.count_compositions(n + 1, MinPart(2))),
+    )),
+    "comp2": _Sweep("k=1..5 n=1..20", (
+        _Route("enumeration", lambda k, n:
+               compositions.count_compositions(n, MinPartCongruent(1, k, 0))),
+        _Route("companion class", lambda k, n:
+               compositions.count_compositions(n + k - 1, MinPart(k))),
+        _Route("closed form", lambda k, n: formulas.min_part_count(k, n)),
+    )),
+    "comp3": _Sweep("k=1..4 m=0..3 n=1..16", (
+        _Route("enumeration", lambda k, m, n:
+               compositions.count_compositions(n, ModOneExcept(k, m))),
+        _Route("companion class", lambda k, m, n:
+               compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
+    )),
+    "legendre": _Sweep("n=0..50", (
+        _Route("closed form", lambda n, order: partition_theorems.legendre_closed(n)),
+        _Route("enumeration", lambda n, order: partition_theorems.legendre_delta(n)),
+        _Route("series", lambda n, order: _memo(series.pentagonal_product, order).coeffs[n]),
+    ), lambda points, last: [p + (last["n"],) for p in points]),
+    "pentagonal": _Sweep("order=100", check=_check_pentagonal),
+    "euler": _Sweep("n=0..30", (
+        _Route("enumeration", lambda n, t: t[0]),
+        _Route("companion class", lambda n, t: t[1]),
+    ), theorem=lambda n: partition_theorems.euler_distinct_odd(n), also=(("signed", (
+        _Route("closed form", lambda n, t: (-1) ** n * t[1]),
+        _Route("enumeration", lambda n, t: partition_theorems.odd_parts_signed(n)),
+    )),)),
+    "glaisher": _Sweep("k=1..4 n=0..30", (
+        _Route("enumeration", lambda k, n, t: t[0]),
+        _Route("companion class", lambda k, n, t: t[1]),
+    ), theorem=lambda k, n: partition_theorems.glaisher_check(n, k)),
+    "franklin": _Sweep("k=1..3 m=0..3 n=0..25", (
+        _Route("enumeration", lambda k, m, n, t: t[0]),
+        _Route("companion class", lambda k, m, n, t: t[1]),
+    ), theorem=lambda k, m, n: partition_theorems.franklin_check(n, k, m)),
+    "nyirenda-d": _Sweep("r=1..3 n=0..40", (
+        _Route("closed form", lambda r, n, t: t[1]),
+        _Route("enumeration", lambda r, n, t: t[0]),
+    ), theorem=lambda r, n: partition_theorems.nyirenda_d(n, r)),
+    "nyirenda-c": _Sweep("r=1..3 n=0..40", (
+        _Route("closed form", lambda r, n, t: t[1]),
+        _Route("enumeration", lambda r, n, t: t[0]),
+        _Route("second closed form", lambda r, n, t: partition_theorems.legendre_closed(n),
+               lambda r, n, t: r == 1),
+    ), theorem=lambda r, n: partition_theorems.nyirenda_c(n, r)),
+    "andrews": _Sweep("k=1..3 n=0..30", (
+        _Route("enumeration", lambda k, n, t: t[0]),
+        _Route("companion class", lambda k, n, t: t[1]),
+        _Route("companion class", lambda k, n, t: t[2]),
+    ), theorem=lambda k, n: partition_theorems.andrews_counts(n, k)),
+    "andrews-d": _Sweep("m=0..7 n=0..30", (
+        _Route("closed form", lambda m, n, t: t[1]),
+        _Route("enumeration", lambda m, n, t: t[0]),
+    ), theorem=lambda m, n: partition_theorems.andrews_singleton_delta(n, m)),
 }
 
 CHECK_NAMES = tuple(_SWEEPS)
@@ -470,10 +397,10 @@ def _sweep(name: str) -> _Sweep:
     return _SWEEPS[name]
 
 
-def _terms(sweep: _Sweep) -> list[tuple[str, str, str, str]]:
+def _terms(grid: str) -> list[tuple[str, str, str, str]]:
     """(axis, first, "..", last) per grid term; "" where a part is absent."""
     out = []
-    for term in sweep.grid.split():
+    for term in grid.split():
         axis, _, value = term.partition("=")
         out.append((axis, *value.rpartition("..")))
     return out
@@ -481,7 +408,9 @@ def _terms(sweep: _Sweep) -> list[tuple[str, str, str, str]]:
 
 def overrides(name: str) -> tuple[str, ...]:
     """The SweepConfig fields that the named sweep reads."""
-    return tuple(_OVERRIDE[axis] for axis, _, _, last in _terms(_sweep(name)) if last.isdigit())
+    return tuple(
+        _OVERRIDE[axis] for axis, _, _, last in _terms(_sweep(name).grid) if last.isdigit()
+    )
 
 
 def _expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
@@ -490,7 +419,7 @@ def _expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
     points: list[dict[str, int]] = [{}]
     last: dict[str, int] = {}
     text: list[str] = []
-    for axis, first, dots, top in _terms(sweep):
+    for axis, first, dots, top in _terms(sweep.grid):
         if top.isdigit():
             override = getattr(config, _OVERRIDE[axis])
             top = last[axis] = int(top) if override is None else override
@@ -508,7 +437,8 @@ def _expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
 
 def _dispatch(tagged):
     name, params = tagged
-    return _SWEEPS[name].check(params)
+    sweep = _SWEEPS[name]
+    return _compare(sweep, params) if sweep.check is None else sweep.check(params)
 
 
 def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationReport:

@@ -62,7 +62,7 @@ def test_emit_sequence_bfiles_reports_a_route_past_its_limit_with_exit_2(
     out = tmp_path / "bfiles"
     monkeypatch.setattr(sys, "argv", ["emit_sequence_bfiles.py", "--out", str(out)])
     assert script["main"]() == 2
-    assert capsys.readouterr().err == "error: size 0 is past the tally limit\n"
+    assert capsys.readouterr().err == "error: size 59 is past the tally limit\n"
     assert not out.exists()
 
 

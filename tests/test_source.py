@@ -48,3 +48,17 @@ def test_enumeration_route_imports_no_other_route():
         imported = imported_modules(ROOT / "src" / "compparity" / name)
         for other in ("compparity.formulas", "compparity.series"):
             assert other not in imported, (name, other)
+
+
+def test_verify_builds_counterexamples_only_in_the_comparison_loop_and_two_checks():
+    # a value comparison is a sweep's route list, compared by _compare; a
+    # hand-written one would grow its own detail text back
+    path = ROOT / "src" / "compparity" / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    builders = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Counterexample"):
+                builders.add(getattr(top, "name", f"line {node.lineno}"))
+    assert builders == {"_compare", "_check_cor_period", "_check_pentagonal"}

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from compparity import _automaton, verify
+from compparity import _automaton, compositions, partitions, verify
 from compparity.verify import (
     CHECK_NAMES,
     Counterexample,
@@ -179,3 +179,97 @@ def test_partition_sweeps_pass_on_wide_grids(monkeypatch):
         report = run_check(name, SweepConfig(max_n=max_n))
         assert (report.passed, report.instances) == (True, instances), name
     assert time.perf_counter() - t0 < 5.0
+
+
+# ---------------------------------------------------------------------------
+# routes: one comparison loop, a fixed vocabulary
+# ---------------------------------------------------------------------------
+
+def recorded(calls, name, value, when=None):
+    """A route that records its name when evaluated and returns ``value``."""
+    def call(*args):
+        calls.append((name, args))
+        return value
+    return verify._Route(name, call, when)
+
+
+def test_compare_evaluates_routes_in_order_and_stops_at_the_first_disagreement():
+    calls = []
+    sweep = verify._Sweep("k=1..2 n=1..3", (
+        recorded(calls, "closed form", 5),
+        recorded(calls, "enumeration", 5),
+        recorded(calls, "series", 4),
+        recorded(calls, "recurrence", 3),
+    ))
+    found = verify._compare(sweep, (2, 3, 99))  # a trailing shared parameter
+    assert [name for name, _ in calls] == ["closed form", "enumeration", "series"]
+    assert calls[0][1] == (2, 3, 99)
+    assert found == Counterexample((("k", 2), ("n", 3)), 5, 4, "series vs closed form")
+    assert found.describe() == "k=2 n=3: expected 5, got 4 (series vs closed form)"
+
+
+def test_compare_skips_guarded_routes_and_prefixes_a_second_quantity():
+    calls = []
+    sweep = verify._Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
+        recorded(calls, "closed form", 1),
+        recorded(calls, "enumeration", 7, lambda r, s, n: r == 9),
+        recorded(calls, "second closed form", 1),
+    ), also=(("unsigned", (
+        recorded(calls, "closed form", 2),
+        recorded(calls, "enumeration", 3),
+    )),))
+    found = verify._compare(sweep, (3, 1, 4))
+    assert [name for name, _ in calls] == [
+        "closed form", "second closed form", "closed form", "enumeration"]
+    assert found.describe() == "r=3 s=1 n=4: expected 2, got 3 (unsigned: enumeration vs closed form)"
+
+
+def test_compare_passes_the_theorem_result_after_the_parameters():
+    calls = []
+    sweep = verify._Sweep("k=1..4 n=0..30", (
+        recorded(calls, "enumeration", 1),
+        recorded(calls, "companion class", 1),
+    ), theorem=lambda k, n: (n, k))
+    assert verify._compare(sweep, (3, 8)) is None
+    assert calls == [("enumeration", (3, 8, (8, 3))), ("companion class", (3, 8, (8, 3)))]
+
+
+def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
+    assert len(set(verify.ROUTES)) == len(verify.ROUTES) == 6
+    assert {name for name, s in verify._SWEEPS.items() if s.check} == {"cor-period", "pentagonal"}
+    for name, sweep in verify._SWEEPS.items():
+        if not sweep.routes:
+            assert sweep.check is not None, name
+            continue
+        for quantity, routes in (("", sweep.routes), *sweep.also):
+            # a reference alone would let the sweep pass by comparing nothing
+            assert len(routes) >= 2, (name, quantity)
+            assert routes[0].when is None, (name, quantity)
+            assert {route.name for route in routes} <= set(verify.ROUTES), (name, quantity)
+
+
+def test_an_enumeration_off_by_one_fails_thm2_at_the_first_instance(monkeypatch):
+    real = compositions.signed_count
+
+    def off_by_one(n, cls):
+        counts = real(n, cls)
+        return compositions.SignedCount(counts.odd_count + (n == 10), counts.even_count)
+
+    monkeypatch.setattr(compositions, "signed_count", off_by_one)
+    report = run_check("thm2")
+    assert not report.passed
+    assert report.counterexample.describe() == (
+        "k=1 n=10: expected 0, got 1 (enumeration vs closed form)")
+
+
+def test_a_partition_count_off_by_one_fails_glaisher_at_the_first_instance(monkeypatch):
+    real = partitions.count_partitions
+
+    def off_by_one(n, cls):
+        return real(n, cls) + (n == 7 and isinstance(cls, partitions.MaxMultiplicity))
+
+    monkeypatch.setattr(partitions, "count_partitions", off_by_one)
+    report = run_check("glaisher")
+    assert not report.passed
+    assert report.counterexample.describe() == (
+        "k=1 n=7: expected 1, got 0 (companion class vs enumeration)")
