@@ -1,9 +1,12 @@
 """Command line interface.
 
 Subcommands: count, signed, formula, series, verify, period, bfile.
+``verify all`` runs every sweep and prints one line per sweep, a failing
+sweep's report after its line, and a summary line.
 Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
 parameter error.  ``--format plain|csv|bfile`` selects rendering; bfile
-rendering only applies to univariate series output.
+rendering only applies to univariate series output, and ``bfile`` takes
+plain only.
 
 Formula and verify subcommands index theorems by n while the underlying
 composition class lives on size n+k-1; a note restating the actual size
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -288,12 +292,26 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _no_bfile(args)
     fields = ("max_n", "max_k", "max_r", "max_m")
-    spec = " ".join(f + "?" for f in overrides(args.name))
-    _flags(args, spec, f"verify {args.name}", known=fields)
+    axes = fields if args.name == "all" else overrides(args.name)
+    _flags(args, " ".join(f + "?" for f in axes), f"verify {args.name}", known=fields)
     config = SweepConfig(jobs=args.jobs, **{f: getattr(args, f) for f in fields})
-    report = run_check(args.name, config)
-    sys.stdout.write(render_report(report, args.fmt))
-    return 0 if report.passed else 1
+    if args.name != "all":
+        report = run_check(args.name, config)
+        sys.stdout.write(render_report(report, args.fmt))
+        return 0 if report.passed else 1
+    failing = 0
+    start = time.monotonic()
+    for name in CHECK_NAMES:
+        t0 = time.monotonic()
+        report = run_check(name, config)
+        status = "pass" if report.passed else "FAIL"
+        print(f"{name:12s} {status}  instances={report.instances:5d}  "
+              f"{time.monotonic() - t0:6.2f}s")
+        if not report.passed:
+            failing += 1
+            sys.stdout.write(render_report(report, args.fmt))
+    print(f"{len(CHECK_NAMES)} sweeps, {failing} failing, {time.monotonic() - start:.1f}s")
+    return 1 if failing else 0
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
@@ -315,6 +333,8 @@ def _cmd_period(args: argparse.Namespace) -> int:
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
+    if args.fmt != "plain":
+        raise ValueError(f"bfile does not use --format {args.fmt}")
     offset = args.offset
     if offset is None:
         offset = _IDENTITIES[args.seq].offset
@@ -331,6 +351,8 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         return 0
 
     # check
+    if args.max_n is not None:
+        raise ValueError("bfile check does not use --max-n")
     if not args.file:
         raise ValueError("bfile check requires --file")
     with open(args.file, "r", encoding="ascii") as fh:
@@ -398,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--den", type=str, default=None, help="comma-separated coefficients")
     p.set_defaults(handler=_cmd_series)
 
-    p = sub.add_parser("verify", parents=[rendering], help="run a verification sweep")
-    p.add_argument("name", choices=CHECK_NAMES)
+    p = sub.add_parser(
+        "verify", parents=[rendering], help="run a verification sweep, or all of them")
+    p.add_argument("name", choices=CHECK_NAMES + ("all",))
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--max-r", type=int, default=None)

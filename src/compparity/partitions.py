@@ -57,7 +57,8 @@ class Partition:
 class PartitionClass:
     """Base class for partition restrictions.
 
-    Besides ``contains`` and ``iter_parts``, a subclass supplies ``step``,
+    A subclass supplies ``contains``, and may replace the filtering
+    ``iter_parts`` with a generator of its own.  It also supplies ``step``,
     which with ``start`` and ``accept`` reads the values 1, 2, ... in turn:
     ``mult >= 0`` copies of ``value``.  It returns the next state, or
     ``None`` when no member continues so; reading ``mult == 0`` past a
@@ -69,7 +70,9 @@ class PartitionClass:
         raise NotImplementedError
 
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        raise NotImplementedError
+        """The members of size n: by default every partition that ``contains`` accepts."""
+        _check_size(n)
+        return _filtered(n, self.contains)
 
     def start(self) -> Hashable:
         return 0
@@ -192,10 +195,6 @@ class MaxMultiplicity(PartitionClass):
         counts = Counter(parts)
         return all(c < self.bound for c in counts.values())
 
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _filtered(n, self.contains)
-
     def step(self, state: int, value: int, mult: int) -> int | None:
         return 0 if mult < self.bound else None
 
@@ -237,10 +236,6 @@ class FranklinRepeated(PartitionClass):
         counts = Counter(parts)
         return sum(1 for c in counts.values() if c >= self.k) == self.m
 
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _filtered(n, self.contains)
-
     def step(self, repeated: int, value: int, mult: int) -> int | None:
         # the state counts the values read so far that occur >= k times
         repeated += mult >= self.k
@@ -266,10 +261,6 @@ class FranklinDivisible(PartitionClass):
     def contains(self, parts: tuple[int, ...]) -> bool:
         values = set(parts)
         return sum(1 for v in values if v % self.k == 0) == self.m
-
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _filtered(n, self.contains)
 
     def step(self, divisible: int, value: int, mult: int) -> int | None:
         # the state counts the values read so far that occur and that k divides
@@ -316,10 +307,6 @@ class InitialKReps(PartitionClass):
     def contains(self, parts: tuple[int, ...]) -> bool:
         return has_initial_repetitions(parts, self.k)
 
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _filtered(n, self.contains)
-
     def start(self) -> bool:
         return True
 
@@ -344,10 +331,6 @@ class InitialTwoRepsWithMarks(PartitionClass):
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         return len(set(parts)) == self.m and has_initial_repetitions(parts, 2)
-
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _filtered(n, self.contains)
 
     # the state is (values occurring so far, initial 2-repetitions intact)
     def start(self) -> tuple[int, bool]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-def detect_period(values: "Sequence[int] | IntegerSequence") -> tuple[int, int] | None:
+def detect_period(values: Sequence[int]) -> tuple[int, int] | None:
     """Minimal (preperiod, period) for the window, or None if aperiodic.
 
     A pair (q, p) is admissible when values[i] == values[i+p] for every
@@ -23,8 +23,6 @@ def detect_period(values: "Sequence[int] | IntegerSequence") -> tuple[int, int] 
     exceeds half the window.  Among admissible pairs the lexicographically
     smallest is returned: shortest preperiod first, then shortest period.
     """
-    if isinstance(values, IntegerSequence):
-        values = values.values
     vals = list(values)
     length = len(vals)
     if length == 0:
@@ -46,50 +44,24 @@ class IntegerSequence:
     """Values with an offset: values[i] is the term at index offset + i.
 
     Computed sequences and parsed b-files (``parse_bfile``) alike.
-
-    An optional (preperiod, period) descriptor may be attached; it is
-    validated against the values on construction.
     """
 
     offset: int
     values: tuple[int, ...]
-    period: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sequence must contain at least one term")
-        if self.period is not None:
-            q, p = self.period
-            if q < 0 or p < 1:
-                raise ValueError(f"bad period descriptor {self.period}")
-            if q + p > len(self.values):
-                raise ValueError(
-                    f"period descriptor {self.period} needs at least "
-                    f"{q + p} stored terms, have {len(self.values)}"
-                )
-            for i in range(q, len(self.values) - p):
-                if self.values[i] != self.values[i + p]:
-                    raise ValueError(
-                        f"period descriptor {self.period} fails at index "
-                        f"{self.offset + i}"
-                    )
 
     @property
     def last_index(self) -> int:
         return self.offset + len(self.values) - 1
 
     def term(self, index: int) -> int:
-        """Stored term, or the periodic extension when a descriptor is set."""
         if index < self.offset:
             raise ValueError(f"index {index} precedes offset {self.offset}")
         if index > self.last_index:
-            if self.period is None:
-                raise ValueError(
-                    f"index {index} outside {self.offset}..{self.last_index}"
-                )
-            q, p = self.period
-            i = index - self.offset
-            return self.values[q + (i - q) % p]
+            raise ValueError(f"index {index} outside {self.offset}..{self.last_index}")
         return self.values[index - self.offset]
 
 

@@ -129,10 +129,6 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the constant term")
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((0,) * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,) + (0,) * order)
 
@@ -144,11 +140,6 @@ class TruncatedSeries:
         if not 0 <= d <= self.order:
             raise ValueError(f"coefficient {d} beyond truncation order {self.order}")
         return self.coeffs[d]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)

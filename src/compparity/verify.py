@@ -256,6 +256,11 @@ _THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
 _OVERRIDE = {"n": "max_n", "order": "max_n", "k": "max_k", "r": "max_r", "m": "max_m"}
 
 
+def _with_last_n(points: list[tuple], last: dict[str, int]) -> list[tuple]:
+    """Append the last n: the one row length, or series order, that covers every instance."""
+    return [p + (last["n"],) for p in points]
+
+
 def _with_order(points: list[tuple], last: dict[str, int]) -> list[tuple]:
     """Append the one series order, n+k, that covers every instance."""
     return [p + (last["n"] + last["k"],) for p in points]
@@ -269,18 +274,20 @@ def _with_shift_checks(points: list[tuple], last: dict[str, int]) -> list[tuple]
 
 _SWEEPS = {
     "thm1": _Sweep("n=1..60", (
-        _Route("closed form", lambda n: formulas.min_part_signed(2, n)),
-        _Route("second closed form", lambda n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3)),
-        _Route("recurrence", lambda n: _memo(formulas.min_part_signed_sequence, 2, n)[n - 1]),
-        _Route("enumeration", lambda n: compositions.signed_count(n + 1, MinPart(2)).diff,
-               lambda n: n <= _THM1_ENUMERATED),
-    ), note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
+        _Route("closed form", lambda n, count: formulas.min_part_signed(2, n)),
+        _Route("second closed form", lambda n, count:
+               0 if n % 3 == 0 else (-1) ** ((n - 1) // 3)),
+        _Route("recurrence", lambda n, count:
+               _memo(formulas.min_part_signed_sequence, 2, count)[n - 1]),
+        _Route("enumeration", lambda n, count: compositions.signed_count(n + 1, MinPart(2)).diff,
+               lambda n, count: n <= _THM1_ENUMERATED),
+    ), _with_last_n, note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
     "thm2": _Sweep("k=1..6 n=1..20", (
         _Route("closed form", lambda k, n, order: formulas.min_part_signed(k, n)),
         _Route("enumeration", lambda k, n, order:
                compositions.signed_count(n + k - 1, MinPart(k)).diff),
         _Route("recurrence", lambda k, n, order:
-               _memo(formulas.min_part_signed_sequence, k, n)[n - 1]),
+               _memo(formulas.min_part_signed_sequence, k, order)[n - 1]),
         _Route("series", lambda k, n, order:
                -_memo(series.min_part_series, k, order).coeffs[n + k - 1]),
     ), _with_order),
@@ -350,7 +357,7 @@ _SWEEPS = {
         _Route("closed form", lambda n, order: partition_theorems.legendre_closed(n)),
         _Route("enumeration", lambda n, order: partition_theorems.legendre_delta(n)),
         _Route("series", lambda n, order: _memo(series.pentagonal_product, order).coeffs[n]),
-    ), lambda points, last: [p + (last["n"],) for p in points]),
+    ), _with_last_n),
     "pentagonal": _Sweep("order=100", check=_check_pentagonal),
     "euler": _Sweep("n=0..30", (
         _Route("enumeration", lambda n, t: t[0]),

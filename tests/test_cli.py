@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from compparity import cli, formulas
+from compparity.verify import CHECK_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -133,6 +135,51 @@ def test_verify_jobs_match_serial(capsys):
     assert out1 == out2
 
 
+SWEEP_LINE = re.compile(r"(\S+) +(pass|FAIL)  instances= *\d+ +\d+\.\d\ds")
+
+
+def test_verify_all_passes_every_sweep_in_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all")
+    lines = out.splitlines()
+    assert code == 0
+    assert [SWEEP_LINE.fullmatch(line).groups() for line in lines[:-1]] == [
+        (name, "pass") for name in CHECK_NAMES
+    ]
+    assert re.fullmatch(r"19 sweeps, 0 failing, \d+\.\ds", lines[-1])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_verify_all_prints_a_failing_sweeps_report_after_its_line(capsys, monkeypatch, fmt):
+    # comp2 is the only sweep whose routes read formulas.min_part_count
+    right = formulas.min_part_count
+    monkeypatch.setattr(formulas, "min_part_count",
+                        lambda k, n: right(k, n) + ((k, n) == (2, 5)))
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", fmt)
+    lines = out.splitlines()
+    failing = [i for i, line in enumerate(lines) if " FAIL " in line]
+    assert code == 1
+    assert [lines[i].split()[0] for i in failing] == ["comp2"]
+    ce = f"k=2 n=5: expected {right(2, 5)}, got {right(2, 5) + 1} (closed form vs enumeration)"
+    report = {
+        "plain": ['check=comp2 ranges="k=1..5 n=1..20" instances=100 status=fail',
+                  f"counterexample: {ce}"],
+        "csv": ["name,ranges,instances,status,counterexample",
+                f'comp2,"k=1..5 n=1..20",100,fail,{ce.replace(",", ";")}'],
+    }[fmt]
+    assert lines[failing[0] + 1:failing[0] + 3] == report
+    assert re.fullmatch(r"19 sweeps, 1 failing, \d+\.\ds", lines[-1])
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--max-n", "-1"), "error: check thm1 has no instances over n=1..-1"),
+    (("--jobs", "0"), "error: jobs must be >= 1, got 0"),
+])
+def test_verify_all_rejects_invalid_arguments_with_exit_2(capsys, args, message):
+    code, out, err = run_cli(capsys, "verify", "all", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
 def test_bfile_emit_stdout(capsys):
     code, out, _ = run_cli(capsys, "bfile", "emit", "--seq", "thm2", "--k", "2", "--max-n", "6")
     assert (code, out) == (0, "1 1\n2 1\n3 0\n4 -1\n5 -1\n6 0\n")
@@ -209,6 +256,9 @@ def test_fixture_files_verify(capsys):
         ("series thm2 --k 2 --y-order 7 --order 5", "series thm2 does not use --y-order"),
         ("period --seq legendre --k 3 --max-n 10", "sequence legendre does not use --k"),
         ("bfile emit --seq distinct --r 2 --max-n 5", "sequence distinct does not use --r"),
+        ("bfile emit --seq thm2 --k 2 --max-n 3 --format csv", "bfile does not use --format csv"),
+        ("bfile check --seq thm2 --k 2 --file tests/fixtures/minpart2_signed.txt --max-n 5",
+         "bfile check does not use --max-n"),
         ("count --class all --k 5 --n 4", "class 'all' does not use --k"),
         ("signed --class minpart --k 2 --m 1 --n 4", "class 'minpart' does not use --m"),
     ],

@@ -108,7 +108,7 @@ def test_zero_overrides_are_honoured():
 
 
 def test_absent_axes_are_ignored():
-    # one config may be shared by every sweep, as scripts/run_all_checks.py does
+    # one config may be shared by every sweep, as `compparity verify all` does
     assert overrides("legendre") == ("max_n",)
     report = run_check("legendre", SweepConfig(max_n=5, max_k=9, max_r=9, max_m=9))
     assert report.ranges == "n=0..5"
