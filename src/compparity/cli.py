@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from compparity import compositions, formulas, partition_theorems, sequences, series
-from compparity.verify import CHECK_NAMES, SweepConfig, overrides, render_report, run_check
+from compparity.verify import CHECK_NAMES, SweepConfig, expand, overrides, render_report, run_check
 
 # Parameter flags a token may use; any other one given is rejected.
 _TOKEN_FLAGS = ("k", "r", "s", "m", "y_order", "num", "den")
@@ -299,6 +299,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = run_check(args.name, config)
         sys.stdout.write(render_report(report, args.fmt))
         return 0 if report.passed else 1
+    for name in CHECK_NAMES:  # an empty grid exits 2 before any sweep prints
+        expand(name, config)
     failing = 0
     start = time.monotonic()
     for name in CHECK_NAMES:

@@ -1,25 +1,23 @@
-"""Classical partition identities, each checked against the enumeration oracle.
+"""Closed forms and signed tallies of the partition identities.
 
 The signed quantities on the partition side are reported as even-length
 minus odd-length, the orientation in which Legendre's theorem produces
-the pentagonal-number signs.  Each closed form here is written directly
-from the statement of the corresponding theorem; the enumeration oracle
-lives in ``compparity.partitions``.
+the pentagonal-number signs.  Each ``*_delta`` reads its signed count off
+the enumeration oracle in ``compparity.partitions``; each ``*_closed`` is
+written directly from the statement of the corresponding theorem and never
+calls the oracle.  Every function returns one int, so a sweep compares the
+two as separate routes.  The identities that equate two class counts
+(Euler, Glaisher, Franklin, Andrews) need no function here: a sweep counts
+each class with ``partitions.count_partitions``.
 """
 
 from __future__ import annotations
 
 from compparity import partitions
-from compparity._automaton import tally_partitions
 from compparity.partitions import (
     DistinctInResidues,
     DistinctParts,
-    FranklinDivisible,
-    FranklinRepeated,
-    InitialKReps,
     InitialTwoRepsWithMarks,
-    MaxMultiplicity,
-    NoPartDivisibleBy,
     OddParts,
 )
 
@@ -29,11 +27,20 @@ def _check_n(n: int) -> None:
         raise ValueError(f"requires n >= 0, got {n}")
 
 
+def _check_r(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"requires r >= 1, got r={r}")
+
+
+def _even_minus_odd(n: int, cls: partitions.PartitionClass) -> int:
+    sc = partitions.signed_count(n, cls)
+    return sc.even_count - sc.odd_count
+
+
 def legendre_delta(n: int) -> int:
     """Even-length minus odd-length count of distinct-part partitions of n."""
     _check_n(n)
-    sc = partitions.signed_count(n, DistinctParts())
-    return sc.even_count - sc.odd_count
+    return _even_minus_odd(n, DistinctParts())
 
 
 def legendre_closed(n: int) -> int:
@@ -47,14 +54,6 @@ def legendre_closed(n: int) -> int:
     return 0
 
 
-def euler_distinct_odd(n: int) -> tuple[int, int, bool]:
-    """(distinct-part count, odd-part count, equal?) for partitions of n."""
-    _check_n(n)
-    d = partitions.count_partitions(n, DistinctParts())
-    o = partitions.count_partitions(n, OddParts())
-    return d, o, d == o
-
-
 def odd_parts_signed(n: int) -> int:
     """Even minus odd length count over odd-part partitions of n.
 
@@ -62,111 +61,68 @@ def odd_parts_signed(n: int) -> int:
     the total count; the tally here does not use that shortcut.
     """
     _check_n(n)
-    sc = partitions.signed_count(n, OddParts())
-    return sc.even_count - sc.odd_count
+    return _even_minus_odd(n, OddParts())
 
 
-def glaisher_check(n: int, k: int) -> tuple[int, int, bool]:
-    """Partitions with no part k or more times vs no part divisible by k."""
-    _check_n(n)
-    a = partitions.count_partitions(n, MaxMultiplicity(k))
-    b = partitions.count_partitions(n, NoPartDivisibleBy(k))
-    return a, b, a == b
-
-
-def franklin_check(n: int, k: int, m: int) -> tuple[int, int, bool]:
-    """Exactly m values repeated >= k times vs exactly m values divisible by k.
-
-    The m = 0 case is ``glaisher_check``.
-    """
-    _check_n(n)
-    a = partitions.count_partitions(n, FranklinRepeated(k, m))
-    b = partitions.count_partitions(n, FranklinDivisible(k, m))
-    return a, b, a == b
-
-
-def nyirenda_d(n: int, r: int) -> tuple[int, int, bool]:
-    """Signed distinct partitions with parts = 0 or 2r+-1 (mod 4r).
-
-    The even-minus-odd count is (-1)^j when n = j(2rj+1) or n = j(2rj-1)
-    for some j >= 0, else 0.
-    """
-    _check_n(n)
-    if r < 1:
-        raise ValueError(f"requires r >= 1, got r={r}")
-    mod = 4 * r
-    cls = DistinctInResidues(
-        mod, frozenset({0, (2 * r + 1) % mod, (2 * r - 1) % mod})
-    )
-    sc = partitions.signed_count(n, cls)
-    delta = sc.even_count - sc.odd_count
-
-    closed = 0
+def _sign_at_quadratic(n: int, a: int, b: int) -> int:
+    """(-1)^j when n = j(aj+-b)/2 for some j >= 0, else 0 (a > b > 0)."""
     j = 0
-    while j * (2 * r * j - 1) <= n:
-        if n in (j * (2 * r * j - 1), j * (2 * r * j + 1)):
-            closed = (-1) ** j
-            break
+    while j * (a * j - b) <= 2 * n:
+        if 2 * n in (j * (a * j - b), j * (a * j + b)):
+            return (-1) ** j
         j += 1
-    return delta, closed, delta == closed
+    return 0
 
 
-def nyirenda_c(n: int, r: int) -> tuple[int, int, bool]:
-    """Signed distinct partitions with parts = 0 or +-r (mod 2r+1).
+def nyirenda_d_delta(n: int, r: int) -> int:
+    """Signed distinct partitions of n with parts = 0 or 2r+-1 (mod 4r)."""
+    _check_n(n)
+    _check_r(r)
+    mod = 4 * r
+    residues = frozenset({0, (2 * r + 1) % mod, (2 * r - 1) % mod})
+    return _even_minus_odd(n, DistinctInResidues(mod, residues))
 
-    The even-minus-odd count is (-1)^j when n = j((2r+1)j+-1)/2, else 0.
+
+def nyirenda_d_closed(n: int, r: int) -> int:
+    """(-1)^j when n = j(2rj+-1) for some j >= 0, else 0."""
+    _check_n(n)
+    _check_r(r)
+    return _sign_at_quadratic(n, 4 * r, 2)
+
+
+def nyirenda_c_delta(n: int, r: int) -> int:
+    """Signed distinct partitions of n with parts = 0 or +-r (mod 2r+1).
+
     With r = 1 every residue is allowed and this is Legendre's theorem.
     """
     _check_n(n)
-    if r < 1:
-        raise ValueError(f"requires r >= 1, got r={r}")
+    _check_r(r)
     mod = 2 * r + 1
-    cls = DistinctInResidues(mod, frozenset({0, r % mod, (-r) % mod}))
-    sc = partitions.signed_count(n, cls)
-    delta = sc.even_count - sc.odd_count
-
-    closed = 0
-    j = 0
-    while j * (mod * j - 1) // 2 <= n:
-        if n in (j * (mod * j - 1) // 2, j * (mod * j + 1) // 2):
-            closed = (-1) ** j
-            break
-        j += 1
-    return delta, closed, delta == closed
+    residues = frozenset({0, r % mod, (-r) % mod})
+    return _even_minus_odd(n, DistinctInResidues(mod, residues))
 
 
-def andrews_counts(n: int, k: int) -> tuple[int, int, int, bool]:
-    """Three equinumerous classes for partitions of n.
-
-    Initial k-repetitions; no part divisible by 2k; no part occurring 2k or
-    more times.  Returns the three counts and whether all agree.
-    """
+def nyirenda_c_closed(n: int, r: int) -> int:
+    """(-1)^j when n = j((2r+1)j+-1)/2 for some j >= 0, else 0."""
     _check_n(n)
-    if k < 1:
-        raise ValueError(f"requires k >= 1, got k={k}")
-    a = partitions.count_partitions(n, InitialKReps(k))
-    b = partitions.count_partitions(n, NoPartDivisibleBy(2 * k))
-    c = partitions.count_partitions(n, MaxMultiplicity(2 * k))
-    return a, b, c, a == b == c
+    _check_r(r)
+    return _sign_at_quadratic(n, 2 * r + 1, 1)
 
 
-def _is_singleton(mult: int) -> bool:
-    """A value of multiplicity one flips the singleton sign."""
-    return mult == 1
-
-
-def andrews_singleton_delta(n: int, m: int) -> tuple[int, int, bool]:
+def andrews_singleton_delta(n: int, m: int) -> int:
     """Initial 2-repetitions, m part values, signed by singleton values.
 
     Over partitions of n with initial 2-repetitions and exactly m distinct
-    part values, sums (-1)^(number of values of multiplicity one).  The
-    closed form is (-1)^j when m = j and n = j(j+1)/2, else 0.
+    part values, sums (-1)^(number of values of multiplicity one).
     """
+    _check_n(n)
+    sc = partitions.singleton_signed_count(n, InitialTwoRepsWithMarks(m))
+    return sc.even_count - sc.odd_count
+
+
+def andrews_singleton_closed(n: int, m: int) -> int:
+    """(-1)^m when n = m(m+1)/2, else 0."""
     _check_n(n)
     if m < 0:
         raise ValueError(f"requires m >= 0, got m={m}")
-    odd, even = tally_partitions(n, InitialTwoRepsWithMarks(m), _is_singleton)
-    delta = even - odd
-
-    closed = (-1) ** m if n == m * (m + 1) // 2 else 0
-    return delta, closed, delta == closed
+    return (-1) ** m if n == m * (m + 1) // 2 else 0

@@ -12,7 +12,8 @@ the tally to ``iter_parts``.  It is the oracle for the classical partition
 identities checked elsewhere in the package.  A one-state class reaches
 n = 697; past ``_automaton.MAX_TRIALS`` trials the tally raises
 ``ValueError``.  Counts are kept per class and statistic, so the length
-parity here and the singleton sign of ``andrews_singleton_delta`` never mix.
+parity of ``signed_count`` and the singleton sign of
+``singleton_signed_count`` never mix.
 
 Partition-side signed results are reported as even-length minus odd-length
 (the opposite orientation from the composition side); ``signed_count``
@@ -319,8 +320,7 @@ class InitialTwoRepsWithMarks(PartitionClass):
     """Initial 2-repetitions and exactly m distinct part values.
 
     The interesting statistic on this class is the number of part values of
-    multiplicity one; see ``andrews_singleton_delta`` in
-    ``partition_theorems``.
+    multiplicity one; see ``singleton_signed_count``.
     """
 
     m: int
@@ -362,3 +362,18 @@ def signed_count(n: int, cls: PartitionClass) -> SignedCount:
     """Tally partitions in the class by length parity over its automaton."""
     _check_size(n)
     return SignedCount(*tally_partitions(n, cls, _flips_length))
+
+
+def _is_singleton(mult: int) -> bool:
+    """A value of multiplicity one flips the singleton sign."""
+    return mult == 1
+
+
+def singleton_signed_count(n: int, cls: PartitionClass) -> SignedCount:
+    """Tally partitions in the class by the parity of their values of multiplicity one.
+
+    ``odd_count`` and ``even_count`` count the members with an odd and an
+    even number of such values.
+    """
+    _check_size(n)
+    return SignedCount(*tally_partitions(n, cls, _is_singleton))

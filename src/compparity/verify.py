@@ -4,13 +4,14 @@ Each sweep covers a parameter grid and, at each instance, derives the
 value along independent routes, named from ``ROUTES``: enumeration (the
 membership-automaton tally of the class), closed forms, recurrence,
 generating function and companion classes.  A sweep declares its routes
-once, in ``_SWEEPS``, as functions of the instance parameters: a
-reference route, then the routes compared with it, each optionally
-limited to the instances a guard accepts.  ``_compare`` evaluates them in
-that order and reports the first disagreement as ``<route> vs
-<reference>``.  The two checks that are not value comparisons,
-cor-period's shift/period check and the pentagonal coefficient scan, are
-written out.
+once, in ``_SWEEPS``, as functions of exactly its grid axes: a reference
+route, then the routes compared with it, each optionally limited to the
+instances a guard accepts.  ``_compare`` evaluates them in that order and
+reports the first disagreement as ``<route> vs <reference>``.  The two
+checks that are not value comparisons, cor-period's shift/period check and
+the pentagonal coefficient scan, are written out.  A route that indexes a
+series or recurrence row asks ``_row`` for the size it indexes; the row is
+kept and grown on demand.
 
 A sweep may run its instances in a process pool; instances are pure
 functions of their parameters and results are reassembled in parameter
@@ -23,10 +24,11 @@ size from that tally.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Callable
 
-from compparity import compositions, formulas, partition_theorems, series
+from compparity import compositions, formulas, partition_theorems, partitions, series
 from compparity.compositions import (
     ExactSmall,
     GuardedSmall,
@@ -50,6 +52,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        cpus = os.cpu_count() or 1
+        if self.jobs > cpus:
+            raise ValueError(f"jobs must be <= {cpus}, the number of CPUs, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -119,30 +124,36 @@ ROUTES = (
     "companion class",
 )
 
-# (function, args) -> function(*args), for the series and recurrence rows
-# that many instances index into; kept for the rest of the process
-_MEMO: dict[tuple, object] = {}
+# (function, leading args) -> (size, row): the series and recurrence rows
+# that many instances index into, each at the largest size asked so far;
+# kept for the rest of the process
+_ROWS: dict[tuple, tuple[tuple[int, ...], object]] = {}
 
 
-def _memo(fn: Callable, *args):
-    """``fn(*args)``, computed once per process.
+def _row(fn: Callable, *lead: int, size: tuple[int, ...]):
+    """``fn(*lead, *size)``, or the stored row when it is at least that large.
 
-    Callers look ``fn`` up at call time, so a function wrapped or replaced
-    since is computed afresh rather than read from its predecessor's entry.
+    A row's entry at an index does not depend on how far the row was
+    computed, so a larger request computes the row again at the
+    componentwise max of the stored and requested sizes.  Sweeps run
+    largest-first, so that is rare.  Callers look ``fn`` up at call time,
+    so a function wrapped or replaced since gets an entry of its own.
     """
-    key = (fn, args)
-    if key not in _MEMO:
-        _MEMO[key] = fn(*args)
-    return _MEMO[key]
+    stored = _ROWS.get((fn, lead))
+    if stored is None or any(s > have for s, have in zip(size, stored[0])):
+        if stored is not None:
+            size = tuple(map(max, size, stored[0]))
+        stored = _ROWS[fn, lead] = size, fn(*lead, *size)
+    return stored[1]
 
 
 @dataclass(frozen=True, slots=True)
 class _Route:
     """One route to an instance's value, named from ``ROUTES``.
 
-    ``value`` and ``when`` take the instance parameters, followed, in a
-    sweep with a ``theorem``, by that function's result.  The route runs at
-    the instances ``when`` accepts, or at every instance when it is None.
+    ``value`` and ``when`` take the sweep's grid axes, in grid order.  The
+    route runs at the instances ``when`` accepts, or at every instance when
+    it is None.
     """
 
     name: str
@@ -158,24 +169,20 @@ class _Sweep:
     axis whose integer ``last`` is the default that ``SweepConfig``
     overrides; ``s=0..r-1`` bounds an axis by an earlier one; ``order=100``
     is a single point; any other term (``k=r-s``) is text only.  The
-    points, in axis order, pass through ``instances``, which may append
-    parameters shared by the whole grid; ``note`` extends the ranges text.
-    Both read the axes' effective last values.
+    points, in axis order, pass through ``instances``, which may add
+    instances of another kind; ``note`` extends the ranges text from the
+    axes' effective last values.
 
     ``routes`` holds the reference route, then the routes compared with
-    it; ``also`` adds a (quantity, routes) pair per further quantity.  In
-    a partition sweep, ``theorem`` calls the ``partition_theorems``
-    function that computes all its values at once, with n first and then
-    the other axes in grid order; it runs once per instance.  A sweep with
-    a ``check`` runs it on each instance's parameters instead of comparing
-    its routes.
+    it; ``also`` adds a (quantity, routes) pair per further quantity.  A
+    sweep with a ``check`` runs it on each instance's parameters instead of
+    comparing its routes.
     """
 
     grid: str
     routes: tuple[_Route, ...] = ()
-    instances: Callable[[list[tuple], dict[str, int]], list[tuple]] = lambda p, last: p
+    instances: Callable[[list[tuple]], list[tuple]] = lambda points: points
     note: Callable[[dict[str, int]], str] = lambda last: ""
-    theorem: Callable[..., tuple] | None = None
     also: tuple[tuple[str, tuple[_Route, ...]], ...] = ()
     check: Callable[[tuple], Counterexample | None] | None = None
 
@@ -186,12 +193,11 @@ def _compare(sweep: _Sweep, params: tuple) -> Counterexample | None:
     No route after the first disagreement is evaluated.  The detail reads
     ``<route> vs <reference>``, after ``<quantity>: `` for an ``also`` pair.
     """
-    args = params if sweep.theorem is None else params + (sweep.theorem(*params),)
     for quantity, routes in (("", sweep.routes),) + sweep.also:
         reference = None
         for route in routes:
-            if route.when is None or route.when(*args):
-                got = route.value(*args)
+            if route.when is None or route.when(*params):
+                got = route.value(*params)
                 if reference is None:
                     reference, expected = route, got
                 elif got != expected:
@@ -256,17 +262,7 @@ _THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
 _OVERRIDE = {"n": "max_n", "order": "max_n", "k": "max_k", "r": "max_r", "m": "max_m"}
 
 
-def _with_last_n(points: list[tuple], last: dict[str, int]) -> list[tuple]:
-    """Append the last n: the one row length, or series order, that covers every instance."""
-    return [p + (last["n"],) for p in points]
-
-
-def _with_order(points: list[tuple], last: dict[str, int]) -> list[tuple]:
-    """Append the one series order, n+k, that covers every instance."""
-    return [p + (last["n"] + last["k"],) for p in points]
-
-
-def _with_shift_checks(points: list[tuple], last: dict[str, int]) -> list[tuple]:
+def _with_shift_checks(points: list[tuple]) -> list[tuple]:
     """Tag the value instances and add one shift/period check per (r, s)."""
     shifts = {("shift", r, s, _SHIFT_ORDER) for r, s, _ in points}
     return [("value", *p) for p in points] + list(shifts)
@@ -274,36 +270,33 @@ def _with_shift_checks(points: list[tuple], last: dict[str, int]) -> list[tuple]
 
 _SWEEPS = {
     "thm1": _Sweep("n=1..60", (
-        _Route("closed form", lambda n, count: formulas.min_part_signed(2, n)),
-        _Route("second closed form", lambda n, count:
-               0 if n % 3 == 0 else (-1) ** ((n - 1) // 3)),
-        _Route("recurrence", lambda n, count:
-               _memo(formulas.min_part_signed_sequence, 2, count)[n - 1]),
-        _Route("enumeration", lambda n, count: compositions.signed_count(n + 1, MinPart(2)).diff,
-               lambda n, count: n <= _THM1_ENUMERATED),
-    ), _with_last_n, note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
+        _Route("closed form", lambda n: formulas.min_part_signed(2, n)),
+        _Route("second closed form", lambda n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3)),
+        _Route("recurrence", lambda n:
+               _row(formulas.min_part_signed_sequence, 2, size=(n,))[n - 1]),
+        _Route("enumeration", lambda n: compositions.signed_count(n + 1, MinPart(2)).diff,
+               lambda n: n <= _THM1_ENUMERATED),
+    ), note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
     "thm2": _Sweep("k=1..6 n=1..20", (
-        _Route("closed form", lambda k, n, order: formulas.min_part_signed(k, n)),
-        _Route("enumeration", lambda k, n, order:
+        _Route("closed form", lambda k, n: formulas.min_part_signed(k, n)),
+        _Route("enumeration", lambda k, n:
                compositions.signed_count(n + k - 1, MinPart(k)).diff),
-        _Route("recurrence", lambda k, n, order:
-               _memo(formulas.min_part_signed_sequence, k, order)[n - 1]),
-        _Route("series", lambda k, n, order:
-               -_memo(series.min_part_series, k, order).coeffs[n + k - 1]),
-    ), _with_order),
+        _Route("recurrence", lambda k, n:
+               _row(formulas.min_part_signed_sequence, k, size=(n,))[n - 1]),
+        _Route("series", lambda k, n:
+               -_row(series.min_part_series, k, size=(n + k - 1,)).coeffs[n + k - 1]),
+    )),
     "thm3": _Sweep("k=1..6 r=1..5 s=0..r-1 n=1..18", (
-        _Route("closed form", lambda k, r, s, n, order: formulas.congruent_signed(k, n, r, s)),
-        _Route("enumeration", lambda k, r, s, n, order:
+        _Route("closed form", lambda k, r, s, n: formulas.congruent_signed(k, n, r, s)),
+        _Route("enumeration", lambda k, r, s, n:
                compositions.signed_count(n + k - 1, MinPartCongruent(k, r, s)).diff),
-        _Route("series", lambda k, r, s, n, order:
-               -_memo(series.congruent_series, k, r, s, order).coeffs[n + k - 1]),
-        _Route("second closed form", lambda k, r, s, n, order:
-               formulas.congruent_indicator(k, n, r, s),
-               lambda k, r, s, n, order: k == r - s),
-        _Route("second closed form", lambda k, r, s, n, order:
-               formulas.congruent_periodic(k, n, r, s),
-               lambda k, r, s, n, order: k == 2 * r - s),
-    ), _with_order),
+        _Route("series", lambda k, r, s, n: -_row(
+            series.congruent_series, k, r, s, size=(n + k - 1,)).coeffs[n + k - 1]),
+        _Route("second closed form", lambda k, r, s, n: formulas.congruent_indicator(k, n, r, s),
+               lambda k, r, s, n: k == r - s),
+        _Route("second closed form", lambda k, r, s, n: formulas.congruent_periodic(k, n, r, s),
+               lambda k, r, s, n: k == 2 * r - s),
+    )),
     "cor-rs": _Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
         _Route("closed form", lambda r, s, n: formulas.congruent_indicator(r - s, n, r, s)),
         _Route("second closed form", lambda r, s, n: formulas.congruent_signed(r - s, n, r, s)),
@@ -330,12 +323,12 @@ _SWEEPS = {
                compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
     )),)),
     "thm4bar": _Sweep("k=1..4 m=0..3 n=1..16", (
-        _Route("closed form", lambda k, m, n, xo, yo: formulas.small_parts_signed(k, n, m)),
-        _Route("enumeration", lambda k, m, n, xo, yo:
+        _Route("closed form", lambda k, m, n: formulas.small_parts_signed(k, n, m)),
+        _Route("enumeration", lambda k, m, n:
                compositions.signed_count(n + k - 1, ExactSmall(k, m)).diff),
-        _Route("series", lambda k, m, n, xo, yo: series.bivariate_signed_value(
-            _memo(series.small_parts_series, k, xo, yo), k, n, m)),
-    ), lambda points, last: [(k, m, n, last["n"] + k - 1, last["m"]) for k, m, n in points]),
+        _Route("series", lambda k, m, n: series.bivariate_signed_value(
+            _row(series.small_parts_series, k, size=(n + k - 1, m)), k, n, m)),
+    )),
     "comp1": _Sweep("n=1..22", (
         _Route("enumeration", lambda n: compositions.count_compositions(n, OddParts())),
         _Route("companion class", lambda n: compositions.count_compositions(n + 1, MinPart(2))),
@@ -354,45 +347,55 @@ _SWEEPS = {
                compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
     )),
     "legendre": _Sweep("n=0..50", (
-        _Route("closed form", lambda n, order: partition_theorems.legendre_closed(n)),
-        _Route("enumeration", lambda n, order: partition_theorems.legendre_delta(n)),
-        _Route("series", lambda n, order: _memo(series.pentagonal_product, order).coeffs[n]),
-    ), _with_last_n),
+        _Route("closed form", lambda n: partition_theorems.legendre_closed(n)),
+        _Route("enumeration", lambda n: partition_theorems.legendre_delta(n)),
+        _Route("series", lambda n: _row(series.pentagonal_product, size=(n,)).coeffs[n]),
+    )),
     "pentagonal": _Sweep("order=100", check=_check_pentagonal),
     "euler": _Sweep("n=0..30", (
-        _Route("enumeration", lambda n, t: t[0]),
-        _Route("companion class", lambda n, t: t[1]),
-    ), theorem=lambda n: partition_theorems.euler_distinct_odd(n), also=(("signed", (
-        _Route("closed form", lambda n, t: (-1) ** n * t[1]),
-        _Route("enumeration", lambda n, t: partition_theorems.odd_parts_signed(n)),
+        _Route("enumeration", lambda n:
+               partitions.count_partitions(n, partitions.DistinctParts())),
+        _Route("companion class", lambda n:
+               partitions.count_partitions(n, partitions.OddParts())),
+    ), also=(("signed", (
+        _Route("closed form", lambda n:
+               (-1) ** n * partitions.count_partitions(n, partitions.OddParts())),
+        _Route("enumeration", lambda n: partition_theorems.odd_parts_signed(n)),
     )),)),
     "glaisher": _Sweep("k=1..4 n=0..30", (
-        _Route("enumeration", lambda k, n, t: t[0]),
-        _Route("companion class", lambda k, n, t: t[1]),
-    ), theorem=lambda k, n: partition_theorems.glaisher_check(n, k)),
+        _Route("enumeration", lambda k, n:
+               partitions.count_partitions(n, partitions.MaxMultiplicity(k))),
+        _Route("companion class", lambda k, n:
+               partitions.count_partitions(n, partitions.NoPartDivisibleBy(k))),
+    )),
     "franklin": _Sweep("k=1..3 m=0..3 n=0..25", (
-        _Route("enumeration", lambda k, m, n, t: t[0]),
-        _Route("companion class", lambda k, m, n, t: t[1]),
-    ), theorem=lambda k, m, n: partition_theorems.franklin_check(n, k, m)),
+        _Route("enumeration", lambda k, m, n:
+               partitions.count_partitions(n, partitions.FranklinRepeated(k, m))),
+        _Route("companion class", lambda k, m, n:
+               partitions.count_partitions(n, partitions.FranklinDivisible(k, m))),
+    )),
     "nyirenda-d": _Sweep("r=1..3 n=0..40", (
-        _Route("closed form", lambda r, n, t: t[1]),
-        _Route("enumeration", lambda r, n, t: t[0]),
-    ), theorem=lambda r, n: partition_theorems.nyirenda_d(n, r)),
+        _Route("closed form", lambda r, n: partition_theorems.nyirenda_d_closed(n, r)),
+        _Route("enumeration", lambda r, n: partition_theorems.nyirenda_d_delta(n, r)),
+    )),
     "nyirenda-c": _Sweep("r=1..3 n=0..40", (
-        _Route("closed form", lambda r, n, t: t[1]),
-        _Route("enumeration", lambda r, n, t: t[0]),
-        _Route("second closed form", lambda r, n, t: partition_theorems.legendre_closed(n),
-               lambda r, n, t: r == 1),
-    ), theorem=lambda r, n: partition_theorems.nyirenda_c(n, r)),
+        _Route("closed form", lambda r, n: partition_theorems.nyirenda_c_closed(n, r)),
+        _Route("enumeration", lambda r, n: partition_theorems.nyirenda_c_delta(n, r)),
+        _Route("second closed form", lambda r, n: partition_theorems.legendre_closed(n),
+               lambda r, n: r == 1),
+    )),
     "andrews": _Sweep("k=1..3 n=0..30", (
-        _Route("enumeration", lambda k, n, t: t[0]),
-        _Route("companion class", lambda k, n, t: t[1]),
-        _Route("companion class", lambda k, n, t: t[2]),
-    ), theorem=lambda k, n: partition_theorems.andrews_counts(n, k)),
+        _Route("enumeration", lambda k, n:
+               partitions.count_partitions(n, partitions.InitialKReps(k))),
+        _Route("companion class", lambda k, n:
+               partitions.count_partitions(n, partitions.NoPartDivisibleBy(2 * k))),
+        _Route("companion class", lambda k, n:
+               partitions.count_partitions(n, partitions.MaxMultiplicity(2 * k))),
+    )),
     "andrews-d": _Sweep("m=0..7 n=0..30", (
-        _Route("closed form", lambda m, n, t: t[1]),
-        _Route("enumeration", lambda m, n, t: t[0]),
-    ), theorem=lambda m, n: partition_theorems.andrews_singleton_delta(n, m)),
+        _Route("closed form", lambda m, n: partition_theorems.andrews_singleton_closed(n, m)),
+        _Route("enumeration", lambda m, n: partition_theorems.andrews_singleton_delta(n, m)),
+    )),
 }
 
 CHECK_NAMES = tuple(_SWEEPS)
@@ -420,8 +423,12 @@ def overrides(name: str) -> tuple[str, ...]:
     )
 
 
-def _expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
-    """The sweep's instances, sorted, and the ranges text of its report."""
+def expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
+    """The sweep's instances, sorted, and the ranges text of its report.
+
+    Raises ValueError for an unknown name and for a grid with no instances,
+    so a sweep can never pass vacuously.
+    """
     sweep = _sweep(name)
     points: list[dict[str, int]] = [{}]
     last: dict[str, int] = {}
@@ -438,8 +445,11 @@ def _expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
                 {**p, axis: v} for p in points for v in range(int(first), p[ref] - int(minus) + 1)
             ]
         text.append(f"{axis}={first}{dots}{top}")
-    instances = sweep.instances([tuple(p.values()) for p in points], last)
-    return sorted(instances), " ".join(text) + sweep.note(last)
+    instances = sweep.instances([tuple(p.values()) for p in points])
+    ranges = " ".join(text) + sweep.note(last)
+    if not instances:
+        raise ValueError(f"check {name} has no instances over {ranges}")
+    return sorted(instances), ranges
 
 
 def _dispatch(tagged):
@@ -449,14 +459,8 @@ def _dispatch(tagged):
 
 
 def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationReport:
-    """Run one named sweep and return its report.
-
-    Raises ValueError for an unknown name and for a grid with no instances,
-    so a sweep can never pass vacuously.
-    """
-    instances, ranges = _expand(name, config)
-    if not instances:
-        raise ValueError(f"check {name} has no instances over {ranges}")
+    """Run one named sweep and return its report; raises as ``expand`` does."""
+    instances, ranges = expand(name, config)
     # n is the last axis of every grid, so the reversed order asks for each
     # class's largest size first and one tally serves all its smaller sizes
     tagged = [(name, p) for p in reversed(instances)]

@@ -12,6 +12,7 @@ import time
 from compparity import compositions as C
 from compparity import formulas as F
 from compparity import partition_theorems as PT
+from compparity import partitions as P
 from compparity import sequences as Q
 from compparity import series as S
 from compparity.verify import SweepConfig, render_report, run_check
@@ -138,26 +139,30 @@ def test_criterion_6():
         assert coeffs[n] == closed
     assert S.pentagonal_product(100).coeffs == S.pentagonal_rhs(100).coeffs
     for n in range(0, 31):
-        assert PT.euler_distinct_odd(n)[2]
+        assert P.count_partitions(n, P.DistinctParts()) == P.count_partitions(n, P.OddParts())
     for k in range(2, 5):
         for n in range(0, 31):
-            assert PT.glaisher_check(n, k)[2]
+            assert P.count_partitions(n, P.MaxMultiplicity(k)) == P.count_partitions(
+                n, P.NoPartDivisibleBy(k))
     for k in range(2, 4):
         for m in range(0, 4):
             for n in range(0, 26):
-                assert PT.franklin_check(n, k, m)[2]
+                assert P.count_partitions(n, P.FranklinRepeated(k, m)) == P.count_partitions(
+                    n, P.FranklinDivisible(k, m))
     for r in range(1, 4):
         for n in range(0, 41):
-            assert PT.nyirenda_d(n, r)[2]
-            assert PT.nyirenda_c(n, r)[2]
+            assert PT.nyirenda_d_delta(n, r) == PT.nyirenda_d_closed(n, r)
+            assert PT.nyirenda_c_delta(n, r) == PT.nyirenda_c_closed(n, r)
     for n in range(0, 26):
-        assert PT.nyirenda_c(n, 1)[0] == PT.legendre_closed(n)
+        assert PT.nyirenda_c_delta(n, 1) == PT.legendre_closed(n)
     for k in range(1, 4):
         for n in range(0, 31):
-            assert PT.andrews_counts(n, k)[3]
+            assert (P.count_partitions(n, P.InitialKReps(k))
+                    == P.count_partitions(n, P.NoPartDivisibleBy(2 * k))
+                    == P.count_partitions(n, P.MaxMultiplicity(2 * k)))
     for m in range(0, 8):
         for n in range(0, 31):
-            assert PT.andrews_singleton_delta(n, m)[2]
+            assert PT.andrews_singleton_delta(n, m) == PT.andrews_singleton_closed(n, m)
 
 
 @criterion(7, "sequence fixtures reproduce; b-file round trip is byte exact", 5)

@@ -124,7 +124,7 @@ def singleton_sign_sum(members) -> int:
 def test_andrews_singleton_tally_matches_members(m):
     cls = P.InitialTwoRepsWithMarks(m)
     for n in range(MAX_N + 1):
-        delta = PT.andrews_singleton_delta(n, m)[0]
+        delta = PT.andrews_singleton_delta(n, m)
         assert delta == singleton_sign_sum(cls.iter_parts(n)), n
         members = (p for p in all_members(P, n) if cls.contains(p))
         assert delta == singleton_sign_sum(members), n
@@ -204,7 +204,7 @@ def test_length_and_singleton_statistics_keep_their_own_counts(fresh_counts, m):
         # alternate which statistic reaches the class first
         asks = [
             lambda: P.signed_count(n, cls) == parity_count(members),
-            lambda: PT.andrews_singleton_delta(n, m)[0] == singleton_sign_sum(members),
+            lambda: PT.andrews_singleton_delta(n, m) == singleton_sign_sum(members),
         ]
         for ask in asks[::-1] if n % 2 else asks:
             assert ask(), (m, n)

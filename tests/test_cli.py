@@ -173,8 +173,16 @@ def test_verify_all_prints_a_failing_sweeps_report_after_its_line(capsys, monkey
 @pytest.mark.parametrize("args, message", [
     (("--max-n", "-1"), "error: check thm1 has no instances over n=1..-1"),
     (("--jobs", "0"), "error: jobs must be >= 1, got 0"),
+    (("--jobs", str(os.cpu_count() + 1)),
+     f"error: jobs must be <= {os.cpu_count()}, the number of CPUs, got {os.cpu_count() + 1}"),
+    # every grid is expanded before the first sweep prints its line
+    (("--max-k", "0"), "error: check thm2 has no instances over k=1..0 n=1..20"),
 ])
-def test_verify_all_rejects_invalid_arguments_with_exit_2(capsys, args, message):
+def test_verify_all_rejects_invalid_arguments_with_exit_2(capsys, monkeypatch, args, message):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
     code, out, err = run_cli(capsys, "verify", "all", *args)
     assert (code, out) == (2, "")
     assert err.startswith(message)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compparity import partition_theorems as PT
+from compparity import partitions as P
 from compparity import series as S
 
 
@@ -25,8 +26,7 @@ def test_legendre_matches_pentagonal_coefficients():
 
 def test_euler_distinct_equals_odd():
     for n in range(0, 26):
-        d, o, ok = PT.euler_distinct_odd(n)
-        assert ok and d == o
+        assert P.count_partitions(n, P.DistinctParts()) == P.count_partitions(n, P.OddParts())
 
 
 def test_odd_parts_signed_prefix():
@@ -36,8 +36,6 @@ def test_odd_parts_signed_prefix():
 
 def test_odd_parts_signed_alternates_with_distinct_count():
     # |signed value| equals the distinct-partition count, sign (-1)^n
-    from compparity import partitions as P
-
     for n in range(0, 18):
         q = P.count_partitions(n, P.DistinctParts())
         assert PT.odd_parts_signed(n) == (-1) ** n * q
@@ -45,66 +43,76 @@ def test_odd_parts_signed_alternates_with_distinct_count():
 
 @given(st.integers(0, 24), st.integers(2, 4))
 def test_glaisher(n, k):
-    a, b, ok = PT.glaisher_check(n, k)
-    assert ok and a == b
+    assert P.count_partitions(n, P.MaxMultiplicity(k)) == P.count_partitions(
+        n, P.NoPartDivisibleBy(k))
+
+
+def franklin_counts(n, k, m):
+    return (P.count_partitions(n, P.FranklinRepeated(k, m)),
+            P.count_partitions(n, P.FranklinDivisible(k, m)))
 
 
 def test_franklin_spot():
-    assert PT.franklin_check(4, 2, 1) == (3, 3, True)
+    assert franklin_counts(4, 2, 1) == (3, 3)
 
 
 @given(st.integers(0, 18), st.integers(2, 3), st.integers(0, 2))
 def test_franklin(n, k, m):
-    a, b, ok = PT.franklin_check(n, k, m)
-    assert ok and a == b
+    a, b = franklin_counts(n, k, m)
+    assert a == b
 
 
 def test_franklin_m0_is_glaisher():
     # with no marked values the Franklin classes reduce to Glaisher's
     for k in (2, 3):
         for n in range(0, 16):
-            a, b, ok = PT.franklin_check(n, k, 0)
-            g1, g2, gok = PT.glaisher_check(n, k)
-            assert ok and gok and a == g1 and b == g2
+            a, b = franklin_counts(n, k, 0)
+            g1 = P.count_partitions(n, P.MaxMultiplicity(k))
+            g2 = P.count_partitions(n, P.NoPartDivisibleBy(k))
+            assert a == b == g1 == g2
 
 
 @given(st.integers(0, 30), st.integers(1, 3))
 def test_nyirenda_distinct_family(n, r):
-    enum, closed, ok = PT.nyirenda_d(n, r)
-    assert ok and enum == closed
+    assert PT.nyirenda_d_delta(n, r) == PT.nyirenda_d_closed(n, r)
 
 
 @given(st.integers(0, 30), st.integers(1, 3))
 def test_nyirenda_congruent_family(n, r):
-    enum, closed, ok = PT.nyirenda_c(n, r)
-    assert ok and enum == closed
+    assert PT.nyirenda_c_delta(n, r) == PT.nyirenda_c_closed(n, r)
 
 
 def test_nyirenda_c_r1_is_legendre():
     for n in range(0, 26):
-        assert PT.nyirenda_c(n, 1)[0] == PT.legendre_closed(n)
+        assert PT.nyirenda_c_delta(n, 1) == PT.legendre_closed(n)
+
+
+def andrews_counts(n, k):
+    return (P.count_partitions(n, P.InitialKReps(k)),
+            P.count_partitions(n, P.NoPartDivisibleBy(2 * k)),
+            P.count_partitions(n, P.MaxMultiplicity(2 * k)))
 
 
 def test_andrews_spot():
-    assert PT.andrews_counts(5, 1) == (3, 3, 3, True)
+    assert andrews_counts(5, 1) == (3, 3, 3)
 
 
 @given(st.integers(0, 20), st.integers(1, 3))
 def test_andrews_triple_equality(n, k):
-    a, b, c, ok = PT.andrews_counts(n, k)
-    assert ok and a == b == c
+    a, b, c = andrews_counts(n, k)
+    assert a == b == c
 
 
 def test_andrews_singleton_spots():
-    assert PT.andrews_singleton_delta(1, 1) == (-1, -1, True)
-    assert PT.andrews_singleton_delta(4, 2) == (0, 0, True)
-    assert PT.andrews_singleton_delta(3, 2) == (1, 1, True)
+    for n, m, value in [(1, 1, -1), (4, 2, 0), (3, 2, 1)]:
+        assert PT.andrews_singleton_delta(n, m) == value
+        assert PT.andrews_singleton_closed(n, m) == value
 
 
 @given(st.integers(0, 18), st.integers(0, 5))
 def test_andrews_singleton(n, m):
-    delta, closed, ok = PT.andrews_singleton_delta(n, m)
-    assert ok and delta == closed
+    delta, closed = PT.andrews_singleton_delta(n, m), PT.andrews_singleton_closed(n, m)
+    assert delta == closed
     # nonzero only on triangular numbers with matching index
     if n == m * (m + 1) // 2:
         assert closed == (-1) ** m

@@ -50,6 +50,13 @@ def test_enumeration_route_imports_no_other_route():
             assert other not in imported, (name, other)
 
 
+def test_only_the_oracle_modules_import_the_automaton():
+    # partition_theorems, verify and the cli reach the tally through them
+    importers = {path.name for path in (ROOT / "src" / "compparity").glob("*.py")
+                 if "compparity._automaton" in imported_modules(path)}
+    assert importers == {"compositions.py", "partitions.py"}
+
+
 def test_verify_builds_counterexamples_only_in_the_comparison_loop_and_two_checks():
     # a value comparison is a sweep's route list, compared by _compare; a
     # hand-written one would grow its own detail text back

@@ -1,12 +1,13 @@
 """Verification sweep registry: every check runs, reports are stable."""
 
 import dataclasses
+import inspect
 import time
 from collections import Counter
 
 import pytest
 
-from compparity import _automaton, compositions, partitions, verify
+from compparity import _automaton, compositions, partition_theorems, partitions, series, verify
 from compparity.verify import (
     CHECK_NAMES,
     Counterexample,
@@ -125,7 +126,7 @@ FAILING = {(1, 3), (2, 5)}
 
 
 def fail_at_two_instances(params):
-    k, n, _ = params
+    k, n = params
     if (k, n) in FAILING:
         return Counterexample((("k", k), ("n", n)), 0, 1, "planted")
     return None
@@ -201,9 +202,9 @@ def test_compare_evaluates_routes_in_order_and_stops_at_the_first_disagreement()
         recorded(calls, "series", 4),
         recorded(calls, "recurrence", 3),
     ))
-    found = verify._compare(sweep, (2, 3, 99))  # a trailing shared parameter
+    found = verify._compare(sweep, (2, 3))
     assert [name for name, _ in calls] == ["closed form", "enumeration", "series"]
-    assert calls[0][1] == (2, 3, 99)
+    assert calls[0][1] == (2, 3)
     assert found == Counterexample((("k", 2), ("n", 3)), 5, 4, "series vs closed form")
     assert found.describe() == "k=2 n=3: expected 5, got 4 (series vs closed form)"
 
@@ -224,16 +225,6 @@ def test_compare_skips_guarded_routes_and_prefixes_a_second_quantity():
     assert found.describe() == "r=3 s=1 n=4: expected 2, got 3 (unsigned: enumeration vs closed form)"
 
 
-def test_compare_passes_the_theorem_result_after_the_parameters():
-    calls = []
-    sweep = verify._Sweep("k=1..4 n=0..30", (
-        recorded(calls, "enumeration", 1),
-        recorded(calls, "companion class", 1),
-    ), theorem=lambda k, n: (n, k))
-    assert verify._compare(sweep, (3, 8)) is None
-    assert calls == [("enumeration", (3, 8, (8, 3))), ("companion class", (3, 8, (8, 3)))]
-
-
 def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
     assert len(set(verify.ROUTES)) == len(verify.ROUTES) == 6
     assert {name for name, s in verify._SWEEPS.items() if s.check} == {"cor-period", "pentagonal"}
@@ -246,6 +237,18 @@ def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
             assert len(routes) >= 2, (name, quantity)
             assert routes[0].when is None, (name, quantity)
             assert {route.name for route in routes} <= set(verify.ROUTES), (name, quantity)
+
+
+def test_every_route_takes_exactly_its_sweeps_grid_axes():
+    for name, sweep in verify._SWEEPS.items():
+        axes = [axis for axis, _, dots, last in verify._terms(sweep.grid)
+                if dots or last.isdigit()]
+        for quantity, routes in (("", sweep.routes), *sweep.also):
+            for route in routes:
+                for fn in (route.value, route.when):
+                    if fn is not None:
+                        assert list(inspect.signature(fn).parameters) == axes, (
+                            name, quantity, route.name)
 
 
 def test_an_enumeration_off_by_one_fails_thm2_at_the_first_instance(monkeypatch):
@@ -273,3 +276,71 @@ def test_a_partition_count_off_by_one_fails_glaisher_at_the_first_instance(monke
     assert not report.passed
     assert report.counterexample.describe() == (
         "k=1 n=7: expected 1, got 0 (companion class vs enumeration)")
+
+
+@pytest.mark.parametrize("name, closed_form, where, describe", [
+    ("nyirenda-d", "nyirenda_d_closed", (2, 14),
+     "r=2 n=14: expected 2, got 1 (enumeration vs closed form)"),
+    ("nyirenda-c", "nyirenda_c_closed", (3, 13),
+     "r=3 n=13: expected 2, got 1 (enumeration vs closed form)"),
+    ("andrews-d", "andrews_singleton_closed", (3, 6),
+     "m=3 n=6: expected 0, got -1 (enumeration vs closed form)"),
+])
+def test_a_closed_form_off_by_one_at_one_instance_fails_its_sweep_there(
+        monkeypatch, name, closed_form, where, describe):
+    right = getattr(partition_theorems, closed_form)
+    monkeypatch.setattr(partition_theorems, closed_form,
+                        lambda n, a: right(n, a) + ((a, n) == where))
+    report = run_check(name)
+    assert not report.passed
+    assert report.counterexample.describe() == describe
+
+
+# ---------------------------------------------------------------------------
+# series and recurrence rows: kept per (function, leading args), grown on demand
+# ---------------------------------------------------------------------------
+
+class RecordingRows(dict):
+    """A row store that lists the key of every row it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.computed = []
+
+    def __setitem__(self, key, stored):
+        self.computed.append(key)
+        super().__setitem__(key, stored)
+
+
+def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
+    rows = RecordingRows()
+    monkeypatch.setattr(verify, "_ROWS", rows)
+    for name in CHECK_NAMES:
+        assert run_check(name).passed, name
+    assert [key for key, times in Counter(rows.computed).items() if times > 1] == []
+    assert Counter(fn.__name__ for fn, _ in rows.computed) == {
+        "min_part_signed_sequence": 6,  # k=1..6, thm1's k=2 row serving thm2
+        "min_part_series": 6,
+        "congruent_series": 90,  # one per (k, r, s)
+        "small_parts_series": 4,
+        "pentagonal_product": 1,  # legendre's; the pentagonal sweep builds its own
+    }
+
+
+def test_rows_asked_for_in_ascending_order_give_the_same_values(monkeypatch):
+    monkeypatch.setattr(verify, "_ROWS", {})
+    for name in ("thm1", "thm2", "thm3", "thm4bar", "legendre"):
+        sweep = verify._SWEEPS[name]
+        instances, _ = verify.expand(name, SweepConfig())
+        assert [p for p in instances if verify._compare(sweep, p)] == [], name
+    # a two-dimensional row grows to the componentwise max of the sizes asked
+    rows = RecordingRows()
+    monkeypatch.setattr(verify, "_ROWS", rows)
+    whole = series.small_parts_series(3, 12, 4)
+    stored_sizes = []
+    for x, y in [(2, 4), (5, 1), (12, 0), (3, 3)]:
+        row = verify._row(series.small_parts_series, 3, size=(x, y))
+        assert [r[:y + 1] for r in row.coeffs[:x + 1]] == [r[:y + 1] for r in whole.coeffs[:x + 1]]
+        stored_sizes.append(rows[series.small_parts_series, (3,)][0])
+    assert stored_sizes == [(2, 4), (5, 4), (12, 4), (12, 4)]
+    assert len(rows.computed) == 3
