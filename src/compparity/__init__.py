@@ -3,12 +3,11 @@
 The package pairs an enumeration oracle (`compositions`, `partitions`:
 class definitions, counted by a membership-automaton tally) with closed
 formulas (`formulas`), generating function expansions (`series`),
-part-rewriting bijections (`maps`), classical partition identities
-(`partition_theorems`), sequence utilities (`sequences`) and batch
-verification sweeps (`verify`).  Signed counts
-follow the convention odd-length minus even-length for compositions and
-even minus odd for the partition identities, matching the usual
-statements of each.
+classical partition identities (`partition_theorems`), sequence
+utilities (`sequences`) and batch verification sweeps (`verify`).
+Signed counts follow the convention odd-length minus even-length for
+compositions and even minus odd for the partition identities, matching
+the usual statements of each.
 """
 
 from compparity.compositions import Composition, SignedCount, signed_count

@@ -12,8 +12,8 @@ rule as an automaton that reads one part at a time (``start``, ``step``,
 by length parity over (size, state) in ``compparity._automaton``.  The
 tests hold that tally to a parity count taken straight from
 ``iter_parts``; it uses no closed form, so it stays the enumeration route
-against which every formula, generating function and bijection in this
-package is verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
+against which every formula and generating function in this package is
+verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
 ``ValueError``: one-state classes reach n = 1999, compositions into
 distinct parts about 65.  A tally to size n yields the counts of every
 size up to n, and only those counts are kept, per class, for the rest of

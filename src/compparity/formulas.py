@@ -51,6 +51,12 @@ def min_part_signed(k: int, n: int) -> int:
 
     Alternating sum over 0 <= j <= (n-1)/k of (-1)^j C(n-1-j(k-1), j).
     For k = 2 this is the period-6 sequence 1, 1, 0, -1, -1, 0, ...
+
+    The j-th term counts the members of length j+1.  Subtracting k-1 from
+    every part is a bijection from them onto the compositions of
+    n - j(k-1) into j+1 positive parts, and stars and bars counts those
+    as C(n-1-j(k-1), j).  A length j+1 is odd exactly when j is even,
+    hence the sign.
     """
     _check_kn(k, n)
     return sum(
@@ -97,6 +103,14 @@ def congruent_signed(k: int, n: int, r: int, s: int) -> int:
     """Signed count of compositions of n+k-1 with parts >= k, = k+s (mod r).
 
     Sum of (-1)^j C(i+j, i) over i, j >= 0 with r*i + j*(k+s) = n-1-s.
+
+    The (i, j) term counts the members of length j+1.  Sending each part p
+    to (p - (k+s-r)) / r maps the allowed parts k+s, k+s+r, ... onto
+    1, 2, ..., so it is a bijection from those members onto the
+    compositions of i+j+1 into j+1 positive parts, which stars and bars
+    counts as C(i+j, i).  For a given j at most one i satisfies the
+    constraint, and the sign is that of the length, as in
+    ``min_part_signed``.
     """
     _check_kn(k, n)
     _check_rs(r, s)
@@ -176,20 +190,25 @@ class BoxedPartition:
 
 
 def boxed_partitions(width: int, height: int) -> Iterator[BoxedPartition]:
-    """All partitions fitting in the box, including the empty one."""
+    """All partitions fitting in the box, including the empty one.
+
+    Each partition comes before its extensions by one more part, and larger
+    parts before smaller ones.  The walk keeps its own stack, so a tall box
+    cannot exhaust the recursion limit.
+    """
     if width < 0 or height < 0:
         raise ValueError(f"box must be nonnegative, got {width}x{height}")
-
-    def rec(max_part: int, slots: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        if slots == 0 or max_part == 0:
+    parts: list[int] = []
+    while True:
+        yield BoxedPartition(tuple(parts), width, height)
+        if len(parts) < height and width > 0:
+            parts.append(parts[-1] if parts else width)
+            continue
+        while parts and parts[-1] == 1:
+            parts.pop()
+        if not parts:
             return
-        for first in range(max_part, 0, -1):
-            for rest in rec(first, slots - 1):
-                yield (first,) + rest
-
-    for parts in rec(width, height):
-        yield BoxedPartition(parts, width, height)
+        parts[-1] -= 1
 
 
 def monomial_specialization(bp: BoxedPartition) -> int:
@@ -243,6 +262,8 @@ def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
         raise ValueError(f"boxed form requires k >= 2, got k={k}")
     if m < 0:
         raise ValueError(f"requires m >= 0, got m={m}")
+    if (k + 1) * m > n:  # every box term below would be skipped
+        return 0
     total = 0
     for bp in boxed_partitions(k - 2, m):
         base = (k + 1) * m + bp.size

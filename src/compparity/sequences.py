@@ -27,16 +27,23 @@ def detect_period(values: Sequence[int]) -> tuple[int, int] | None:
     length = len(vals)
     if length == 0:
         raise ValueError("cannot detect a period in an empty window")
-    best: tuple[int, int] | None = None
-    for p in range(1, length // 2 + 1):
-        q = 0
-        for i in range(length - p - 1, -1, -1):
-            if vals[i] != vals[i + p]:
-                q = i + 1
-                break
-        if q + 2 * p <= length and (best is None or (q, p) < best):
-            best = (q, p)
-    return best
+    # (q, p) is admissible when the last m = length - q values have period
+    # p <= m/2.  Their least period is m minus their longest border (a
+    # proper prefix that is also a suffix), so the least admissible p for
+    # each q is that one or none.  Borders of the reversed window's
+    # prefixes (Knuth-Morris-Pratt) give every q in one linear pass.
+    rev = vals[::-1]
+    border = [0] * (length + 1)
+    for m in range(2, length + 1):
+        b = border[m - 1]
+        while b and rev[m - 1] != rev[b]:
+            b = border[b]
+        border[m] = b + 1 if rev[m - 1] == rev[b] else b
+    for q in range(length):
+        m = length - q
+        if 2 * (m - border[m]) <= m:
+            return (q, m - border[m])
+    return None
 
 
 @dataclass(frozen=True)

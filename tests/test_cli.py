@@ -62,6 +62,16 @@ def test_formula_thm4bar(capsys):
     assert (code, out) == (0, "-2\n")
 
 
+@pytest.mark.parametrize("argv, want", [
+    ("formula thm4 --k 3 --m 2000 --n 5", "0\n"),
+    ("formula thm4a --k 3 --m 2000 --n 5", "0\n"),
+    ("bfile emit --seq thm4 --k 3 --m 2000 --max-n 2", "1 0\n2 0\n"),
+])
+def test_thm4_with_more_guarded_parts_than_the_recursion_limit(capsys, argv, want):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert (code, out) == (0, want)
+
+
 def test_formula_unknown_name(capsys):
     with pytest.raises(SystemExit):
         cli.main(["formula", "thm9", "--n", "1"])

@@ -4,6 +4,8 @@ Frozen rows were computed by exhaustive enumeration before the formulas
 were written, then pinned here.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,40 @@ def test_min_part_formulas_match_enumeration(k, n):
     sc = C.signed_count(n + k - 1, C.MinPart(k))
     assert F.min_part_signed(k, n) == sc.diff
     assert F.min_part_count(k, n) == sc.total
+
+
+def _by_length(cls, size):
+    """Member count per length, taken from the reference generator."""
+    return dict(Counter(map(len, cls.iter_parts(size))))
+
+
+def _per_length(terms):
+    """Term j of a signed form, keyed by the length j+1 it counts."""
+    return {j + 1: t for j, t in terms.items() if t}
+
+
+def _signed(terms):
+    return sum((-1) ** j * t for j, t in terms.items())
+
+
+def test_each_length_count_is_its_summand():
+    # a signed total alone would hide two equal errors at lengths of
+    # opposite parity, so each term is held to its own length's count
+    for k in range(1, 7):
+        for n in range(1, 19):
+            terms = {j: F.binomial(n - 1 - j * (k - 1), j)
+                     for j in range((n - 1) // k + 1)}
+            assert _by_length(C.MinPart(k), n + k - 1) == _per_length(terms), (k, n)
+            assert _signed(terms) == F.min_part_signed(k, n)
+            for r in range(1, 6):
+                for s in range(r):
+                    target = n - 1 - s
+                    terms = {j: F.binomial((target - j * (k + s)) // r + j, j)
+                             for j in range(target // (k + s) + 1)
+                             if (target - j * (k + s)) % r == 0}
+                    cls = C.MinPartCongruent(k, r, s)
+                    assert _by_length(cls, n + k - 1) == _per_length(terms), (k, r, s, n)
+                    assert _signed(terms) == F.congruent_signed(k, n, r, s)
 
 
 def test_congruent_signed_spots():
@@ -136,6 +172,12 @@ def test_guarded_boxed_equals_quadruple_sum():
                 assert F.guarded_count_boxed(k, n, m) == F.guarded_count_sum(
                     k, n, m
                 )
+
+
+def test_guarded_boxed_form_walks_a_box_taller_than_the_recursion_limit():
+    # at n >= (k+1)m the (k-2) x m box is enumerated, 1101 partitions here
+    for n in (4400, 4410):
+        assert F.guarded_signed_boxed(3, n, 1100) == F.guarded_signed_sum(3, n, 1100)
 
 
 @given(st.integers(2, 4), st.integers(1, 11), st.integers(0, 2))

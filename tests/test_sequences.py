@@ -1,5 +1,7 @@
 """Sequence utilities: period detection, b-file I/O, comparison."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,6 +45,33 @@ def test_detect_period_on_true_repetition(block, reps):
     # the reported period must actually divide into the data
     data = block * reps
     assert all(data[i] == data[i + p] for i in range(len(data) - p))
+
+
+@pytest.mark.parametrize("window, want", [
+    ([1, 1, 0, -1, -1, 0] * (40_000 // 6) + [1, 1, 0, -1], (0, 6)),
+    ([1] + [0] * 39_999, (1, 1)),
+    (list(range(40_000)), None),
+])
+def test_detect_period_is_fast_on_a_long_window(window, want):
+    start = time.perf_counter()
+    assert Q.detect_period(window) == want
+    assert time.perf_counter() - start < 1.0
+
+
+def _smallest_admissible(vals):
+    """Brute force: the least (q, p) with vals[i] == vals[i+p] for i >= q."""
+    pairs = [(q, p) for q in range(len(vals)) for p in range(1, len(vals))
+             if q + 2 * p <= len(vals)
+             and all(vals[i] == vals[i + p] for i in range(q, len(vals) - p))]
+    return min(pairs, default=None)
+
+
+@given(st.lists(st.integers(0, 2), max_size=5),
+       st.lists(st.integers(0, 2), min_size=1, max_size=4),
+       st.integers(1, 4), st.lists(st.integers(0, 2), max_size=3))
+def test_detect_period_is_the_smallest_admissible_pair(prefix, block, reps, tail):
+    window = prefix + block * reps + tail
+    assert Q.detect_period(window) == _smallest_admissible(window)
 
 
 def test_integer_sequence_period_descriptor():

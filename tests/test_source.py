@@ -69,3 +69,12 @@ def test_verify_builds_counterexamples_only_in_the_comparison_loop_and_two_check
                     and node.func.id == "Counterexample"):
                 builders.add(getattr(top, "name", f"line {node.lineno}"))
     assert builders == {"_compare", "_check_cor_period", "_check_pentagonal"}
+
+
+def test_every_library_module_is_imported_by_another():
+    # a module no other one imports serves no route, sweep or command
+    paths = sorted((ROOT / "src" / "compparity").glob("*.py"))
+    orphans = [path.stem for path in paths if path.stem not in ("__init__", "cli")
+               and not any(f"compparity.{path.stem}" in imported_modules(other)
+                           for other in paths if other != path)]
+    assert orphans == []
