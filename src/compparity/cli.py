@@ -122,13 +122,17 @@ _IDENTITIES = {
             formulas.guarded_signed_boxed if a.k >= 2 else formulas.guarded_signed_sum
         )(a.k, n, a.m),
         lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with exactly "
-        f"{a.m} guarded parts < {a.k}"),
+        f"{a.m} guarded parts < {a.k}",
+        row=lambda a, count: series.signed_values(
+            series.guarded_series(a.k, a.m, -1, count + a.k - 1), a.k, count)),
     "thm4a": _Identity(
         "k m", 1, lambda a, n: (
             formulas.guarded_count_boxed if a.k >= 2 else formulas.guarded_count_sum
         )(a.k, n, a.m),
         lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with exactly {a.m} "
-        f"guarded parts < {a.k} (equivalently of {n} with {a.m} parts > {a.k} not 1 mod {a.k})"),
+        f"guarded parts < {a.k} (equivalently of {n} with {a.m} parts > {a.k} not 1 mod {a.k})",
+        row=lambda a, count: list(
+            series.guarded_series(a.k, a.m, 1, count + a.k - 1).coeffs[a.k:])),
     "thm4bar": _Identity(
         "k m", 1, lambda a, n: formulas.small_parts_signed(a.k, n, a.m),
         lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with exactly "
@@ -152,9 +156,11 @@ def _resolve(args: argparse.Namespace, ident: _Identity, context: str) -> argpar
 
 # Indices, from the first, at which a row is checked against ``value``.
 _SPOT_CHECKS = 32
-# Most coefficients a row's series may hold, (count+k) x (m+1); a longer
-# row, which a large k or m pads with slices nobody reads, is not built.
-# ``series thm4bar`` refuses a table of more cells than this.
+# Most coefficients a row's series may compute, (count+k) x (m+1): the
+# thm4bar table holds that many, and the thm4 series divides a row of
+# count+k coefficients by m+1 factors.  A longer row, which a large k or m
+# pads with slices nobody reads, is not built; its terms come from
+# ``value``.  ``series thm4bar`` refuses a table of more cells than this.
 _ROW_CELLS = 2_000_000
 
 

@@ -14,7 +14,9 @@ conventions are deliberate and fixed:
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -189,26 +191,58 @@ class BoxedPartition:
         return mult
 
 
-def boxed_partitions(width: int, height: int) -> Iterator[BoxedPartition]:
+def boxed_partitions(
+    width: int, height: int, max_size: int | None = None
+) -> Iterator[BoxedPartition]:
     """All partitions fitting in the box, including the empty one.
 
-    Each partition comes before its extensions by one more part, and larger
-    parts before smaller ones.  The walk keeps its own stack, so a tall box
-    cannot exhaust the recursion limit.
+    With ``max_size``, only those of size at most ``max_size``; the walk
+    never enters a larger one.  Each partition comes before its extensions
+    by one more part, and larger parts before smaller ones.  The walk keeps
+    its own stack, so a tall box cannot exhaust the recursion limit.
     """
     if width < 0 or height < 0:
         raise ValueError(f"box must be nonnegative, got {width}x{height}")
+    room = width * height if max_size is None else max_size
     parts: list[int] = []
     while True:
         yield BoxedPartition(tuple(parts), width, height)
-        if len(parts) < height and width > 0:
-            parts.append(parts[-1] if parts else width)
+        part = min(parts[-1] if parts else width, room)
+        if len(parts) < height and part > 0:
+            parts.append(part)
+            room -= part
             continue
         while parts and parts[-1] == 1:
-            parts.pop()
+            room += parts.pop()
         if not parts:
             return
         parts[-1] -= 1
+        room += 1
+
+
+def _box_size_counts(width: int, height: int, top: int, limit: int) -> list[int] | None:
+    """How many partitions of each size 0..top fit in the box, or None.
+
+    The x^0..x^top coefficients of the Gaussian binomial: the product of
+    (1 - x^(b+i)) / (1 - x^i) over i = 1..a, where a <= b are the box's
+    sides.  The product after i factors counts the partitions in a b x i
+    box, which the whole box contains, so once those pass ``limit`` it
+    stops and gives None.  Every size up to width*height fits, so a
+    ``top`` past the limit gives None at once.
+    """
+    a, b = sorted((width, height))
+    top = min(top, width * height)
+    if top + 1 > limit:
+        return None
+    c = [1] + [0] * top
+    for i in range(1, a + 1):
+        e = b + i  # times 1 - x^e; both slices hold the old values
+        c[e:] = map(operator.sub, c[e:], c[: top + 1 - e])
+        for r in range(i):  # divided by 1 - x^i, one residue class at a time
+            c[r::i] = itertools.accumulate(c[r::i])
+        if sum(c) > limit:
+            return None
+    return c
 
 
 def monomial_specialization(bp: BoxedPartition) -> int:
@@ -227,6 +261,11 @@ def monomial_specialization(bp: BoxedPartition) -> int:
 # ---------------------------------------------------------------------------
 # exactly m guarded small parts (class on size n+k-1)
 # ---------------------------------------------------------------------------
+
+# Most terms one evaluation of the boxed form may add; a box holding more
+# partitions of a small enough size is refused before it is walked.
+MAX_BOXED_TERMS = 1_000_000
+
 
 def guarded_signed_boxed(k: int, n: int, m: int) -> int:
     """Signed count over the guarded class, boxed-partition form.
@@ -257,18 +296,32 @@ def guarded_count_boxed(k: int, n: int, m: int) -> int:
 
 
 def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
+    """The boxed sum, walking only the partitions with |lambda| <= n-(k+1)m.
+
+    A partition of size s costs one term plus its (n-(k+1)m-s)//k + 1
+    values of j.  Before the walk starts, a walk that may cost more than
+    ``MAX_BOXED_TERMS`` is costed exactly from the number of partitions of
+    each size, and refused with ValueError if it does.
+    """
     _check_kn(k, n)
     if k < 2:
         raise ValueError(f"boxed form requires k >= 2, got k={k}")
     if m < 0:
         raise ValueError(f"requires m >= 0, got m={m}")
-    if (k + 1) * m > n:  # every box term below would be skipped
+    room = n - (k + 1) * m
+    if room < 0:  # no box partition fits
         return 0
+    # every partition of the box, each with the most values of j, bounds the cost
+    if binomial(k - 2 + m, m) * (2 + room // k) > MAX_BOXED_TERMS:
+        sizes = _box_size_counts(k - 2, m, room, MAX_BOXED_TERMS)
+        terms = None if sizes is None else sum(
+            c * (2 + (room - s) // k) for s, c in enumerate(sizes))
+        if terms is None or terms > MAX_BOXED_TERMS:
+            raise ValueError(
+                f"the boxed form at k={k}, m={m}, n={n} takes more than {MAX_BOXED_TERMS} terms")
     total = 0
-    for bp in boxed_partitions(k - 2, m):
+    for bp in boxed_partitions(k - 2, m, room):
         base = (k + 1) * m + bp.size
-        if base > n:
-            continue
         mono = monomial_specialization(bp)
         for j in range(0, (n - base) // k + 1):
             i = n - base - j * k

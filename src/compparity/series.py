@@ -15,6 +15,7 @@ the signed value at index n is minus the series coefficient at n+k-1;
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,9 +37,10 @@ class IntPolynomial:
 
     def __post_init__(self) -> None:
         c = tuple(self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        end = len(c)
+        while end and c[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", c[:end])
 
     @classmethod
     def from_terms(cls, terms: dict[int, int]) -> "IntPolynomial":
@@ -185,11 +187,16 @@ def expand_rational(num: IntPolynomial, den: IntPolynomial, order: int) -> Trunc
         raise ValueError(
             f"denominator constant term must be +1 or -1, got {q0}"
         )
-    terms = [(u, d) for u, d in enumerate(den.coeffs) if u and d]
-    c: list[int] = []
+    terms = [(u, d) for u, d in enumerate(den.coeffs) if u and d]  # u ascending
+    c = list(num.coeffs[: order + 1])
+    c += [0] * (order + 1 - len(c))
     for t in range(order + 1):
-        acc = num.coefficient(t) - sum(d * c[t - u] for u, d in terms if u <= t)
-        c.append(acc * q0)  # q0 in {1, -1} so this is exact division
+        acc = c[t]
+        for u, d in terms:
+            if u > t:
+                break
+            acc -= d * c[t - u]
+        c[t] = acc * q0  # q0 in {1, -1} so this is exact division
     series = TruncatedSeries(tuple(c))
     if (series * den.as_series(order)).coeffs != num.as_series(order).coeffs:
         raise ArithmeticError(f"expansion of {num}/{den} fails S * den = num")
@@ -255,6 +262,47 @@ def periodic_series(r: int, order: int) -> TruncatedSeries:
     num = _up_to(order, (0, 1), (2 * r, -1))
     den = _up_to(order, (0, 1), (3 * r, 1))
     return expand_rational(num, den, order)
+
+
+def guarded_series(k: int, m: int, t: int, order: int) -> TruncatedSeries:
+    """G_m = t x^((k+1)m+k-1) (x-x^k)^m (x + [m>=1] L) / ((1-x)^m L^(m+1)).
+
+    Here L = 1 - x - t x^k, and every part carries the weight t.  Read as
+    a regular language, the guarded class is B (B | S B>)* (eps | S Bk):
+    B is a part >= k, B> a part > k, Bk the part k and S a part < k.  Its
+    y^m slice, the members with exactly m small parts, sums to G_m.  So
+    with t = -1 the coefficient at x^(n+k-1) is minus the signed count at
+    index n, and with t = +1 it is the count itself.
+
+    Written by hand from that language, never from ``GuardedSmall.step``.
+    The numerator is expanded in closed form, (x-x^k)^m = x^m (1-x^(k-1))^m
+    by the binomial theorem and x + L = 1 - t x^k, and cut at the order
+    less the leading power.  It is then divided by L once and by (1-x) L
+    m times, so the work is O(order * (m+1)).
+    """
+    if k < 1 or m < 0:
+        raise ValueError(f"requires k >= 1 and m >= 0, got k={k}, m={m}")
+    if t not in (-1, 1):
+        raise ValueError(f"requires t = -1 or +1, got t={t}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    shift = (k + 1) * m + k - 1
+    low = order - shift
+    if m == 0:
+        num = _up_to(low, (1, t))
+    elif k == 1:  # x - x^k = 0
+        num = IntPolynomial(())
+    else:  # the binomial terms of degree <= low, times t (1 - t x^k)
+        top = min(m, (low - m) // (k - 1))
+        terms = [(m + (k - 1) * j, (-1) ** j * math.comb(m, j)) for j in range(top + 1)]
+        num = _up_to(low, *((d, t * c) for d, c in terms), *((d + k, -c) for d, c in terms))
+    if not num.coeffs:  # every term is past the order
+        return TruncatedSeries((0,) * (order + 1))
+    ell = _up_to(low, (0, 1), (1, -1), (k, -t))
+    ell_times_one_minus_x = _up_to(low, (0, 1), (1, -2), (2, 1), (k, -t), (k + 1, t))
+    for den in [ell] + [ell_times_one_minus_x] * m:
+        num = IntPolynomial(expand_rational(num, den, low).coeffs)
+    return TruncatedSeries((0,) * shift + num.as_series(low).coeffs)
 
 
 def pentagonal_product(order: int) -> TruncatedSeries:

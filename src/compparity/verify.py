@@ -262,6 +262,11 @@ _THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
 _OVERRIDE = {"n": "max_n", "order": "max_n", "k": "max_k", "r": "max_r", "m": "max_m"}
 
 
+def _guarded_coefficient(k: int, m: int, t: int, n: int) -> int:
+    """The x^(n+k-1) coefficient of the guarded class's series G_m at weight t."""
+    return _row(series.guarded_series, k, m, t, size=(n + k - 1,)).coeffs[n + k - 1]
+
+
 def _with_shift_checks(points: list[tuple]) -> list[tuple]:
     """Tag the value instances and add one shift/period check per (r, s)."""
     shifts = {("shift", r, s, _SHIFT_ORDER) for r, s, _ in points}
@@ -316,11 +321,13 @@ _SWEEPS = {
         _Route("second closed form", lambda k, m, n: formulas.guarded_signed_sum(k, n, m)),
         _Route("enumeration", lambda k, m, n:
                compositions.signed_count(n + k - 1, GuardedSmall(k, m)).diff),
+        _Route("series", lambda k, m, n: -_guarded_coefficient(k, m, -1, n)),
     ), also=(("unsigned", (
         _Route("closed form", lambda k, m, n: formulas.guarded_count_boxed(k, n, m)),
         _Route("second closed form", lambda k, m, n: formulas.guarded_count_sum(k, n, m)),
         _Route("enumeration", lambda k, m, n:
                compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
+        _Route("series", lambda k, m, n: _guarded_coefficient(k, m, 1, n)),
     )),)),
     "thm4bar": _Sweep("k=1..4 m=0..3 n=1..16", (
         _Route("closed form", lambda k, m, n: formulas.small_parts_signed(k, n, m)),
@@ -345,6 +352,7 @@ _SWEEPS = {
                compositions.count_compositions(n, ModOneExcept(k, m))),
         _Route("companion class", lambda k, m, n:
                compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
+        _Route("series", lambda k, m, n: _guarded_coefficient(k, m, 1, n)),
     )),
     "legendre": _Sweep("n=0..50", (
         _Route("closed form", lambda n: partition_theorems.legendre_closed(n)),

@@ -68,8 +68,20 @@ def test_formula_thm4bar(capsys):
     ("bfile emit --seq thm4 --k 3 --m 2000 --max-n 2", "1 0\n2 0\n"),
 ])
 def test_thm4_with_more_guarded_parts_than_the_recursion_limit(capsys, argv, want):
+    # the row's series is cut at its order, so a huge m builds nothing
+    t0 = time.perf_counter()
     code, out, _ = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - t0 < 0.25
     assert (code, out) == (0, want)
+
+
+def test_boxed_form_past_its_term_limit_exits_2_at_once():
+    # the 28,926,430 partitions it would walk are counted by size, not walked
+    t0 = time.perf_counter()
+    proc = run_capped_cli(*"formula thm4 --k 12 --m 20 --n 400".split())
+    assert time.perf_counter() - t0 < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the boxed form at k=12, m=20, n=400 takes more than ")
 
 
 def test_formula_unknown_name(capsys):
@@ -357,6 +369,19 @@ def test_thm2_row_equals_closed_form_at_every_index(k):
 def test_thm4bar_row_equals_closed_form_at_every_index(k, m):
     row = cli.sequence_terms(seq_args("thm4bar", k=k, m=m), 150)
     assert row == [formulas.small_parts_signed(k, n, m) for n in range(1, 151)]
+
+
+@pytest.mark.parametrize("seq, boxed, quadruple", [
+    ("thm4", formulas.guarded_signed_boxed, formulas.guarded_signed_sum),
+    ("thm4a", formulas.guarded_count_boxed, formulas.guarded_count_sum),
+], ids=["thm4", "thm4a"])
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("m", range(5))
+def test_thm4_rows_equal_closed_form_at_every_index(seq, boxed, quadruple, k, m):
+    # k = 1 has only the quadruple sum, whose cost is cubic in the row length
+    count, closed = (150, boxed) if k >= 2 else (60, quadruple)
+    row = cli.sequence_terms(seq_args(seq, k=k, m=m), count)
+    assert row == [closed(k, n, m) for n in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("argv", [

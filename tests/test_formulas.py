@@ -180,6 +180,29 @@ def test_guarded_boxed_form_walks_a_box_taller_than_the_recursion_limit():
         assert F.guarded_signed_boxed(3, n, 1100) == F.guarded_signed_sum(3, n, 1100)
 
 
+def test_size_bound_walks_exactly_the_small_box_partitions():
+    for width in range(5):
+        for height in range(6):
+            whole = [bp.parts for bp in F.boxed_partitions(width, height)]
+            for top in range(width * height + 2):
+                small = [p for p in whole if sum(p) <= top]
+                assert [bp.parts for bp in F.boxed_partitions(width, height, top)] == small
+                assert F._box_size_counts(width, height, top, 10 ** 9) == [
+                    sum(sum(p) == s for p in small) for s in range(min(top, width * height) + 1)]
+
+
+def test_boxed_form_refuses_a_walk_past_its_term_limit(monkeypatch):
+    # k=4, m=2, n=20: the six partitions of the 2 x 2 box, each charged
+    # itself and its (10 - |lambda|)//4 + 1 values of j, 22 terms in all
+    monkeypatch.setattr(F, "MAX_BOXED_TERMS", 22)
+    assert F.guarded_signed_boxed(4, 20, 2) == F.guarded_signed_sum(4, 20, 2)
+    assert F.guarded_count_boxed(4, 20, 2) == F.guarded_count_sum(4, 20, 2)
+    monkeypatch.setattr(F, "MAX_BOXED_TERMS", 21)
+    for boxed in (F.guarded_signed_boxed, F.guarded_count_boxed):
+        with pytest.raises(ValueError, match="takes more than 21 terms"):
+            boxed(4, 20, 2)
+
+
 @given(st.integers(2, 4), st.integers(1, 11), st.integers(0, 2))
 def test_guarded_formulas_match_enumeration(k, n, m):
     sc = C.signed_count(n + k - 1, C.GuardedSmall(k, m))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compparity import compositions as C
 from compparity import formulas as F
 from compparity import series as S
 
@@ -120,6 +121,33 @@ def test_sparse_product_equals_schoolbook():
         order = min(a.order, b.order)
         assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs, order)
         assert (b * a).coeffs == (a * b).coeffs
+
+
+def test_guarded_series_equals_enumeration():
+    for k in range(1, 6):
+        for m in range(4):
+            neg, pos = S.guarded_series(k, m, -1, 28), S.guarded_series(k, m, 1, 28)
+            cls = C.GuardedSmall(k, m)
+            for size in range(1, 29):
+                assert -neg.coeffs[size] == C.signed_count(size, cls).diff, (k, m, size)
+                assert pos.coeffs[size] == C.count_compositions(size, cls), (k, m, size)
+
+
+def test_guarded_series_does_not_run_the_class(monkeypatch):
+    want = {(k, m, t): S.guarded_series(k, m, t, 20)
+            for k in range(1, 5) for m in range(3) for t in (-1, 1)}
+
+    def refuse(self, state, part):
+        raise AssertionError("the series route ran GuardedSmall.step")
+
+    monkeypatch.setattr(C.GuardedSmall, "step", refuse)
+    assert {key: S.guarded_series(*key, 20) for key in want} == want
+
+
+def test_guarded_series_rejects_bad_parameters():
+    for args in [(0, 1, 1, 5), (2, -1, 1, 5), (2, 1, 0, 5), (2, 1, 1, -1)]:
+        with pytest.raises(ValueError):
+            S.guarded_series(*args)
 
 
 def test_bivariate_small_parts_slices():

@@ -50,6 +50,15 @@ def test_enumeration_route_imports_no_other_route():
             assert other not in imported, (name, other)
 
 
+def test_closed_form_and_series_routes_import_no_enumeration():
+    # they are checked against the tally, so they may not use it
+    for name in ("series.py", "formulas.py"):
+        imported = imported_modules(ROOT / "src" / "compparity" / name)
+        for other in ("compparity.compositions", "compparity.partitions",
+                      "compparity._automaton"):
+            assert other not in imported, (name, other)
+
+
 def test_only_the_oracle_modules_import_the_automaton():
     # partition_theorems, verify and the cli reach the tally through them
     importers = {path.name for path in (ROOT / "src" / "compparity").glob("*.py")

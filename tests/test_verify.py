@@ -323,6 +323,7 @@ def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
         "min_part_series": 6,
         "congruent_series": 90,  # one per (k, r, s)
         "small_parts_series": 4,
+        "guarded_series": 28,  # thm4's (k, m, t), 3 x 4 x 2, and comp3's k=1 rows
         "pentagonal_product": 1,  # legendre's; the pentagonal sweep builds its own
     }
 
