@@ -338,11 +338,37 @@ def guarded_count_sum(k: int, n: int, m: int) -> int:
     return _guarded_quadruple(k, n, m, signed=False)
 
 
+# Most terms one evaluation of the quadruple sum may add, counted before it starts.
+MAX_QUADRUPLE_TERMS = 1_000_000
+
+
+def _quadruple_terms(k: int, rem0: int, m: int) -> int:
+    """The terms the quadruple sum adds over i + jk + l(k-1) + h = rem0.
+
+    Each (j, l) adds rem0 - jk - l(k-1) + 1 values of i, so each j adds an
+    arithmetic series over l.  The count stops once it passes
+    ``MAX_QUADRUPLE_TERMS``: the j-th value from the last adds at least j,
+    so that happens within about 1,400 values of j.
+    """
+    terms = 0
+    for j in range(rem0 // k + 1):
+        rem1 = rem0 - j * k
+        top = m if k == 1 else min(m, rem1 // (k - 1))  # the last l that fits
+        terms += (top + 1) * (rem1 + 1) - (k - 1) * top * (top + 1) // 2
+        if terms > MAX_QUADRUPLE_TERMS:
+            break
+    return terms
+
+
 def _guarded_quadruple(k: int, n: int, m: int, signed: bool) -> int:
+    """The quadruple sum, refused with ValueError past ``MAX_QUADRUPLE_TERMS`` terms."""
     total = 0
     rem0 = n - (k + 1) * m
     if rem0 < 0:
         return 0
+    if _quadruple_terms(k, rem0, m) > MAX_QUADRUPLE_TERMS:
+        raise ValueError(f"the quadruple sum at k={k}, m={m}, n={n} takes more than "
+                         f"{MAX_QUADRUPLE_TERMS} terms")
     for j in range(0, rem0 // k + 1):
         rem1 = rem0 - j * k
         for l in range(0, m + 1):

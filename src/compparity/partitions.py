@@ -51,9 +51,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def multiplicities(self) -> dict[int, int]:
-        return dict(Counter(self.parts))
-
 
 class PartitionClass:
     """Base class for partition restrictions.

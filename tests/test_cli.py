@@ -75,13 +75,19 @@ def test_thm4_with_more_guarded_parts_than_the_recursion_limit(capsys, argv, wan
     assert (code, out) == (0, want)
 
 
-def test_boxed_form_past_its_term_limit_exits_2_at_once():
+@pytest.mark.parametrize("argv, message", [
     # the 28,926,430 partitions it would walk are counted by size, not walked
+    ("formula thm4 --k 12 --m 20 --n 400", "the boxed form at k=12, m=20, n=400"),
+    # 9,935,105 quadruple-sum terms, counted per j, not added
+    ("formula thm4 --k 1 --m 4 --n 2000", "the quadruple sum at k=1, m=4, n=2000"),
+    ("formula thm4a --k 1 --m 4 --n 2000", "the quadruple sum at k=1, m=4, n=2000"),
+], ids=["boxed", "quadruple-thm4", "quadruple-thm4a"])
+def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     t0 = time.perf_counter()
-    proc = run_capped_cli(*"formula thm4 --k 12 --m 20 --n 400".split())
+    proc = run_capped_cli(*argv.split())
     assert time.perf_counter() - t0 < 5
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: the boxed form at k=12, m=20, n=400 takes more than ")
+    assert proc.stderr.startswith(f"error: {message} takes more than ")
 
 
 def test_formula_unknown_name(capsys):
@@ -395,6 +401,20 @@ def test_row_disagreeing_with_closed_form_exits_1(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv.format(fixtures=ROOT / "tests" / "fixtures").split())
     assert (code, out) == (1, "")
     assert err.startswith("error: sequence thm2: ") and "at n=7" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("bfile emit --seq odd-parts --max-n 698", 2),  # past the tally limit
+    ("bfile emit --seq thm2 --k 2 --max-n 40", 1),  # the row fails its spot check
+])
+def test_failing_bfile_emit_leaves_no_file(tmp_path, capsys, monkeypatch, argv, want):
+    exact = formulas.min_part_signed
+    monkeypatch.setattr(formulas, "min_part_signed", lambda k, n: exact(k, n) + (n == 7))
+    path = tmp_path / "b.txt"
+    code, out, err = run_cli(capsys, *argv.split(), "--file", str(path))
+    assert (code, out) == (want, "")
+    assert err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_row_spot_check_stops_before_the_last_index(monkeypatch):

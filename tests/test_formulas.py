@@ -203,6 +203,18 @@ def test_boxed_form_refuses_a_walk_past_its_term_limit(monkeypatch):
             boxed(4, 20, 2)
 
 
+def test_quadruple_sum_refuses_a_sum_past_its_term_limit(monkeypatch):
+    # k=4, m=2, n=20: i + 4j + 3l + h = 10, so j = 0, 1, 2 add 11+8+5, 7+4+1
+    # and 3 values of i over their l, 39 terms in all
+    monkeypatch.setattr(F, "MAX_QUADRUPLE_TERMS", 39)
+    assert F.guarded_signed_sum(4, 20, 2) == F.guarded_signed_boxed(4, 20, 2)
+    assert F.guarded_count_sum(4, 20, 2) == F.guarded_count_boxed(4, 20, 2)
+    monkeypatch.setattr(F, "MAX_QUADRUPLE_TERMS", 38)
+    for quadruple in (F.guarded_signed_sum, F.guarded_count_sum):
+        with pytest.raises(ValueError, match="takes more than 38 terms"):
+            quadruple(4, 20, 2)
+
+
 @given(st.integers(2, 4), st.integers(1, 11), st.integers(0, 2))
 def test_guarded_formulas_match_enumeration(k, n, m):
     sc = C.signed_count(n + k - 1, C.GuardedSmall(k, m))

@@ -27,6 +27,18 @@ def test_readme_catalog_lists_every_token_once():
     assert sorted(tokens) == sorted(set(CHECK_NAMES) | set(cli.FORMULA_NAMES))
 
 
+def test_readme_bfile_commands_parse():
+    # the documented b-file commands are the only list of the rows we publish
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Sequences and b-files", 1)[1].split("\n## ", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:] for line in section.splitlines()
+                if line.startswith("compparity bfile emit ")]
+    assert len(commands) >= 11
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.seq in cli._IDENTITIES, argv
+
+
 def imported_modules(path: pathlib.Path) -> set[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = set()
