@@ -23,12 +23,14 @@ A tally that would make more than ``MAX_TRIALS`` trials raises
 part that still fits, and a row's states are also charged as if each had
 one successor on every later row, so a one-state class past the limit is
 refused before any work.  A partition trial is one size of one state's
-counts tried with one multiplicity: value v costs ``len(states) *
-sum(n + 1 - c*v for c in 0..n//v)``, charged before v is read, and a size
-whose value-1 layer alone is past the limit is refused before anything is
-allocated.  One-state classes reach n = 1999 as compositions and n = 697
-as partitions; compositions into distinct parts, whose states are the sets
-of parts used, about 65.
+counts tried with one multiplicity that ``step`` accepts: each accepted
+move of value v with multiplicity c costs n + 1 - c*v, charged before
+v's counts are added, and a size at which ``All`` would pass the limit
+at value 1 alone is refused before anything is allocated.  One-state
+classes reach n = 1999 as compositions; as partitions they reach n = 697
+(all partitions) to 1297 (distinct parts in three residues mod 8), the
+fewer multiplicities accepted the further.  Compositions into distinct
+parts, whose states are the sets of parts used, reach about 65.
 """
 
 from __future__ import annotations
@@ -100,24 +102,28 @@ def _tally(n: int, cls) -> tuple[tuple[int, int], ...]:
 def _tally_by_value(n: int, start: Hashable, step: Callable, accept: Callable[[Hashable], bool],
                     flip: Callable[[int], bool]) -> tuple[tuple[int, int], ...]:
     """(odd, even) counts of accepted partitions of each size 0..n, read by value."""
-    if (n + 1) * (n + 2) // 2 > MAX_TRIALS:  # the value-1 layer of the start state
+    # the step calls are not charged, so n is first held to where `All`
+    # would pass the limit at value 1 alone
+    if (n + 1) * (n + 2) // 2 > MAX_TRIALS:
         raise _past_limit(n)
     states = {start: ([0] * (n + 1), [1] + [0] * n)}  # the empty partition, even
     work = 0
     for value in range(1, n + 1):
-        top = n // value
-        work += len(states) * ((top + 1) * (n + 1) - value * top * (top + 1) // 2)
+        moves = []  # only the moves `step` accepts are charged
+        for state, counts in states.items():
+            for mult in range(n // value + 1):
+                nxt = step(state, value, mult)
+                if nxt is not None:
+                    moves.append((counts, mult, nxt))
+                    work += n + 1 - mult * value
         if work > MAX_TRIALS:
             raise _past_limit(n)
         after = {}
-        for state, (odd, even) in states.items():
-            for mult in range(top + 1):
-                nxt = step(state, value, mult)
-                if nxt is not None:
-                    cell = after.setdefault(nxt, ([0] * (n + 1), [0] * (n + 1)))
-                    shift = mult * value
-                    for dst, src in zip(cell, (even, odd) if flip(mult) else (odd, even)):
-                        dst[shift:] = map(add, dst[shift:], src)
+        for (odd, even), mult, nxt in moves:
+            cell = after.setdefault(nxt, ([0] * (n + 1), [0] * (n + 1)))
+            shift = mult * value
+            for dst, src in zip(cell, (even, odd) if flip(mult) else (odd, even)):
+                dst[shift:] = map(add, dst[shift:], src)
         states = after
     odd, even = [0] * (n + 1), [0] * (n + 1)
     for state, (o, e) in states.items():

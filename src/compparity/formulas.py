@@ -9,7 +9,9 @@ conventions are deliberate and fixed:
   Generalized binomials with negative upper index are never used.
 * Index n is the formula index; the underlying composition class lives on
   size n + k - 1.  Signed values are odd-length minus even-length.
-* Diophantine index sets are swept by direct bounded iteration.
+* Diophantine index sets are swept by direct bounded iteration (the
+  Theorem-4 forms gather theirs by size first), and each sum's work is
+  counted before its loop and refused with ValueError past a limit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -30,11 +31,13 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _check_kn(k: int, n: int) -> None:
+def _check_kn(k: int, n: int, m: int = 0) -> None:
     if k < 1:
         raise ValueError(f"requires k >= 1, got k={k}")
     if n < 1:
         raise ValueError(f"requires n >= 1, got n={n}")
+    if m < 0:
+        raise ValueError(f"requires m >= 0, got m={m}")
 
 
 def _check_rs(r: int, s: int) -> None:
@@ -42,6 +45,18 @@ def _check_rs(r: int, s: int) -> None:
         raise ValueError(f"requires r >= 1, got r={r}")
     if not 0 <= s < r:
         raise ValueError(f"requires 0 <= s < r, got s={s}, r={r}")
+
+
+# Most work one single binomial sum may do, counted before its loop as its
+# terms times its largest upper index, which bounds each binomial's length:
+# a call just under it takes about 1 s on a 2-core x86 machine.
+MAX_BINOMIAL_WORK = 16_000_000
+
+
+def _check_work(terms: int, top: int) -> None:
+    if terms * top > MAX_BINOMIAL_WORK:
+        raise ValueError(f"the sum takes {terms} terms of upper index up to {top}, "
+                         f"past the work limit of {MAX_BINOMIAL_WORK}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +76,7 @@ def min_part_signed(k: int, n: int) -> int:
     hence the sign.
     """
     _check_kn(k, n)
+    _check_work((n - 1) // k + 1, n - 1)
     return sum(
         (-1) ** j * binomial(n - 1 - j * (k - 1), j)
         for j in range(0, (n - 1) // k + 1)
@@ -74,6 +90,7 @@ def min_part_count(k: int, n: int) -> int:
     for k = 2 these are Fibonacci numbers.
     """
     _check_kn(k, n)
+    _check_work((n - 1) // k + 1, n - 1)
     return sum(
         binomial(n - 1 - j * (k - 1), j) for j in range(0, (n - 1) // k + 1)
     )
@@ -119,8 +136,11 @@ def congruent_signed(k: int, n: int, r: int, s: int) -> int:
     target = n - 1 - s
     if target < 0:
         return 0
+    last = target // (k + s)
+    # i + j is linear in j, so the upper index peaks at j = 0 or j = last
+    _check_work(last + 1, max(target // r, (target - last * (k + s)) // r + last))
     total = 0
-    for j in range(0, target // (k + s) + 1):
+    for j in range(last + 1):
         rem = target - j * (k + s)
         if rem % r == 0:
             i = rem // r
@@ -155,58 +175,24 @@ def congruent_periodic(k: int, n: int, r: int, s: int) -> int:
 # partitions inside a box, and monomial counting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxedPartition:
-    """A partition constrained to fit in a width x height box.
-
-    Parts are weakly decreasing, each between 1 and ``width``, with at most
-    ``height`` of them.  ``multiplicities()[i]`` counts parts equal to i,
-    with index 0 holding the slack height - (number of parts).
-    """
-
-    parts: tuple[int, ...]
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        if self.width < 0 or self.height < 0:
-            raise ValueError(f"box must be nonnegative, got {self.width}x{self.height}")
-        if len(self.parts) > self.height:
-            raise ValueError(f"{self.parts} has more than {self.height} parts")
-        for i, p in enumerate(self.parts):
-            if not 1 <= p <= self.width:
-                raise ValueError(f"part {p} at index {i} outside 1..{self.width}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> list[int]:
-        mult = [0] * (self.width + 1)
-        mult[0] = self.height - len(self.parts)
-        for p in self.parts:
-            mult[p] += 1
-        return mult
-
-
 def boxed_partitions(
     width: int, height: int, max_size: int | None = None
-) -> Iterator[BoxedPartition]:
+) -> Iterator[tuple[int, ...]]:
     """All partitions fitting in the box, including the empty one.
 
-    With ``max_size``, only those of size at most ``max_size``; the walk
-    never enters a larger one.  Each partition comes before its extensions
-    by one more part, and larger parts before smaller ones.  The walk keeps
-    its own stack, so a tall box cannot exhaust the recursion limit.
+    Each is a weakly decreasing tuple of at most ``height`` parts in
+    1..``width``.  With ``max_size``, only those of size at most
+    ``max_size``; the walk never enters a larger one.  Each partition comes
+    before its extensions by one more part, and larger parts before smaller
+    ones.  The walk keeps its own stack, so a tall box cannot exhaust the
+    recursion limit.
     """
     if width < 0 or height < 0:
         raise ValueError(f"box must be nonnegative, got {width}x{height}")
     room = width * height if max_size is None else max_size
     parts: list[int] = []
     while True:
-        yield BoxedPartition(tuple(parts), width, height)
+        yield tuple(parts)
         part = min(parts[-1] if parts else width, room)
         if len(parts) < height and part > 0:
             parts.append(part)
@@ -245,26 +231,32 @@ def _box_size_counts(width: int, height: int, top: int, limit: int) -> list[int]
     return c
 
 
-def monomial_specialization(bp: BoxedPartition) -> int:
-    """Number of distinct monomials of shape ``bp`` in ``height`` variables.
+def monomial_specialization(parts: tuple[int, ...], height: int) -> int:
+    """Number of distinct monomials of shape ``parts`` in ``height`` variables.
 
     Evaluates the monomial symmetric polynomial m_lambda at height many
-    ones: the multinomial height! / (m_0! m_1! ... m_width!).
+    ones: the multinomial height! / (m_0! m_1! ...), where m_i counts the
+    parts equal to i and m_0 = height - len(parts) the variables left out.
     """
-    mult = bp.multiplicities()
-    out = math.factorial(bp.height)
-    for c in mult:
-        out //= math.factorial(c)
+    out = math.perm(height, len(parts))
+    for _, run in itertools.groupby(parts):
+        out //= math.factorial(sum(1 for _ in run))
     return out
 
 
 # ---------------------------------------------------------------------------
 # exactly m guarded small parts (class on size n+k-1)
 # ---------------------------------------------------------------------------
+# Both forms sum w(s) (-1)^j C(i, m) C(i+j-1, j) over s, j >= 0 with
+# i = n - (k+1)m - s - jk and differ only in the weight row w; each keeps
+# its own (s, j) loop, so neither form computes through the other.  One
+# evaluation may add at most MAX_TERMS terms over its two loops, each loop
+# counted before it runs.
+MAX_TERMS = 1_000_000
 
-# Most terms one evaluation of the boxed form may add; a box holding more
-# partitions of a small enough size is refused before it is walked.
-MAX_BOXED_TERMS = 1_000_000
+
+def _too_many_terms(form: str, k: int, n: int, m: int) -> ValueError:
+    return ValueError(f"the {form} at k={k}, m={m}, n={n} takes more than {MAX_TERMS} terms")
 
 
 def guarded_signed_boxed(k: int, n: int, m: int) -> int:
@@ -277,6 +269,43 @@ def guarded_signed_boxed(k: int, n: int, m: int) -> int:
     return _guarded_boxed(k, n, m, signed=True)
 
 
+def guarded_count_boxed(k: int, n: int, m: int) -> int:
+    """Unsigned count: the boxed form without the (-1)^j factor."""
+    return _guarded_boxed(k, n, m, signed=False)
+
+
+def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
+    """The boxed sum: w(s) adds m_lambda(1^m) over |lambda| = s <= n-(k+1)m.
+
+    The walk costs one term per partition, counted by size first when the
+    whole box holds more than ``MAX_TERMS``, and the (s, j) loop
+    (n-(k+1)m-s)//k + 1 per weight.
+    """
+    _check_kn(k, n, m)
+    if k < 2:
+        raise ValueError(f"boxed form requires k >= 2, got k={k}")
+    room = n - (k + 1) * m
+    if room < 0:  # no box partition fits
+        return 0
+    if binomial(k - 2 + m, m) > MAX_TERMS and _box_size_counts(k - 2, m, room, MAX_TERMS) is None:
+        raise _too_many_terms("boxed form", k, n, m)
+    # every size up to the row's end has a partition, so no weight is 0
+    weight = [0] * (min(room, (k - 2) * m) + 1)
+    terms = 0
+    for parts in boxed_partitions(k - 2, m, room):
+        weight[sum(parts)] += monomial_specialization(parts, m)
+        terms += 1
+    terms += sum((room - s) // k + 1 for s in range(len(weight)))
+    if terms > MAX_TERMS:
+        raise _too_many_terms("boxed form", k, n, m)
+    total, sign = 0, -1 if signed else 1
+    for s, w in enumerate(weight):
+        for j in range((room - s) // k + 1):
+            i = room - s - j * k
+            total += w * sign ** j * binomial(i, m) * binomial(i + j - 1, j)
+    return total
+
+
 def guarded_signed_sum(k: int, n: int, m: int) -> int:
     """Signed count over the guarded class, quadruple-sum form.
 
@@ -284,111 +313,42 @@ def guarded_signed_sum(k: int, n: int, m: int) -> int:
     i, j, l, h >= 0 with i + (k+1)m + jk + l(k-1) + h = n and l <= m.
     Valid for all k >= 1; agrees with the boxed form for k >= 2.
     """
-    _check_kn(k, n)
-    if m < 0:
-        raise ValueError(f"requires m >= 0, got m={m}")
     return _guarded_quadruple(k, n, m, signed=True)
-
-
-def guarded_count_boxed(k: int, n: int, m: int) -> int:
-    """Unsigned count: the boxed form without the (-1)^j factor."""
-    return _guarded_boxed(k, n, m, signed=False)
-
-
-def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
-    """The boxed sum, walking only the partitions with |lambda| <= n-(k+1)m.
-
-    A partition of size s costs one term plus its (n-(k+1)m-s)//k + 1
-    values of j.  Before the walk starts, a walk that may cost more than
-    ``MAX_BOXED_TERMS`` is costed exactly from the number of partitions of
-    each size, and refused with ValueError if it does.
-    """
-    _check_kn(k, n)
-    if k < 2:
-        raise ValueError(f"boxed form requires k >= 2, got k={k}")
-    if m < 0:
-        raise ValueError(f"requires m >= 0, got m={m}")
-    room = n - (k + 1) * m
-    if room < 0:  # no box partition fits
-        return 0
-    # every partition of the box, each with the most values of j, bounds the cost
-    if binomial(k - 2 + m, m) * (2 + room // k) > MAX_BOXED_TERMS:
-        sizes = _box_size_counts(k - 2, m, room, MAX_BOXED_TERMS)
-        terms = None if sizes is None else sum(
-            c * (2 + (room - s) // k) for s, c in enumerate(sizes))
-        if terms is None or terms > MAX_BOXED_TERMS:
-            raise ValueError(
-                f"the boxed form at k={k}, m={m}, n={n} takes more than {MAX_BOXED_TERMS} terms")
-    total = 0
-    for bp in boxed_partitions(k - 2, m, room):
-        base = (k + 1) * m + bp.size
-        mono = monomial_specialization(bp)
-        for j in range(0, (n - base) // k + 1):
-            i = n - base - j * k
-            sign = (-1) ** j if signed else 1
-            total += sign * binomial(i, m) * binomial(i + j - 1, j) * mono
-    return total
 
 
 def guarded_count_sum(k: int, n: int, m: int) -> int:
     """Unsigned count: the quadruple-sum form keeping only (-1)^l."""
-    _check_kn(k, n)
-    if m < 0:
-        raise ValueError(f"requires m >= 0, got m={m}")
     return _guarded_quadruple(k, n, m, signed=False)
 
 
-# Most terms one evaluation of the quadruple sum may add, counted before it starts.
-MAX_QUADRUPLE_TERMS = 1_000_000
-
-
-def _quadruple_terms(k: int, rem0: int, m: int) -> int:
-    """The terms the quadruple sum adds over i + jk + l(k-1) + h = rem0.
-
-    Each (j, l) adds rem0 - jk - l(k-1) + 1 values of i, so each j adds an
-    arithmetic series over l.  The count stops once it passes
-    ``MAX_QUADRUPLE_TERMS``: the j-th value from the last adds at least j,
-    so that happens within about 1,400 values of j.
-    """
-    terms = 0
-    for j in range(rem0 // k + 1):
-        rem1 = rem0 - j * k
-        top = m if k == 1 else min(m, rem1 // (k - 1))  # the last l that fits
-        terms += (top + 1) * (rem1 + 1) - (k - 1) * top * (top + 1) // 2
-        if terms > MAX_QUADRUPLE_TERMS:
-            break
-    return terms
-
-
 def _guarded_quadruple(k: int, n: int, m: int, signed: bool) -> int:
-    """The quadruple sum, refused with ValueError past ``MAX_QUADRUPLE_TERMS`` terms."""
-    total = 0
-    rem0 = n - (k + 1) * m
-    if rem0 < 0:
+    """The quadruple sum: w(s) adds (-1)^l C(m, l) C(m+h-1, h) over l(k-1) + h = s.
+
+    The row costs one term per (l, h) and the (s, j) loop (n-(k+1)m-s)//k + 1
+    per nonzero weight.  At k = 1 every weight of m >= 1 cancels.
+    """
+    _check_kn(k, n, m)
+    room = n - (k + 1) * m
+    if room < 0:
         return 0
-    if _quadruple_terms(k, rem0, m) > MAX_QUADRUPLE_TERMS:
-        raise ValueError(f"the quadruple sum at k={k}, m={m}, n={n} takes more than "
-                         f"{MAX_QUADRUPLE_TERMS} terms")
-    for j in range(0, rem0 // k + 1):
-        rem1 = rem0 - j * k
-        for l in range(0, m + 1):
-            rem2 = rem1 - l * (k - 1)
-            if rem2 < 0:
-                break
-            cl = binomial(m, l)
-            if cl == 0:
-                continue
-            sign_l = (-1) ** l
-            sign = sign_l * (-1) ** j if signed else sign_l
-            for i in range(0, rem2 + 1):
-                h = rem2 - i
-                total += (
-                    sign
-                    * binomial(i, m)
-                    * binomial(i + j - 1, j)
-                    * cl
-                    * binomial(m + h - 1, h)
-                )
+    top = m if k == 1 else min(m, room // (k - 1))  # the last l that fits
+    terms = (top + 1) * (room + 1) - (k - 1) * top * (top + 1) // 2
+    if terms > MAX_TERMS:
+        raise _too_many_terms("quadruple sum", k, n, m)
+    weight = [0] * (room + 1)
+    for l in range(top + 1):
+        cl = (-1) ** l * binomial(m, l)
+        for h in range(room - l * (k - 1) + 1):
+            weight[l * (k - 1) + h] += cl * binomial(m + h - 1, h)
+    terms += sum((room - s) // k + 1 for s, w in enumerate(weight) if w)
+    if terms > MAX_TERMS:
+        raise _too_many_terms("quadruple sum", k, n, m)
+    total, sign = 0, -1 if signed else 1
+    for s, w in enumerate(weight):
+        if w:
+            for j in range((room - s) // k + 1):
+                i = room - s - j * k
+                total += w * sign ** j * binomial(i, m) * binomial(i + j - 1, j)
     return total
 
 
@@ -402,11 +362,10 @@ def small_parts_signed(k: int, n: int, m: int) -> int:
     Sum of (-1)^(i+l+1) C(i+j-1, j) C(i, m) C(m, l) over i, j >= 0 and
     0 <= l <= m <= i with i + j + (k-1)(l + i - m - 1) = n.
     """
-    _check_kn(k, n)
-    if m < 0:
-        raise ValueError(f"requires m >= 0, got m={m}")
+    _check_kn(k, n, m)
     total = 0
     i_max = n + (k - 1) * (m + 1)
+    _check_work(max(i_max - m + 1, 0) * (m + 1), i_max)  # i + j - 1 <= n + k - 2 <= i_max
     for i in range(m, i_max + 1):
         ci = binomial(i, m)
         if ci == 0:

@@ -10,10 +10,12 @@ each with its multiplicity (0 when the value does not occur).
 ``compparity._automaton`` instead of walking the members; the tests hold
 the tally to ``iter_parts``.  It is the oracle for the classical partition
 identities checked elsewhere in the package.  A one-state class reaches
-n = 697; past ``_automaton.MAX_TRIALS`` trials the tally raises
-``ValueError``.  Counts are kept per class and statistic, so the length
-parity of ``signed_count`` and the singleton sign of
-``singleton_signed_count`` never mix.
+n = 697 (all partitions) to 1297 (distinct parts in three residues mod
+8), the further the fewer multiplicities it accepts; past
+``_automaton.MAX_TRIALS`` trials the tally raises ``ValueError``.
+Counts are kept per class and statistic, so the length parity of
+``signed_count`` and the singleton sign of ``singleton_signed_count``
+never mix.
 
 Partition-side signed results are reported as even-length minus odd-length
 (the opposite orientation from the composition side); ``signed_count``

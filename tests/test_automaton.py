@@ -219,6 +219,9 @@ def test_length_and_singleton_statistics_keep_their_own_counts(fresh_counts, m):
      lambda: P.count_partitions(10**9, P.All())),
     (lambda: P.count_partitions(697, P.All()),
      lambda: P.count_partitions(698, P.All())),
+    # only the multiplicities 0 and 1 that distinct parts accept are charged
+    (lambda: P.count_partitions(1154, P.DistinctParts()),
+     lambda: P.count_partitions(1155, P.DistinctParts())),
     (lambda: PT.andrews_singleton_delta(20, 3),
      lambda: PT.andrews_singleton_delta(10**9, 3)),
 ])

@@ -78,9 +78,9 @@ def test_thm4_with_more_guarded_parts_than_the_recursion_limit(capsys, argv, wan
 @pytest.mark.parametrize("argv, message", [
     # the 28,926,430 partitions it would walk are counted by size, not walked
     ("formula thm4 --k 12 --m 20 --n 400", "the boxed form at k=12, m=20, n=400"),
-    # 9,935,105 quadruple-sum terms, counted per j, not added
-    ("formula thm4 --k 1 --m 4 --n 2000", "the quadruple sum at k=1, m=4, n=2000"),
-    ("formula thm4a --k 1 --m 4 --n 2000", "the quadruple sum at k=1, m=4, n=2000"),
+    # a weight row of 5 x 200,001 = 1,000,005 quadruple-sum terms, counted, not added
+    ("formula thm4 --k 1 --m 4 --n 200010", "the quadruple sum at k=1, m=4, n=200010"),
+    ("formula thm4a --k 1 --m 4 --n 200010", "the quadruple sum at k=1, m=4, n=200010"),
 ], ids=["boxed", "quadruple-thm4", "quadruple-thm4a"])
 def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     t0 = time.perf_counter()
@@ -88,6 +88,21 @@ def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     assert time.perf_counter() - t0 < 5
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: {message} takes more than ")
+
+
+@pytest.mark.parametrize("argv", [
+    "formula thm2 --k 1 --n 20000",
+    "formula munagi --k 1 --n 20000",
+    "formula thm3 --k 1 --r 1 --s 0 --n 20000",
+    "formula thm4bar --k 2 --m 1 --n 20000",
+])
+def test_binomial_sum_past_its_work_limit_exits_2_at_once(argv):
+    # unbounded, the first three ran for over 60 s and the last for 39 s
+    t0 = time.perf_counter()
+    proc = run_capped_cli(*argv.split())
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the sum takes ") and "work limit" in proc.stderr
 
 
 def test_formula_unknown_name(capsys):
@@ -327,7 +342,7 @@ def test_count_all_at_40_answers_at_once(capsys):
 @pytest.mark.parametrize("argv", [
     "signed --class distinct --n 10000",
     "count --class all --n 100000",
-    "bfile emit --seq odd-parts --max-n 698",  # one past the edge of a one-state partition class
+    "bfile emit --seq odd-parts --max-n 849",  # one past the edge of the odd-part class
 ])
 def test_sizes_past_the_tally_limit_exit_2_at_once(capsys, argv):
     t0 = time.perf_counter()
@@ -404,7 +419,7 @@ def test_row_disagreeing_with_closed_form_exits_1(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, want", [
-    ("bfile emit --seq odd-parts --max-n 698", 2),  # past the tally limit
+    ("bfile emit --seq odd-parts --max-n 849", 2),  # past the tally limit
     ("bfile emit --seq thm2 --k 2 --max-n 40", 1),  # the row fails its spot check
 ])
 def test_failing_bfile_emit_leaves_no_file(tmp_path, capsys, monkeypatch, argv, want):

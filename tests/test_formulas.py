@@ -4,6 +4,8 @@ Frozen rows were computed by exhaustive enumeration before the formulas
 were written, then pinned here.
 """
 
+import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -144,14 +146,32 @@ def test_congruent_periodic_matches_general_formula():
 
 
 def test_boxed_partitions_and_specialization():
-    boxes = list(F.boxed_partitions(2, 3))
-    # partitions fitting a 2-wide, height-3 box, tracked with slack
-    assert len(boxes) == 10
-    for bp in boxes:
-        assert all(0 <= p <= 2 for p in bp.parts)
-        assert len(bp.parts) <= 3
-    flat = F.BoxedPartition((1, 1), 2, 3)
-    assert F.monomial_specialization(flat) == 3  # choose which variable sits out
+    # partitions fitting a 2-wide, height-3 box, larger parts first
+    assert list(F.boxed_partitions(2, 3)) == [
+        (), (2,), (2, 2), (2, 2, 2), (2, 2, 1), (2, 1), (2, 1, 1), (1,), (1, 1), (1, 1, 1)]
+    assert F.monomial_specialization((1, 1), 3) == 3  # choose which variable sits out
+    assert F.monomial_specialization((2, 1), 3) == 6
+    assert F.monomial_specialization((), 3) == 1
+
+
+def test_boxed_walk_yields_each_partition_of_the_box_once():
+    for width in range(6):
+        for height in range(6):
+            walk = list(F.boxed_partitions(width, height))
+            assert len(set(walk)) == len(walk) == F.binomial(width + height, height)
+            for parts in walk:
+                assert len(parts) <= height
+                assert all(1 <= p <= width for p in parts)
+                assert list(parts) == sorted(parts, reverse=True)
+
+
+def test_monomial_specialization_counts_the_distinct_monomials():
+    for width in range(4):
+        for height in range(5):
+            for parts in F.boxed_partitions(width, height):
+                exponents = parts + (0,) * (height - len(parts))
+                want = len(set(itertools.permutations(exponents)))
+                assert F.monomial_specialization(parts, height) == want, (parts, height)
 
 
 def test_guarded_signed_spots():
@@ -183,36 +203,65 @@ def test_guarded_boxed_form_walks_a_box_taller_than_the_recursion_limit():
 def test_size_bound_walks_exactly_the_small_box_partitions():
     for width in range(5):
         for height in range(6):
-            whole = [bp.parts for bp in F.boxed_partitions(width, height)]
+            whole = list(F.boxed_partitions(width, height))
             for top in range(width * height + 2):
                 small = [p for p in whole if sum(p) <= top]
-                assert [bp.parts for bp in F.boxed_partitions(width, height, top)] == small
+                assert list(F.boxed_partitions(width, height, top)) == small
                 assert F._box_size_counts(width, height, top, 10 ** 9) == [
                     sum(sum(p) == s for p in small) for s in range(min(top, width * height) + 1)]
 
 
-def test_boxed_form_refuses_a_walk_past_its_term_limit(monkeypatch):
-    # k=4, m=2, n=20: the six partitions of the 2 x 2 box, each charged
-    # itself and its (10 - |lambda|)//4 + 1 values of j, 22 terms in all
-    monkeypatch.setattr(F, "MAX_BOXED_TERMS", 22)
-    assert F.guarded_signed_boxed(4, 20, 2) == F.guarded_signed_sum(4, 20, 2)
-    assert F.guarded_count_boxed(4, 20, 2) == F.guarded_count_sum(4, 20, 2)
-    monkeypatch.setattr(F, "MAX_BOXED_TERMS", 21)
-    for boxed in (F.guarded_signed_boxed, F.guarded_count_boxed):
-        with pytest.raises(ValueError, match="takes more than 21 terms"):
-            boxed(4, 20, 2)
+def _served_at_the_limit_refused_one_term_below(monkeypatch, forms, others, args, terms):
+    want = [other(*args) for other in others]  # taken before the limit is lowered
+    monkeypatch.setattr(F, "MAX_TERMS", terms)
+    assert [form(*args) for form in forms] == want
+    monkeypatch.setattr(F, "MAX_TERMS", terms - 1)
+    for form in forms:
+        with pytest.raises(ValueError, match=f"takes more than {terms - 1} terms"):
+            form(*args)
 
 
-def test_quadruple_sum_refuses_a_sum_past_its_term_limit(monkeypatch):
-    # k=4, m=2, n=20: i + 4j + 3l + h = 10, so j = 0, 1, 2 add 11+8+5, 7+4+1
-    # and 3 values of i over their l, 39 terms in all
-    monkeypatch.setattr(F, "MAX_QUADRUPLE_TERMS", 39)
-    assert F.guarded_signed_sum(4, 20, 2) == F.guarded_signed_boxed(4, 20, 2)
-    assert F.guarded_count_sum(4, 20, 2) == F.guarded_count_boxed(4, 20, 2)
-    monkeypatch.setattr(F, "MAX_QUADRUPLE_TERMS", 38)
-    for quadruple in (F.guarded_signed_sum, F.guarded_count_sum):
-        with pytest.raises(ValueError, match="takes more than 38 terms"):
-            quadruple(4, 20, 2)
+@pytest.mark.parametrize("args, terms", [
+    # the six partitions of the 2 x 2 box, then 3+3+3+2+2 values of j for
+    # sizes 0..4, as (10 - s)//4 + 1
+    ((4, 20, 2), 6 + 13),
+    # the ten partitions of size <= 4 in the 3 x 3 box, then one j per size
+    ((5, 22, 3), 10 + 5),
+])
+def test_boxed_form_refuses_an_evaluation_past_its_term_limit(monkeypatch, args, terms):
+    _served_at_the_limit_refused_one_term_below(
+        monkeypatch, (F.guarded_signed_boxed, F.guarded_count_boxed),
+        (F.guarded_signed_sum, F.guarded_count_sum), args, terms)
+
+
+def test_boxed_form_counts_a_large_box_before_walking_it(monkeypatch):
+    # (5, 22, 3): the whole 3 x 3 box holds 20 partitions, ten of them small
+    # enough, so at a limit of 9 the sizes are counted and nothing is walked
+    monkeypatch.setattr(F, "MAX_TERMS", 9)
+    monkeypatch.setattr(F, "boxed_partitions", None)
+    with pytest.raises(ValueError, match="takes more than 9 terms"):
+        F.guarded_signed_boxed(5, 22, 3)
+
+
+@pytest.mark.parametrize("args, terms", [
+    # i + 4j + 3l + h = 10: the row adds 11+8+5 values of h over l = 0, 1, 2,
+    # then the (s, j) loop the same 13 terms as the boxed form
+    ((4, 20, 2), 24 + 13),
+    # at k = 1 every weight of m >= 1 cancels, so the (s, j) loop adds none
+    ((1, 12, 2), 3 * 9),
+])
+def test_quadruple_sum_refuses_an_evaluation_past_its_term_limit(monkeypatch, args, terms):
+    others = ((F.guarded_signed_boxed, F.guarded_count_boxed) if args[0] >= 2
+              else (lambda *a: 0, lambda *a: 0))
+    _served_at_the_limit_refused_one_term_below(
+        monkeypatch, (F.guarded_signed_sum, F.guarded_count_sum), others, args, terms)
+
+
+def test_quadruple_sum_at_k1_answers_at_once():
+    # the weight row cancels, where the sum term by term took 14.6 s
+    t0 = time.perf_counter()
+    assert F.guarded_signed_sum(1, 1000, 1) == 0
+    assert time.perf_counter() - t0 < 0.1
 
 
 @given(st.integers(2, 4), st.integers(1, 11), st.integers(0, 2))
@@ -252,3 +301,43 @@ def test_small_parts_k1_vanishes_for_positive_m():
 def test_small_parts_matches_enumeration(k, n, m):
     sc = C.signed_count(n + k - 1, C.ExactSmall(k, m))
     assert F.small_parts_signed(k, n, m) == sc.diff
+
+
+@pytest.mark.parametrize("form, args, work", [
+    # 4 values of j, upper index up to n-1 = 9
+    (F.min_part_signed, (3, 10), 4 * 9),
+    (F.min_part_count, (3, 10), 4 * 9),
+    # target 19: j = 0..19, i + j peaks at j = 19 with i = 0
+    (F.congruent_signed, (1, 20, 4, 0), 20 * 19),
+    # target 19: j = 0..3, i + j peaks at j = 0 with i = 19
+    (F.congruent_signed, (5, 20, 1, 0), 4 * 19),
+    # i = 1..12 times l = 0, 1, upper index up to i = 12
+    (F.small_parts_signed, (2, 10, 1), 24 * 12),
+])
+def test_binomial_sum_refuses_work_past_its_limit(monkeypatch, form, args, work):
+    want = form(*args)
+    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work)
+    assert form(*args) == want
+    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work - 1)
+    with pytest.raises(ValueError, match=f"past the work limit of {work - 1}"):
+        form(*args)
+
+
+def test_binomial_work_charge_bounds_every_upper_index(monkeypatch):
+    # the charge's upper index must be at least that of every binomial the
+    # loop evaluates, or a long sum of wide binomials would slip under it
+    tops = []
+    monkeypatch.setattr(F, "_check_work", lambda terms, top: tops.append(top))
+    exact = F.binomial
+    seen = []
+    monkeypatch.setattr(F, "binomial", lambda a, b: seen.append(a) or exact(a, b))
+    for k in range(1, 5):
+        for n in range(1, 30):
+            calls = [(F.min_part_signed, (k, n)), (F.min_part_count, (k, n))]
+            calls += [(F.small_parts_signed, (k, n, m)) for m in range(4)]
+            calls += [(F.congruent_signed, (k, n, r, s)) for r in range(1, 6) for s in range(r)]
+            for form, args in calls:
+                tops.clear()
+                seen.clear()
+                form(*args)
+                assert max(seen, default=0) <= max(tops, default=0), (form.__name__, args)
