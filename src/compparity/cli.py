@@ -104,7 +104,8 @@ _IDENTITIES = {
             series.min_part_series(a.k, count + a.k - 1), a.k, count)),
     "munagi": _Identity(
         "k", 1, lambda a, n: formulas.min_part_count(a.k, n),
-        lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with parts >= {a.k}"),
+        lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with parts >= {a.k}",
+        row=lambda a, count: list(series.min_part_series(a.k, count + a.k - 1, 1).coeffs[a.k:])),
     "thm3": _Identity(
         "k r s", 1, lambda a, n: formulas.congruent_signed(a.k, n, a.r, a.s),
         lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= "

@@ -10,8 +10,8 @@ conventions are deliberate and fixed:
 * Index n is the formula index; the underlying composition class lives on
   size n + k - 1.  Signed values are odd-length minus even-length.
 * Diophantine index sets are swept by direct bounded iteration (the
-  Theorem-4 forms gather theirs by size first), and each sum's work is
-  counted before its loop and refused with ValueError past a limit.
+  Theorem-4 forms gather theirs by size first), and every loop is charged
+  before it runs by ``_check_work`` and refused with ValueError past a limit.
 """
 
 from __future__ import annotations
@@ -47,16 +47,22 @@ def _check_rs(r: int, s: int) -> None:
         raise ValueError(f"requires 0 <= s < r, got s={s}, r={r}")
 
 
-# Most work one single binomial sum may do, counted before its loop as its
-# terms times its largest upper index, which bounds each binomial's length:
-# a call just under it takes about 1 s on a 2-core x86 machine.
+# Most work one evaluation may do.  Each loop is charged before it runs:
+# its terms times 16 + b * bitlen(a // b + 1), where a bounds the upper
+# index and b the width min(b', a - b') of every C(a', b') the loop
+# evaluates.  The product is about the bit length of the longest binomial,
+# which sets its time, and 16 is a term's fixed cost in the same unit.  A
+# call just under the limit takes about 1 s on a 2-core x86 machine.
 MAX_BINOMIAL_WORK = 16_000_000
 
 
-def _check_work(terms: int, top: int) -> None:
-    if terms * top > MAX_BINOMIAL_WORK:
-        raise ValueError(f"the sum takes {terms} terms of upper index up to {top}, "
-                         f"past the work limit of {MAX_BINOMIAL_WORK}")
+def _check_work(terms: int, top: int, width: int, spent: int = 0) -> int:
+    """The work charged so far with this loop added, or ValueError past the limit."""
+    work = spent + terms * (16 + width * (top // max(width, 1) + 1).bit_length())
+    if work > MAX_BINOMIAL_WORK:
+        raise ValueError(f"the sum takes at least {terms} terms of C(a, b) with a <= {top}, "
+                         f"min(b, a-b) <= {width}, past the work limit of {MAX_BINOMIAL_WORK}")
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ def min_part_signed(k: int, n: int) -> int:
     hence the sign.
     """
     _check_kn(k, n)
-    _check_work((n - 1) // k + 1, n - 1)
+    _check_work((n - 1) // k + 1, n - 1, (n - 1) // (k + 1))  # min(j, n-1-jk)
     return sum(
         (-1) ** j * binomial(n - 1 - j * (k - 1), j)
         for j in range(0, (n - 1) // k + 1)
@@ -90,7 +96,7 @@ def min_part_count(k: int, n: int) -> int:
     for k = 2 these are Fibonacci numbers.
     """
     _check_kn(k, n)
-    _check_work((n - 1) // k + 1, n - 1)
+    _check_work((n - 1) // k + 1, n - 1, (n - 1) // (k + 1))  # min(j, n-1-jk)
     return sum(
         binomial(n - 1 - j * (k - 1), j) for j in range(0, (n - 1) // k + 1)
     )
@@ -137,8 +143,10 @@ def congruent_signed(k: int, n: int, r: int, s: int) -> int:
     if target < 0:
         return 0
     last = target // (k + s)
-    # i + j is linear in j, so the upper index peaks at j = 0 or j = last
-    _check_work(last + 1, max(target // r, (target - last * (k + s)) // r + last))
+    # ri + (k+s)j = target bounds the width min(i, j) of C(i+j, i), and i + j,
+    # linear in j, peaks at j = 0 or j = last
+    _check_work(last + 1, max(target // r, (target - last * (k + s)) // r + last),
+                target // (r + k + s))
     total = 0
     for j in range(last + 1):
         rem = target - j * (k + s)
@@ -239,8 +247,8 @@ def monomial_specialization(parts: tuple[int, ...], height: int) -> int:
     parts equal to i and m_0 = height - len(parts) the variables left out.
     """
     out = math.perm(height, len(parts))
-    for _, run in itertools.groupby(parts):
-        out //= math.factorial(sum(1 for _ in run))
+    for part in set(parts):
+        out //= math.factorial(parts.count(part))
     return out
 
 
@@ -249,14 +257,8 @@ def monomial_specialization(parts: tuple[int, ...], height: int) -> int:
 # ---------------------------------------------------------------------------
 # Both forms sum w(s) (-1)^j C(i, m) C(i+j-1, j) over s, j >= 0 with
 # i = n - (k+1)m - s - jk and differ only in the weight row w; each keeps
-# its own (s, j) loop, so neither form computes through the other.  One
-# evaluation may add at most MAX_TERMS terms over its two loops, each loop
-# counted before it runs.
-MAX_TERMS = 1_000_000
-
-
-def _too_many_terms(form: str, k: int, n: int, m: int) -> ValueError:
-    return ValueError(f"the {form} at k={k}, m={m}, n={n} takes more than {MAX_TERMS} terms")
+# its own (s, j) loop, so neither form computes through the other.  That
+# loop is charged on top of the weight row.
 
 
 def guarded_signed_boxed(k: int, n: int, m: int) -> int:
@@ -277,9 +279,9 @@ def guarded_count_boxed(k: int, n: int, m: int) -> int:
 def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
     """The boxed sum: w(s) adds m_lambda(1^m) over |lambda| = s <= n-(k+1)m.
 
-    The walk costs one term per partition, counted by size first when the
-    whole box holds more than ``MAX_TERMS``, and the (s, j) loop
-    (n-(k+1)m-s)//k + 1 per weight.
+    The walk takes one multinomial over m variables per partition, counted
+    by size before it starts, and the (s, j) loop (n-(k+1)m-s)//k + 1
+    terms per weight.
     """
     _check_kn(k, n, m)
     if k < 2:
@@ -287,17 +289,15 @@ def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
     room = n - (k + 1) * m
     if room < 0:  # no box partition fits
         return 0
-    if binomial(k - 2 + m, m) > MAX_TERMS and _box_size_counts(k - 2, m, room, MAX_TERMS) is None:
-        raise _too_many_terms("boxed form", k, n, m)
+    limit = MAX_BINOMIAL_WORK // 16  # the most terms any loop can afford
+    sizes = _box_size_counts(k - 2, m, room, limit)
+    spent = _check_work(limit + 1 if sizes is None else sum(sizes), m, m)
     # every size up to the row's end has a partition, so no weight is 0
-    weight = [0] * (min(room, (k - 2) * m) + 1)
-    terms = 0
+    weight = [0] * len(sizes)
     for parts in boxed_partitions(k - 2, m, room):
         weight[sum(parts)] += monomial_specialization(parts, m)
-        terms += 1
-    terms += sum((room - s) // k + 1 for s in range(len(weight)))
-    if terms > MAX_TERMS:
-        raise _too_many_terms("boxed form", k, n, m)
+    _check_work(sum((room - s) // k + 1 for s in range(len(weight))), room, max(m, room // k),
+                spent)
     total, sign = 0, -1 if signed else 1
     for s, w in enumerate(weight):
         for j in range((room - s) // k + 1):
@@ -332,17 +332,14 @@ def _guarded_quadruple(k: int, n: int, m: int, signed: bool) -> int:
     if room < 0:
         return 0
     top = m if k == 1 else min(m, room // (k - 1))  # the last l that fits
-    terms = (top + 1) * (room + 1) - (k - 1) * top * (top + 1) // 2
-    if terms > MAX_TERMS:
-        raise _too_many_terms("quadruple sum", k, n, m)
+    spent = _check_work((top + 1) * (room + 1) - (k - 1) * top * (top + 1) // 2, m + room, m)
     weight = [0] * (room + 1)
     for l in range(top + 1):
         cl = (-1) ** l * binomial(m, l)
         for h in range(room - l * (k - 1) + 1):
             weight[l * (k - 1) + h] += cl * binomial(m + h - 1, h)
-    terms += sum((room - s) // k + 1 for s, w in enumerate(weight) if w)
-    if terms > MAX_TERMS:
-        raise _too_many_terms("quadruple sum", k, n, m)
+    _check_work(sum((room - s) // k + 1 for s, w in enumerate(weight) if w), room,
+                max(m, room // k), spent)
     total, sign = 0, -1 if signed else 1
     for s, w in enumerate(weight):
         if w:
@@ -364,8 +361,10 @@ def small_parts_signed(k: int, n: int, m: int) -> int:
     """
     _check_kn(k, n, m)
     total = 0
-    i_max = n + (k - 1) * (m + 1)
-    _check_work(max(i_max - m + 1, 0) * (m + 1), i_max)  # i + j - 1 <= n + k - 2 <= i_max
+    i_max = (n + (k - 1) * (m + 1)) // k  # past it j < 0 at every l
+    # i + j - 1 <= n + k - 2, and C(i+j-1, j) has width min(j, i-1) <= (n + (k-1)m - 1)//(k+1)
+    _check_work(max(i_max - m + 1, 0) * (m + 1), max(i_max, n + k - 2),
+                max(m, (n + (k - 1) * m - 1) // (k + 1)))
     for i in range(m, i_max + 1):
         ci = binomial(i, m)
         if ci == 0:

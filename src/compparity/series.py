@@ -231,12 +231,18 @@ def _up_to(order: int, *terms: tuple[int, int]) -> IntPolynomial:
     return IntPolynomial(tuple(c))
 
 
-def min_part_series(k: int, order: int) -> TruncatedSeries:
-    """(1-x) / (1-x+x^k): signed min-part-k counts at exponent n+k-1."""
+def min_part_series(k: int, order: int, t: int = -1) -> TruncatedSeries:
+    """(1-x) / (1-x-t x^k), every part >= k weighted by t.
+
+    With t = -1 the coefficient at x^(n+k-1) is minus the signed min-part-k
+    count at index n, and with t = +1 it is the count itself (Munagi).
+    """
     if k < 1:
         raise ValueError(f"requires k >= 1, got k={k}")
+    if t not in (-1, 1):
+        raise ValueError(f"requires t = -1 or +1, got t={t}")
     num = _up_to(order, (0, 1), (1, -1))
-    den = _up_to(order, (0, 1), (1, -1), (k, 1))
+    den = _up_to(order, (0, 1), (1, -1), (k, -t))
     return expand_rational(num, den, order)
 
 

@@ -1,5 +1,7 @@
 """Command line behavior: exact stdout, exit codes, file round trips."""
 
+import contextlib
+import io
 import os
 import pathlib
 import re
@@ -9,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compparity import cli, formulas
 from compparity.verify import CHECK_NAMES
@@ -76,18 +80,19 @@ def test_thm4_with_more_guarded_parts_than_the_recursion_limit(capsys, argv, wan
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the 28,926,430 partitions it would walk are counted by size, not walked
-    ("formula thm4 --k 12 --m 20 --n 400", "the boxed form at k=12, m=20, n=400"),
-    # a weight row of 5 x 200,001 = 1,000,005 quadruple-sum terms, counted, not added
-    ("formula thm4 --k 1 --m 4 --n 200010", "the quadruple sum at k=1, m=4, n=200010"),
-    ("formula thm4a --k 1 --m 4 --n 200010", "the quadruple sum at k=1, m=4, n=200010"),
+    # of the 28,926,430 partitions it would walk, the sizes count past
+    # 16,000,000 // 16 before any is walked
+    ("formula thm4 --k 12 --m 20 --n 400", "at least 1000001 terms"),
+    # a weight row of 5 x 200,003 = 1,000,015 quadruple-sum terms, counted, not added
+    ("formula thm4 --k 1 --m 4 --n 200010", "at least 1000015 terms"),
+    ("formula thm4a --k 1 --m 4 --n 200010", "at least 1000015 terms"),
 ], ids=["boxed", "quadruple-thm4", "quadruple-thm4a"])
 def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     t0 = time.perf_counter()
     proc = run_capped_cli(*argv.split())
-    assert time.perf_counter() - t0 < 5
+    assert time.perf_counter() - t0 < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"error: {message} takes more than ")
+    assert proc.stderr.startswith(f"error: the sum takes {message} ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -95,14 +100,56 @@ def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     "formula munagi --k 1 --n 20000",
     "formula thm3 --k 1 --r 1 --s 0 --n 20000",
     "formula thm4bar --k 2 --m 1 --n 20000",
+    # few terms, but binomials too long: 8,000 of them took 12 s
+    "formula thm4 --k 2 --m 1 --n 16000",
+    "formula thm4 --k 2 --m 1 --n 1000000",
 ])
 def test_binomial_sum_past_its_work_limit_exits_2_at_once(argv):
-    # unbounded, the first three ran for over 60 s and the last for 39 s
+    # unbounded, the first three ran for over 60 s and the fourth for 39 s
     t0 = time.perf_counter()
     proc = run_capped_cli(*argv.split())
     assert time.perf_counter() - t0 < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: the sum takes ") and "work limit" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, want", [
+    # one term, C(n-1, 0), however large k and n are
+    ("formula thm2 --k 1000000000 --n 1000000000", "1\n"),
+    ("formula munagi --k 1000000000 --n 1000000000", "1\n"),
+    ("formula thm3 --k 1000000000 --r 1 --s 0 --n 1000000000", "1\n"),
+    # 20 terms of width up to 19
+    ("formula thm2 --k 1000000 --n 20000000", f"{formulas.min_part_signed(10 ** 6, 2 * 10 ** 7)}\n"),
+])
+def test_binomial_sum_of_few_narrow_terms_answers_at_once(capsys, argv, want):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - t0 < 0.25
+    assert (code, out) == (0, want)
+
+
+# every flag of a formula token, drawn over the whole range the CLI accepts
+_FLAG_VALUES = st.integers(0, 40) | st.integers(0, 20_000) | st.integers(0, 10 ** 9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_formula_answers_or_exits_2_within_2_s(data):
+    name = data.draw(st.sampled_from(cli.FORMULA_NAMES))
+    argv = ["formula", name, "--n", str(data.draw(_FLAG_VALUES))]
+    for flag in cli._IDENTITIES[name].flags.split():
+        if not flag.endswith("?") or data.draw(st.booleans()):
+            argv += ["--" + flag.rstrip("?"), str(data.draw(_FLAG_VALUES))]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - t0 < 2.0, argv
+    if code == 0:
+        assert re.fullmatch(r"-?\d+\n", out.getvalue()), argv
+    else:
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue().startswith("error: "), argv
 
 
 def test_formula_unknown_name(capsys):
@@ -383,6 +430,12 @@ def seq_args(seq, **flags):
 def test_thm2_row_equals_closed_form_at_every_index(k):
     row = cli.sequence_terms(seq_args("thm2", k=k), 300)
     assert row == [formulas.min_part_signed(k, n) for n in range(1, 301)]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_munagi_row_equals_closed_form_at_every_index(k):
+    row = cli.sequence_terms(seq_args("munagi", k=k), 150)
+    assert row == [formulas.min_part_count(k, n) for n in range(1, 151)]
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -211,50 +211,55 @@ def test_size_bound_walks_exactly_the_small_box_partitions():
                     sum(sum(p) == s for p in small) for s in range(min(top, width * height) + 1)]
 
 
-def _served_at_the_limit_refused_one_term_below(monkeypatch, forms, others, args, terms):
+def _served_at_the_limit_refused_one_below(monkeypatch, forms, others, args, work):
     want = [other(*args) for other in others]  # taken before the limit is lowered
-    monkeypatch.setattr(F, "MAX_TERMS", terms)
+    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work)
     assert [form(*args) for form in forms] == want
-    monkeypatch.setattr(F, "MAX_TERMS", terms - 1)
+    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work - 1)
     for form in forms:
-        with pytest.raises(ValueError, match=f"takes more than {terms - 1} terms"):
+        with pytest.raises(ValueError, match=f"past the work limit of {work - 1}"):
             form(*args)
 
 
-@pytest.mark.parametrize("args, terms", [
-    # the six partitions of the 2 x 2 box, then 3+3+3+2+2 values of j for
-    # sizes 0..4, as (10 - s)//4 + 1
-    ((4, 20, 2), 6 + 13),
-    # the ten partitions of size <= 4 in the 3 x 3 box, then one j per size
-    ((5, 22, 3), 10 + 5),
+@pytest.mark.parametrize("args, work", [
+    # the six partitions of the 2 x 2 box at 16 + 2 bitlen(2 // 2 + 1) each,
+    # then 3+3+3+2+2 values of j for sizes 0..4, as (10 - s)//4 + 1, at
+    # 16 + 2 bitlen(10 // 2 + 1)
+    ((4, 20, 2), 6 * 20 + 13 * 22),
+    # the ten partitions of size <= 4 in the 3 x 3 box at 16 + 3 bitlen(2),
+    # then one j per size at 16 + 3 bitlen(4 // 3 + 1)
+    ((5, 22, 3), 10 * 22 + 5 * 22),
 ])
-def test_boxed_form_refuses_an_evaluation_past_its_term_limit(monkeypatch, args, terms):
-    _served_at_the_limit_refused_one_term_below(
+def test_boxed_form_refuses_an_evaluation_past_its_term_limit(monkeypatch, args, work):
+    _served_at_the_limit_refused_one_below(
         monkeypatch, (F.guarded_signed_boxed, F.guarded_count_boxed),
-        (F.guarded_signed_sum, F.guarded_count_sum), args, terms)
+        (F.guarded_signed_sum, F.guarded_count_sum), args, work)
 
 
 def test_boxed_form_counts_a_large_box_before_walking_it(monkeypatch):
     # (5, 22, 3): the whole 3 x 3 box holds 20 partitions, ten of them small
-    # enough, so at a limit of 9 the sizes are counted and nothing is walked
-    monkeypatch.setattr(F, "MAX_TERMS", 9)
+    # enough, so at a limit of 9 terms of the least cost, 16, the sizes are
+    # counted and nothing is walked
+    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", 9 * 16)
     monkeypatch.setattr(F, "boxed_partitions", None)
-    with pytest.raises(ValueError, match="takes more than 9 terms"):
+    with pytest.raises(ValueError, match="at least 10 terms"):
         F.guarded_signed_boxed(5, 22, 3)
 
 
-@pytest.mark.parametrize("args, terms", [
-    # i + 4j + 3l + h = 10: the row adds 11+8+5 values of h over l = 0, 1, 2,
-    # then the (s, j) loop the same 13 terms as the boxed form
-    ((4, 20, 2), 24 + 13),
-    # at k = 1 every weight of m >= 1 cancels, so the (s, j) loop adds none
-    ((1, 12, 2), 3 * 9),
+@pytest.mark.parametrize("args, work", [
+    # i + 4j + 3l + h = 10: the row adds 11+8+5 values of h over l = 0, 1, 2
+    # at 16 + 2 bitlen(12 // 2 + 1), then the (s, j) loop the same 13 terms
+    # as the boxed form
+    ((4, 20, 2), 24 * 22 + 13 * 22),
+    # at k = 1 every weight of m >= 1 cancels, so the (s, j) loop adds none;
+    # the row's terms cost 16 + 2 bitlen(10 // 2 + 1)
+    ((1, 12, 2), 3 * 9 * 22),
 ])
-def test_quadruple_sum_refuses_an_evaluation_past_its_term_limit(monkeypatch, args, terms):
+def test_quadruple_sum_refuses_an_evaluation_past_its_term_limit(monkeypatch, args, work):
     others = ((F.guarded_signed_boxed, F.guarded_count_boxed) if args[0] >= 2
               else (lambda *a: 0, lambda *a: 0))
-    _served_at_the_limit_refused_one_term_below(
-        monkeypatch, (F.guarded_signed_sum, F.guarded_count_sum), others, args, terms)
+    _served_at_the_limit_refused_one_below(
+        monkeypatch, (F.guarded_signed_sum, F.guarded_count_sum), others, args, work)
 
 
 def test_quadruple_sum_at_k1_answers_at_once():
@@ -304,40 +309,62 @@ def test_small_parts_matches_enumeration(k, n, m):
 
 
 @pytest.mark.parametrize("form, args, work", [
-    # 4 values of j, upper index up to n-1 = 9
-    (F.min_part_signed, (3, 10), 4 * 9),
-    (F.min_part_count, (3, 10), 4 * 9),
-    # target 19: j = 0..19, i + j peaks at j = 19 with i = 0
-    (F.congruent_signed, (1, 20, 4, 0), 20 * 19),
-    # target 19: j = 0..3, i + j peaks at j = 0 with i = 19
-    (F.congruent_signed, (5, 20, 1, 0), 4 * 19),
-    # i = 1..12 times l = 0, 1, upper index up to i = 12
-    (F.small_parts_signed, (2, 10, 1), 24 * 12),
+    # 4 values of j, C(9 - 2j, j): upper index up to 9, width up to 9 // 4,
+    # each term 16 + 2 bitlen(9 // 2 + 1)
+    (F.min_part_signed, (3, 10), 4 * (16 + 2 * 3)),
+    (F.min_part_count, (3, 10), 4 * (16 + 2 * 3)),
+    # target 19: j = 0..19, i + j peaks at j = 19 with i = 0, width up to 19 // 5
+    (F.congruent_signed, (1, 20, 4, 0), 20 * (16 + 3 * 3)),
+    # target 19: j = 0..3, i + j peaks at j = 0 with i = 19, width up to 19 // 6
+    (F.congruent_signed, (5, 20, 1, 0), 4 * (16 + 3 * 3)),
+    # i = 1..6 times l = 0, 1, upper index up to n = 10, width up to 10 // 3
+    (F.small_parts_signed, (2, 10, 1), 12 * (16 + 3 * 3)),
 ])
 def test_binomial_sum_refuses_work_past_its_limit(monkeypatch, form, args, work):
-    want = form(*args)
-    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work)
-    assert form(*args) == want
-    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work - 1)
-    with pytest.raises(ValueError, match=f"past the work limit of {work - 1}"):
-        form(*args)
+    _served_at_the_limit_refused_one_below(monkeypatch, (form,), (form,), args, work)
 
 
 def test_binomial_work_charge_bounds_every_upper_index(monkeypatch):
-    # the charge's upper index must be at least that of every binomial the
-    # loop evaluates, or a long sum of wide binomials would slip under it
-    tops = []
-    monkeypatch.setattr(F, "_check_work", lambda terms, top: tops.append(top))
-    exact = F.binomial
-    seen = []
-    monkeypatch.setattr(F, "binomial", lambda a, b: seen.append(a) or exact(a, b))
-    for k in range(1, 5):
-        for n in range(1, 30):
-            calls = [(F.min_part_signed, (k, n)), (F.min_part_count, (k, n))]
-            calls += [(F.small_parts_signed, (k, n, m)) for m in range(4)]
-            calls += [(F.congruent_signed, (k, n, r, s)) for r in range(1, 6) for s in range(r)]
-            for form, args in calls:
-                tops.clear()
-                seen.clear()
-                form(*args)
-                assert max(seen, default=0) <= max(tops, default=0), (form.__name__, args)
+    # every loop is charged before it runs, and the charge must bound the
+    # loop's terms and the upper index and width of every binomial it
+    # evaluates, or a long sum of wide binomials would slip under it; a
+    # multinomial over m variables counts as width m
+    loops = []  # per charge: [terms, top, width, calls, largest a, widest]
+
+    def charge(terms, top, width, spent=0):
+        loops.append([terms, top, width, 0, 0, 0])
+        return spent
+
+    def seen(a, width):
+        loop = loops[-1]  # an IndexError before the first charge
+        loop[3:] = loop[3] + 1, max(loop[4], a), max(loop[5], width)
+
+    exact, multinomial = F.binomial, F.monomial_specialization
+    monkeypatch.setattr(F, "_check_work", charge)
+    monkeypatch.setattr(F, "binomial", lambda a, b: seen(a, min(b, a - b)) or exact(a, b))
+    monkeypatch.setattr(F, "monomial_specialization",
+                        lambda parts, m: seen(m, m) or multinomial(parts, m))
+    # per form, the evaluations each term of each loop makes at most
+    forms = [(F.min_part_signed, [1]), (F.min_part_count, [1]), (F.congruent_signed, [1]),
+             (F.small_parts_signed, [3]), (F.guarded_signed_boxed, [1, 2]),
+             (F.guarded_count_boxed, [1, 2]), (F.guarded_signed_sum, [2, 2]),
+             (F.guarded_count_sum, [2, 2])]
+    for form, per_term in forms:
+        for k in range(1, 6):
+            for n in range(1, 30):
+                if form is F.congruent_signed:
+                    grid = [(k, n, r, s) for r in range(1, 6) for s in range(r)]
+                elif form in (F.min_part_signed, F.min_part_count):
+                    grid = [(k, n)]
+                elif form in (F.guarded_signed_boxed, F.guarded_count_boxed) and k < 2:
+                    grid = []
+                else:
+                    grid = [(k, n, m) for m in range(5)]
+                for args in grid:
+                    loops.clear()
+                    form(*args)
+                    # none before an early return, which evaluates nothing
+                    assert len(loops) in (0, len(per_term)), (form.__name__, args)
+                    for (terms, top, width, calls, a, widest), most in zip(loops, per_term):
+                        assert calls <= most * terms, (form.__name__, args)
+                        assert a <= top and widest <= width, (form.__name__, args)

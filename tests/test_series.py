@@ -77,6 +77,14 @@ def test_min_part_series_matches_formula():
         ]
 
 
+def test_min_part_series_weighted_one_counts_the_class():
+    # t = +1: the coefficient at x^size is the count itself, Munagi's row
+    for k in range(1, 5):
+        ts = S.min_part_series(k, 20, 1)
+        assert list(ts.coeffs[1:]) == [
+            C.count_compositions(size, C.MinPart(k)) for size in range(1, 21)]
+
+
 def test_congruent_series_matches_formula():
     for r in range(1, 5):
         for s in range(0, r):

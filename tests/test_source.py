@@ -27,16 +27,35 @@ def test_readme_catalog_lists_every_token_once():
     assert sorted(tokens) == sorted(set(CHECK_NAMES) | set(cli.FORMULA_NAMES))
 
 
-def test_readme_bfile_commands_parse():
-    # the documented b-file commands are the only list of the rows we publish
+def readme_bfile_commands() -> list[list[str]]:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Sequences and b-files", 1)[1].split("\n## ", 1)[0]
-    commands = [line.split("#", 1)[0].split()[1:] for line in section.splitlines()
-                if line.startswith("compparity bfile emit ")]
+    return [line.split("#", 1)[0].split()[1:] for line in section.splitlines()
+            if line.startswith("compparity bfile emit ")]
+
+
+def test_readme_bfile_commands_parse():
+    # the documented b-file commands are the only list of the rows we publish
+    commands = readme_bfile_commands()
     assert len(commands) >= 11
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
         assert args.seq in cli._IDENTITIES, argv
+
+
+def test_readme_bfile_commands_write_every_term(tmp_path, capsys):
+    # each row passes its spot checks, which go through the charged closed forms
+    for number, argv in enumerate(readme_bfile_commands()):
+        path = tmp_path / f"{number}.txt"
+        if "--file" in argv:
+            argv[argv.index("--file") + 1] = str(path)
+        else:
+            argv += ["--file", str(path)]
+        assert cli.main(argv) == 0, argv
+        args = cli.build_parser().parse_args(argv)
+        terms = args.max_n - cli._IDENTITIES[args.seq].offset + 1
+        assert len(path.read_text(encoding="ascii").splitlines()) == terms, argv
+    assert capsys.readouterr().out == ""
 
 
 def imported_modules(path: pathlib.Path) -> set[str]:
