@@ -10,7 +10,9 @@ integral.
 The generating functions of the signed composition counts live here too.
 They all have the shape "1 - sum over n >= 1 of value_n * x^(n+k-1)", so
 the signed value at index n is minus the series coefficient at n+k-1;
-``signed_values`` performs that extraction.
+``signed_values`` performs that extraction.  ``parts_in_series`` is the
+one builder for parts in an eventually periodic set (the class
+``compositions.PartsIn``); ``min_part_series`` and ``congruent_series`` call it.
 """
 
 from __future__ import annotations
@@ -231,6 +233,25 @@ def _up_to(order: int, *terms: tuple[int, int]) -> IntPolynomial:
     return IntPolynomial(tuple(c))
 
 
+def parts_in_series(least: int, period: int, residues: tuple[int, ...], t: int,
+                    order: int) -> TruncatedSeries:
+    """1/(1 - t P(x)) = (1-x^p) / (1-x^p - t sum of x^a), p the period.
+
+    The parts >= least in each residue rho run a, a+p, ..., a = least +
+    (rho-least) % p, so they sum to P(x) = sum of x^a/(1-x^p).  Written by
+    hand, never from ``compositions.PartsIn.step``; t weights every part.
+    """
+    if least < 1 or period < 1 or not residues or not all(0 <= rho < period for rho in residues):
+        raise ValueError(f"requires least, period >= 1 and residues in 0..{period - 1}, "
+                         f"got least={least}, period={period}, residues={residues!r}")
+    if t not in (-1, 1):
+        raise ValueError(f"requires t = -1 or +1, got t={t}")
+    smallest = {least + (rho - least) % period for rho in residues}
+    num = _up_to(order, (0, 1), (period, -1))
+    den = _up_to(order, (0, 1), (period, -1), *((a, -t) for a in smallest))
+    return expand_rational(num, den, order)
+
+
 def min_part_series(k: int, order: int, t: int = -1) -> TruncatedSeries:
     """(1-x) / (1-x-t x^k), every part >= k weighted by t.
 
@@ -239,11 +260,7 @@ def min_part_series(k: int, order: int, t: int = -1) -> TruncatedSeries:
     """
     if k < 1:
         raise ValueError(f"requires k >= 1, got k={k}")
-    if t not in (-1, 1):
-        raise ValueError(f"requires t = -1 or +1, got t={t}")
-    num = _up_to(order, (0, 1), (1, -1))
-    den = _up_to(order, (0, 1), (1, -1), (k, -t))
-    return expand_rational(num, den, order)
+    return parts_in_series(k, 1, (0,), t, order)
 
 
 def congruent_series(k: int, r: int, s: int, order: int) -> TruncatedSeries:
@@ -252,9 +269,7 @@ def congruent_series(k: int, r: int, s: int, order: int) -> TruncatedSeries:
         raise ValueError(f"requires k >= 1, got k={k}")
     if r < 1 or not 0 <= s < r:
         raise ValueError(f"requires 0 <= s < r and r >= 1, got r={r}, s={s}")
-    num = _up_to(order, (0, 1), (r, -1))
-    den = _up_to(order, (0, 1), (r, -1), (k + s, 1))
-    return expand_rational(num, den, order)
+    return parts_in_series(k, r, ((k + s) % r,), -1, order)
 
 
 def periodic_series(r: int, order: int) -> TruncatedSeries:

@@ -339,12 +339,15 @@ _SWEEPS = {
     "comp1": _Sweep("n=1..22", (
         _Route("enumeration", lambda n: compositions.count_compositions(n, OddParts())),
         _Route("companion class", lambda n: compositions.count_compositions(n + 1, MinPart(2))),
+        _Route("series", lambda n:
+               _row(series.parts_in_series, 1, 2, (1,), 1, size=(n,)).coeffs[n]),
     )),
     "comp2": _Sweep("k=1..5 n=1..20", (
         _Route("enumeration", lambda k, n:
                compositions.count_compositions(n, MinPartCongruent(1, k, 0))),
+        # at k = 1 both classes are all compositions of n: one tally
         _Route("companion class", lambda k, n:
-               compositions.count_compositions(n + k - 1, MinPart(k))),
+               compositions.count_compositions(n + k - 1, MinPart(k)), lambda k, n: k >= 2),
         _Route("closed form", lambda k, n: formulas.min_part_count(k, n)),
     )),
     "comp3": _Sweep("k=1..4 m=0..3 n=1..16", (

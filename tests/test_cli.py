@@ -371,6 +371,19 @@ def test_unused_flags_and_empty_grids_exit_2(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, stderr", [
+    ("count --class minpart --k 0 --n 5", "error: MinPart requires k >= 1, got k=0\n"),
+    ("count --class congruent --k 1 --r 0 --s 0 --n 5",
+     "error: MinPartCongruent requires r >= 1, got r=0\n"),
+    ("count --class congruent --k 1 --r 2 --s 2 --n 5",
+     "error: MinPartCongruent requires 0 <= s < r, got s=2, r=2\n"),
+    ("count --class congruent --k 0 --r 2 --s 1 --n 5",
+     "error: MinPartCongruent requires k >= 1, got k=0\n"),
+])
+def test_class_parameter_errors_exit_2_with_their_message(capsys, argv, stderr):
+    assert run_cli(capsys, *argv.split()) == (2, "", stderr)
+
+
 def test_optional_k_of_collapsed_identities(capsys):
     code, out, err = run_cli(capsys, "formula", "cor-period", "--k", "3", "--r", "2", "--s", "1",
                              "--n", "4")

@@ -5,6 +5,8 @@ cross-checked against standard references where one exists (powers of
 two, Fibonacci, compositions into distinct parts).
 """
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,52 @@ def test_min_part_congruent_parts():
         C.MinPartCongruent(2, 3, 3)
     with pytest.raises(ValueError):
         C.MinPartCongruent(2, 0, 0)
+
+
+# every part set with least <= 4, period <= 4 and a nonempty residue set
+PARTS_IN = [C.PartsIn(least, period, residues)
+            for least in range(1, 5) for period in range(1, 5)
+            for size in range(1, period + 1)
+            for residues in itertools.combinations(range(period), size)]
+
+
+def test_parts_in_grid_is_every_declaration():
+    assert len(PARTS_IN) == len(set(PARTS_IN)) == 104
+
+
+def test_parts_in_generator_matches_the_predicate():
+    for n in range(9):
+        everything = list(C.All().iter_parts(n))
+        for cls in PARTS_IN:
+            assert list(cls.iter_parts(n)) == [p for p in everything if cls.contains(p)], (cls, n)
+
+
+def test_parts_in_steps_alike_one_period_apart():
+    # from `least` on, the part set repeats with its period
+    for cls in PARTS_IN:
+        for p in range(cls.least, cls.least + 3 * cls.period):
+            assert cls.step(0, p) == cls.step(0, p + cls.period), (cls, p)
+
+
+@pytest.mark.parametrize("args", [
+    (0, 1, (0,)), (1, 0, (0,)), (2, 3, ()), (2, 3, (3,)), (2, 3, (-1,)), (1, 2, (0, 2)),
+])
+def test_parts_in_rejects_bad_declarations(args):
+    with pytest.raises(ValueError, match="PartsIn requires"):
+        C.PartsIn(*args)
+
+
+def test_equal_part_sets_are_one_class():
+    assert C.OddParts() == C.MinPartCongruent(1, 2, 0) == C.PartsIn(1, 2, (1,))
+    assert C.All() == C.MinPart(1) == C.MinPartCongruent(1, 1, 0) == C.PartsIn(1, 1, (0,))
+    assert C.MinPartCongruent(5, 3, 1) == C.PartsIn(5, 3, (0,))
+    # residues are kept sorted and without repeats
+    assert C.PartsIn(2, 4, [3, 1, 3]) == C.PartsIn(2, 4, (1, 3))
+    assert C.PartsIn(2, 4, [3, 1, 3]).residues == (1, 3)
+    assert hash(C.OddParts()) == hash(C.MinPartCongruent(1, 2, 0))
+    assert hash(C.All()) == hash(C.MinPart(1)) == hash(C.MinPartCongruent(1, 1, 0))
+    assert len({C.OddParts(), C.MinPartCongruent(1, 2, 0), C.All(), C.MinPart(1)}) == 2
+    assert C.OddParts() != C.All()
 
 
 def test_distinct_part_counts():

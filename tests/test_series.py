@@ -95,6 +95,42 @@ def test_congruent_series_matches_formula():
                 ]
 
 
+# every part set with least <= 4, period <= 4 and a nonempty residue set
+PARTS_IN = [(least, period, residues)
+            for least in range(1, 5) for period in range(1, 5)
+            for size in range(1, period + 1)
+            for residues in itertools.combinations(range(period), size)]
+
+
+def test_parts_in_series_equals_enumeration():
+    # size 0 too: the empty composition, even, gives -1 and 1
+    for least, period, residues in PARTS_IN:
+        neg = S.parts_in_series(least, period, residues, -1, 30)
+        pos = S.parts_in_series(least, period, residues, 1, 30)
+        cls = C.PartsIn(least, period, residues)
+        for n in range(31):
+            counts = C.signed_count(n, cls)
+            assert counts.diff == -neg.coeffs[n], (least, period, residues, n)
+            assert counts.total == pos.coeffs[n], (least, period, residues, n)
+
+
+def test_parts_in_series_does_not_run_the_class(monkeypatch):
+    want = {key: S.parts_in_series(*key, t, 20) for key in PARTS_IN for t in (-1, 1)}
+
+    def refuse(self, state, part):
+        raise AssertionError("the series route ran PartsIn.step")
+
+    monkeypatch.setattr(C.PartsIn, "step", refuse)
+    assert {key: S.parts_in_series(*key, t, 20) for key in PARTS_IN for t in (-1, 1)} == want
+
+
+def test_parts_in_series_rejects_bad_parameters():
+    for args in [(0, 1, (0,), 1, 5), (1, 0, (0,), 1, 5), (1, 2, (), 1, 5), (1, 2, (2,), 1, 5),
+                 (1, 2, (0,), 0, 5), (1, 2, (0,), 1, -1)]:
+        with pytest.raises(ValueError):
+            S.parts_in_series(*args)
+
+
 def test_periodic_series_row():
     assert S.periodic_series(1, 8).coeffs == (1, 0, -1, -1, 0, 1, 1, 0, -1)
 

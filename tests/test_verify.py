@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import time
 from collections import Counter
 
@@ -182,6 +183,49 @@ def test_partition_sweeps_pass_on_wide_grids(monkeypatch):
     assert time.perf_counter() - t0 < 5.0
 
 
+# Pairs of routes that read one stored tally: (sweep, quantity, route,
+# route).  euler's signed closed form counts odd-part partitions with the
+# tally that its enumeration signs; it needs a product of its own (ROADMAP
+# item 3).
+SHARED_TALLIES = {("euler", "signed", "closed form", "enumeration")}
+
+
+def test_no_two_routes_read_one_tally(monkeypatch):
+    """Every route at every default instance, with the tally keys it reads.
+
+    Equal classes share one tally, so two routes whose classes are equal
+    would compare a number with itself.  The pairs found must be exactly
+    the declared ones, so the list can neither grow nor go stale.
+    """
+    read = set()
+    real = _automaton._counts
+
+    def recording(key, *args):
+        read.add(key)
+        return real(key, *args)
+
+    monkeypatch.setattr(_automaton, "_counts", recording)
+    found = set()
+    for name, sweep in verify._SWEEPS.items():
+        if not sweep.routes:
+            continue
+        instances, _ = verify.expand(name, SweepConfig())
+        if name == "cor-period":  # its value instances, without the shift checks
+            instances = [p[1:] for p in instances if p[0] == "value"]
+        for params in instances:
+            for quantity, routes in (("", sweep.routes), *sweep.also):
+                keys = []
+                for route in routes:
+                    read.clear()
+                    if route.when is None or route.when(*params):
+                        route.value(*params)
+                    keys.append((route.name, set(read)))
+                for (a, ka), (b, kb) in itertools.combinations(keys, 2):
+                    if ka & kb:
+                        found.add((name, quantity, a, b))
+    assert found == SHARED_TALLIES
+
+
 # ---------------------------------------------------------------------------
 # routes: one comparison loop, a fixed vocabulary
 # ---------------------------------------------------------------------------
@@ -325,6 +369,7 @@ def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
         "small_parts_series": 4,
         "guarded_series": 28,  # thm4's (k, m, t), 3 x 4 x 2, and comp3's k=1 rows
         "pentagonal_product": 1,  # legendre's; the pentagonal sweep builds its own
+        "parts_in_series": 1,  # comp1's odd parts
     }
 
 
