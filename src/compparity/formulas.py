@@ -50,15 +50,16 @@ def _check_rs(r: int, s: int) -> None:
 # Most work one evaluation may do.  Each loop is charged before it runs:
 # its terms times 16 + b * bitlen(a // b + 1), where a bounds the upper
 # index and b the width min(b', a - b') of every C(a', b') the loop
-# evaluates.  The product is about the bit length of the longest binomial,
-# which sets its time, and 16 is a term's fixed cost in the same unit.  A
-# call just under the limit takes about 1 s on a 2-core x86 machine.
+# evaluates, once per such binomial a term evaluates.  The product is about
+# the bit length of the longest binomial, which sets its time, and 16 is a
+# term's fixed cost in the same unit.  A call just under the limit takes
+# about 1 s on a 2-core x86 machine.
 MAX_BINOMIAL_WORK = 16_000_000
 
 
-def _check_work(terms: int, top: int, width: int, spent: int = 0) -> int:
+def _check_work(terms: int, top: int, width: int, spent: int = 0, binomials: int = 1) -> int:
     """The work charged so far with this loop added, or ValueError past the limit."""
-    work = spent + terms * (16 + width * (top // max(width, 1) + 1).bit_length())
+    work = spent + binomials * terms * (16 + width * (top // max(width, 1) + 1).bit_length())
     if work > MAX_BINOMIAL_WORK:
         raise ValueError(f"the sum takes at least {terms} terms of C(a, b) with a <= {top}, "
                          f"min(b, a-b) <= {width}, past the work limit of {MAX_BINOMIAL_WORK}")
@@ -258,7 +259,8 @@ def monomial_specialization(parts: tuple[int, ...], height: int) -> int:
 # Both forms sum w(s) (-1)^j C(i, m) C(i+j-1, j) over s, j >= 0 with
 # i = n - (k+1)m - s - jk and differ only in the weight row w; each keeps
 # its own (s, j) loop, so neither form computes through the other.  That
-# loop is charged on top of the weight row.
+# loop is charged on top of the weight row, twice: each of its terms
+# evaluates two binomials within the same bounds.
 
 
 def guarded_signed_boxed(k: int, n: int, m: int) -> int:
@@ -281,7 +283,7 @@ def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
 
     The walk takes one multinomial over m variables per partition, counted
     by size before it starts, and the (s, j) loop (n-(k+1)m-s)//k + 1
-    terms per weight.
+    terms of two binomials per weight.
     """
     _check_kn(k, n, m)
     if k < 2:
@@ -297,7 +299,7 @@ def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
     for parts in boxed_partitions(k - 2, m, room):
         weight[sum(parts)] += monomial_specialization(parts, m)
     _check_work(sum((room - s) // k + 1 for s in range(len(weight))), room, max(m, room // k),
-                spent)
+                spent, binomials=2)
     total, sign = 0, -1 if signed else 1
     for s, w in enumerate(weight):
         for j in range((room - s) // k + 1):
@@ -325,7 +327,8 @@ def _guarded_quadruple(k: int, n: int, m: int, signed: bool) -> int:
     """The quadruple sum: w(s) adds (-1)^l C(m, l) C(m+h-1, h) over l(k-1) + h = s.
 
     The row costs one term per (l, h) and the (s, j) loop (n-(k+1)m-s)//k + 1
-    per nonzero weight.  At k = 1 every weight of m >= 1 cancels.
+    terms of two binomials per nonzero weight.  At k = 1 every weight of
+    m >= 1 cancels.
     """
     _check_kn(k, n, m)
     room = n - (k + 1) * m
@@ -339,7 +342,7 @@ def _guarded_quadruple(k: int, n: int, m: int, signed: bool) -> int:
         for h in range(room - l * (k - 1) + 1):
             weight[l * (k - 1) + h] += cl * binomial(m + h - 1, h)
     _check_work(sum((room - s) // k + 1 for s, w in enumerate(weight) if w), room,
-                max(m, room // k), spent)
+                max(m, room // k), spent, binomials=2)
     total, sign = 0, -1 if signed else 1
     for s, w in enumerate(weight):
         if w:

@@ -2,11 +2,16 @@
 
 Partitions are weakly decreasing tuples of positive integers.  Enumeration
 is in descending lexicographic order on part tuples, e.g. for n = 4:
-(4), (3,1), (2,2), (2,1,1), (1,1,1,1).  As with compositions, every class
-carries both a predicate and a generator, which define it, and a
+(4), (3,1), (2,2), (2,1,1), (1,1,1,1).  Every class carries a predicate,
+which defines it and filters all partitions into its members, and a
 membership automaton that reads a partition one value at a time, 1, 2, ...,
-each with its multiplicity (0 when the value does not occur).
-``signed_count`` and ``count_partitions`` tally that automaton in
+each with its multiplicity (0 when the value does not occur).  The
+classes behind Legendre's, Euler's and Glaisher's theorems, Nyirenda's
+identities and the companions in Andrews' restrict parts to a periodic set
+and cap each value's multiplicity: one class, ``PartsIn``, that ``All``,
+``DistinctParts``, ``OddParts``, ``DistinctInResidues``,
+``MaxMultiplicity`` and ``NoPartDivisibleBy`` construct.
+``signed_count`` and ``count_partitions`` tally the automaton in
 ``compparity._automaton`` instead of walking the members; the tests hold
 the tally to ``iter_parts``.  It is the oracle for the classical partition
 identities checked elsewhere in the package.  A one-state class reaches
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator
+from typing import Hashable, Iterator
 
 from compparity._automaton import tally_partitions
 from compparity.compositions import SignedCount
@@ -57,22 +62,21 @@ class Partition:
 class PartitionClass:
     """Base class for partition restrictions.
 
-    A subclass supplies ``contains``, and may replace the filtering
-    ``iter_parts`` with a generator of its own.  It also supplies ``step``,
-    which with ``start`` and ``accept`` reads the values 1, 2, ... in turn:
-    ``mult >= 0`` copies of ``value``.  It returns the next state, or
-    ``None`` when no member continues so; reading ``mult == 0`` past a
-    member's largest part must leave ``accept`` unchanged.  The defaults
-    suit a one-state rule on each value alone.
+    A subclass supplies ``contains``, which ``iter_parts`` applies to every
+    partition, and ``step``, which with ``start`` and ``accept`` reads the
+    values 1, 2, ... in turn: ``mult >= 0`` copies of ``value``.  It returns
+    the next state, or ``None`` when no member continues so; reading
+    ``mult == 0`` past a member's largest part must leave ``accept``
+    unchanged.  The defaults suit a one-state rule on each value alone.
     """
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         raise NotImplementedError
 
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        """The members of size n: by default every partition that ``contains`` accepts."""
+        """The members of size n: every partition that ``contains`` accepts."""
         _check_size(n)
-        return _filtered(n, self.contains)
+        return (p for p in _iter_partitions(n, n) if self.contains(p))
 
     def start(self) -> Hashable:
         return 0
@@ -89,134 +93,96 @@ def _check_size(n: int) -> None:
         raise ValueError(f"partition size must be >= 0, got {n}")
 
 
-def _iter_partitions(
-    n: int,
-    max_part: int,
-    allowed: Callable[[int], bool] | None,
-    strict: bool,
-) -> Iterator[tuple[int, ...]]:
-    """Weakly (or strictly) decreasing part tuples, descending lex order."""
+def _iter_partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing part tuples, descending lex order."""
     if n == 0:
         yield ()
         return
     for first in range(min(n, max_part), 0, -1):
-        if allowed is not None and not allowed(first):
-            continue
-        cap = first - 1 if strict else first
-        for rest in _iter_partitions(n - first, cap, allowed, strict):
+        for rest in _iter_partitions(n - first, first):
             yield (first,) + rest
 
 
-def _filtered(n: int, pred: Callable[[tuple[int, ...]], bool]) -> Iterator[tuple[int, ...]]:
-    return (p for p in _iter_partitions(n, n if n else 1, None, False) if pred(p))
-
-
 @dataclass(frozen=True)
-class All(PartitionClass):
+class PartsIn(PartitionClass):
+    """Every part v has v % period in residues and occurs at most ``most`` times.
+
+    ``most=None`` sets no cap.  The residues are kept sorted and once each,
+    and may be none, which leaves only the empty partition.
+    """
+
+    period: int
+    residues: tuple[int, ...]
+    most: int | None = None
+
+    def __post_init__(self) -> None:
+        residues = tuple(sorted(set(self.residues)))
+        if (self.period < 1 or residues and not 0 <= residues[0] <= residues[-1] < self.period
+                or self.most is not None and self.most < 0):
+            raise ValueError("PartsIn requires period >= 1, residues in 0..period-1 and "
+                             f"most >= 0 or None, got {self}")
+        object.__setattr__(self, "residues", residues)
+
     def contains(self, parts: tuple[int, ...]) -> bool:
-        return True
-
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _iter_partitions(n, n if n else 1, None, False)
-
-    def step(self, state: int, value: int, mult: int) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
-class DistinctParts(PartitionClass):
-    def contains(self, parts: tuple[int, ...]) -> bool:
-        return len(set(parts)) == len(parts)
-
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _iter_partitions(n, n if n else 1, None, True)
+        return all(v % self.period in self.residues for v in parts) and (
+            self.most is None or all(c <= self.most for c in Counter(parts).values()))
 
     def step(self, state: int, value: int, mult: int) -> int | None:
-        return 0 if mult <= 1 else None
+        return 0 if mult == 0 or value % self.period in self.residues and (
+            self.most is None or mult <= self.most) else None
 
 
-@dataclass(frozen=True)
-class OddParts(PartitionClass):
-    def contains(self, parts: tuple[int, ...]) -> bool:
-        return all(p % 2 == 1 for p in parts)
+# Named part sets, each returning a PartsIn; classes, so perfbench's tracer skips them.
+class All:
+    """No restriction: every partition."""
 
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _iter_partitions(n, n if n else 1, lambda p: p % 2 == 1, False)
-
-    def step(self, state: int, value: int, mult: int) -> int | None:
-        return 0 if mult == 0 or value % 2 == 1 else None
+    def __new__(cls) -> PartsIn:
+        return PartsIn(1, (0,))
 
 
-@dataclass(frozen=True)
-class DistinctInResidues(PartitionClass):
+class DistinctParts:
+    """No part value occurs twice."""
+
+    def __new__(cls) -> PartsIn:
+        return PartsIn(1, (0,), 1)
+
+
+class OddParts:
+    """Every part odd."""
+
+    def __new__(cls) -> PartsIn:
+        return PartsIn(2, (1,))
+
+
+class DistinctInResidues:
     """Distinct parts, all lying in the given residue set modulo ``modulus``."""
 
-    modulus: int
-    residues: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if not self.residues:
+    def __new__(cls, modulus: int, residues: frozenset[int]) -> PartsIn:
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if not residues:
             raise ValueError("residue set must be nonempty")
-        if any(not 0 <= r < self.modulus for r in self.residues):
-            raise ValueError(
-                f"residues {sorted(self.residues)} out of range for modulus {self.modulus}"
-            )
-
-    def contains(self, parts: tuple[int, ...]) -> bool:
-        if len(set(parts)) != len(parts):
-            return False
-        return all(p % self.modulus in self.residues for p in parts)
-
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        mod, res = self.modulus, self.residues
-        return _iter_partitions(n, n if n else 1, lambda p: p % mod in res, True)
-
-    def step(self, state: int, value: int, mult: int) -> int | None:
-        return 0 if mult == 0 or mult == 1 and value % self.modulus in self.residues else None
+        if any(not 0 <= r < modulus for r in residues):
+            raise ValueError(f"residues {sorted(residues)} out of range for modulus {modulus}")
+        return PartsIn(modulus, tuple(residues), 1)
 
 
-@dataclass(frozen=True)
-class MaxMultiplicity(PartitionClass):
+class MaxMultiplicity:
     """No part value occurs ``bound`` or more times."""
 
-    bound: int
-
-    def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise ValueError(f"bound must be >= 1, got {self.bound}")
-
-    def contains(self, parts: tuple[int, ...]) -> bool:
-        counts = Counter(parts)
-        return all(c < self.bound for c in counts.values())
-
-    def step(self, state: int, value: int, mult: int) -> int | None:
-        return 0 if mult < self.bound else None
+    def __new__(cls, bound: int) -> PartsIn:
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        return PartsIn(1, (0,), bound - 1)
 
 
-@dataclass(frozen=True)
-class NoPartDivisibleBy(PartitionClass):
-    k: int
+class NoPartDivisibleBy:
+    """No part divisible by k."""
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"NoPartDivisibleBy requires k >= 1, got k={self.k}")
-
-    def contains(self, parts: tuple[int, ...]) -> bool:
-        return all(p % self.k != 0 for p in parts)
-
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        k = self.k
-        return _iter_partitions(n, n if n else 1, lambda p: p % k != 0, False)
-
-    def step(self, state: int, value: int, mult: int) -> int | None:
-        return 0 if mult == 0 or value % self.k != 0 else None
+    def __new__(cls, k: int) -> PartsIn:
+        if k < 1:
+            raise ValueError(f"NoPartDivisibleBy requires k >= 1, got k={k}")
+        return PartsIn(k, tuple(range(1, k)))
 
 
 @dataclass(frozen=True)

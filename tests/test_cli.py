@@ -103,6 +103,10 @@ def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     # few terms, but binomials too long: 8,000 of them took 12 s
     "formula thm4 --k 2 --m 1 --n 16000",
     "formula thm4 --k 2 --m 1 --n 1000000",
+    # each term of the (s, j) loop evaluates two binomials; charged as one,
+    # these were served after 1.5 s
+    "formula thm4 --k 2 --m 2000 --n 11647",
+    "formula thm4a --k 2 --m 2000 --n 11647",
 ])
 def test_binomial_sum_past_its_work_limit_exits_2_at_once(argv):
     # unbounded, the first three ran for over 60 s and the fourth for 39 s

@@ -223,12 +223,12 @@ def _served_at_the_limit_refused_one_below(monkeypatch, forms, others, args, wor
 
 @pytest.mark.parametrize("args, work", [
     # the six partitions of the 2 x 2 box at 16 + 2 bitlen(2 // 2 + 1) each,
-    # then 3+3+3+2+2 values of j for sizes 0..4, as (10 - s)//4 + 1, at
-    # 16 + 2 bitlen(10 // 2 + 1)
-    ((4, 20, 2), 6 * 20 + 13 * 22),
+    # then 3+3+3+2+2 values of j for sizes 0..4, as (10 - s)//4 + 1, of two
+    # binomials at 16 + 2 bitlen(10 // 2 + 1)
+    ((4, 20, 2), 6 * 20 + 2 * 13 * 22),
     # the ten partitions of size <= 4 in the 3 x 3 box at 16 + 3 bitlen(2),
-    # then one j per size at 16 + 3 bitlen(4 // 3 + 1)
-    ((5, 22, 3), 10 * 22 + 5 * 22),
+    # then one j per size, of two binomials at 16 + 3 bitlen(4 // 3 + 1)
+    ((5, 22, 3), 10 * 22 + 2 * 5 * 22),
 ])
 def test_boxed_form_refuses_an_evaluation_past_its_term_limit(monkeypatch, args, work):
     _served_at_the_limit_refused_one_below(
@@ -249,8 +249,8 @@ def test_boxed_form_counts_a_large_box_before_walking_it(monkeypatch):
 @pytest.mark.parametrize("args, work", [
     # i + 4j + 3l + h = 10: the row adds 11+8+5 values of h over l = 0, 1, 2
     # at 16 + 2 bitlen(12 // 2 + 1), then the (s, j) loop the same 13 terms
-    # as the boxed form
-    ((4, 20, 2), 24 * 22 + 13 * 22),
+    # of two binomials as the boxed form
+    ((4, 20, 2), 24 * 22 + 2 * 13 * 22),
     # at k = 1 every weight of m >= 1 cancels, so the (s, j) loop adds none;
     # the row's terms cost 16 + 2 bitlen(10 // 2 + 1)
     ((1, 12, 2), 3 * 9 * 22),
@@ -331,7 +331,7 @@ def test_binomial_work_charge_bounds_every_upper_index(monkeypatch):
     # multinomial over m variables counts as width m
     loops = []  # per charge: [terms, top, width, calls, largest a, widest]
 
-    def charge(terms, top, width, spent=0):
+    def charge(terms, top, width, spent=0, binomials=1):
         loops.append([terms, top, width, 0, 0, 0])
         return spent
 
