@@ -6,7 +6,10 @@ class pairs a membership predicate (``contains``) with a pruned recursive
 generator (``iter_parts``); the test suite checks the two against each
 other, and together they define the class.  Theorems 1-3 restrict parts
 to an eventually periodic set: one class, ``PartsIn``, that ``All``,
-``MinPart``, ``MinPartCongruent`` and ``OddParts`` construct.
+``MinPart``, ``MinPartCongruent`` and ``OddParts`` construct.  Theorem 4's
+unguarded companion and the comp3 identity allow exactly m marked parts
+outside such a set, each at least some bound: one class, ``MarkedParts``,
+that ``ExactSmall`` and ``ModOneExcept`` construct.
 
 Counts do not walk the members.  Each class also states its membership
 rule as an automaton that reads one part at a time (``start``, ``step``,
@@ -80,7 +83,10 @@ class CompositionClass:
     lexicographic order, each exactly once) and ``step``, which with
     ``start`` and ``accept`` reads a member one part at a time: it returns
     the state after ``part`` or ``None`` when no member continues so.  The
-    defaults suit a one-state rule on each part alone.
+    defaults suit a one-state rule on each part alone.  The subclasses are
+    ``PartsIn`` (one state), ``MarkedParts`` (the state counts the marked
+    parts), ``GuardedSmall`` (small parts and a phase) and
+    ``DistinctParts`` (the set of parts used).
     """
 
     def contains(self, parts: tuple[int, ...]) -> bool:
@@ -207,47 +213,83 @@ class DistinctParts(CompositionClass):
 
 
 @dataclass(frozen=True)
-class ExactSmall(CompositionClass):
-    """Exactly m parts strictly less than k (the remaining parts are >= k)."""
+class MarkedParts(CompositionClass):
+    """Every part lies in ``plain`` or is a marked part >= least; exactly m are marked."""
 
-    k: int
+    plain: PartsIn
+    least: int
     m: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"ExactSmall requires k >= 1, got k={self.k}")
+        if self.least < 1:
+            raise ValueError(f"MarkedParts requires least >= 1, got least={self.least}")
         if self.m < 0:
-            raise ValueError(f"ExactSmall requires m >= 0, got m={self.m}")
+            raise ValueError(f"MarkedParts requires m >= 0, got m={self.m}")
 
     def contains(self, parts: tuple[int, ...]) -> bool:
-        return sum(1 for p in parts if p < self.k) == self.m
+        marked = [p for p in parts if not self.plain.contains((p,))]
+        return len(marked) == self.m and all(p >= self.least for p in marked)
 
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         _check_size(n)
-        return _iter_exact_small(n, self.k, self.m)
+        inside = self.plain.contains
+        # each part a member may have, with 1 when it is marked
+        allowed = [(p, 0 if inside((p,)) else 1) for p in range(1, n + 1)
+                   if p >= self.least or inside((p,))]
 
-    def step(self, small: int, part: int) -> int | None:
-        # the state counts the small parts read so far
-        if part < self.k:
-            small += 1
-        return small if small <= self.m else None
+        # prune as soon as the marked-part budget is overdrawn
+        def rec(rem: int, budget: int) -> Iterator[tuple[int, ...]]:
+            if rem == 0:
+                if budget == 0:
+                    yield ()
+                return
+            for first, marked in allowed:
+                if first > rem:
+                    return
+                if marked > budget:
+                    continue
+                for rest in rec(rem - first, budget - marked):
+                    yield (first,) + rest
 
-    def accept(self, small: int) -> bool:
-        return small == self.m
+        return rec(n, self.m)
+
+    def step(self, marked: int, part: int) -> int | None:
+        # the state counts the marked parts read so far; ``plain`` is read
+        # inline, since a call here would slow the tally's hot loop
+        plain = self.plain
+        if part >= plain.least and part % plain.period in plain.residues:
+            return marked
+        return marked + 1 if part >= self.least and marked < self.m else None
+
+    def accept(self, marked: int) -> bool:
+        return marked == self.m
 
 
-def _iter_exact_small(n: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
-    # prune as soon as the small-part budget m is overdrawn
-    if n == 0:
-        if m == 0:
-            yield ()
-        return
-    for first in range(1, n + 1):
-        m2 = m - 1 if first < k else m
-        if m2 < 0:
-            continue
-        for rest in _iter_exact_small(n - first, k, m2):
-            yield (first,) + rest
+# Marked-part classes, each returning a MarkedParts; classes, as above.
+class ExactSmall:
+    """Exactly m parts strictly less than k (the remaining parts are >= k)."""
+
+    def __new__(cls, k: int, m: int) -> MarkedParts:
+        if k < 1:
+            raise ValueError(f"ExactSmall requires k >= 1, got k={k}")
+        if m < 0:
+            raise ValueError(f"ExactSmall requires m >= 0, got m={m}")
+        return MarkedParts(PartsIn(k, 1, (0,)), 1, m)
+
+
+class ModOneExcept:
+    """Parts congruent to 1 mod k, except exactly m parts, each > k.
+
+    The m exceptional parts must both exceed k and lie outside the residue
+    class 1 mod k.
+    """
+
+    def __new__(cls, k: int, m: int) -> MarkedParts:
+        if k < 1:
+            raise ValueError(f"ModOneExcept requires k >= 1, got k={k}")
+        if m < 0:
+            raise ValueError(f"ModOneExcept requires m >= 0, got m={m}")
+        return MarkedParts(PartsIn(1, k, (1 % k,)), k + 1, m)
 
 
 # phases of the GuardedSmall automaton
@@ -295,7 +337,7 @@ class GuardedSmall(CompositionClass):
     def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
         _check_size(n)
         k = self.k
-        return (c for c in _iter_exact_small(n, k, self.m) if is_guarded(c, k))
+        return (c for c in ExactSmall(k, self.m).iter_parts(n) if is_guarded(c, k))
 
     # A transfer-matrix state (small parts used, phase) with the phases:
     # nothing read yet; last part >= k; a small part waiting for a
@@ -321,60 +363,6 @@ class GuardedSmall(CompositionClass):
     def accept(self, state: tuple[int, int]) -> bool:
         small, phase = state
         return small == self.m and phase != _PENDING
-
-
-@dataclass(frozen=True)
-class ModOneExcept(CompositionClass):
-    """Parts congruent to 1 mod k, except exactly m parts, each > k.
-
-    The m exceptional parts must both exceed k and lie outside the residue
-    class 1 mod k.
-    """
-
-    k: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"ModOneExcept requires k >= 1, got k={self.k}")
-        if self.m < 0:
-            raise ValueError(f"ModOneExcept requires m >= 0, got m={self.m}")
-
-    def contains(self, parts: tuple[int, ...]) -> bool:
-        k = self.k
-        bad = [p for p in parts if p % k != 1 % k]
-        return len(bad) == self.m and all(p > k for p in bad)
-
-    def iter_parts(self, n: int) -> Iterator[tuple[int, ...]]:
-        _check_size(n)
-        return _iter_mod_one_except(n, self.k, self.m)
-
-    def step(self, bad: int, part: int) -> int | None:
-        # the state counts the exceptional parts read so far
-        k = self.k
-        if part % k == 1 % k:
-            return bad
-        return bad + 1 if part > k and bad < self.m else None
-
-    def accept(self, bad: int) -> bool:
-        return bad == self.m
-
-
-def _iter_mod_one_except(n: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        if m == 0:
-            yield ()
-        return
-    res = 1 % k
-    for first in range(1, n + 1):
-        if first % k == res:
-            m2 = m
-        elif first > k and m > 0:
-            m2 = m - 1
-        else:
-            continue
-        for rest in _iter_mod_one_except(n - first, k, m2):
-            yield (first,) + rest
 
 
 def enumerate_compositions(n: int, cls: CompositionClass) -> list[Composition]:

@@ -383,6 +383,11 @@ def test_unused_flags_and_empty_grids_exit_2(capsys, argv, message):
      "error: MinPartCongruent requires 0 <= s < r, got s=2, r=2\n"),
     ("count --class congruent --k 0 --r 2 --s 1 --n 5",
      "error: MinPartCongruent requires k >= 1, got k=0\n"),
+    ("count --class small --k 0 --m 1 --n 3", "error: ExactSmall requires k >= 1, got k=0\n"),
+    ("count --class small --k 2 --m -1 --n 3", "error: ExactSmall requires m >= 0, got m=-1\n"),
+    ("count --class modone --k 0 --m 1 --n 3", "error: ModOneExcept requires k >= 1, got k=0\n"),
+    ("count --class modone --k 2 --m -1 --n 3",
+     "error: ModOneExcept requires m >= 0, got m=-1\n"),
 ])
 def test_class_parameter_errors_exit_2_with_their_message(capsys, argv, stderr):
     assert run_cli(capsys, *argv.split()) == (2, "", stderr)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compparity import _automaton
 from compparity import compositions as C
 
 
@@ -107,6 +108,80 @@ def test_equal_part_sets_are_one_class():
     assert hash(C.All()) == hash(C.MinPart(1)) == hash(C.MinPartCongruent(1, 1, 0))
     assert len({C.OddParts(), C.MinPartCongruent(1, 2, 0), C.All(), C.MinPart(1)}) == 2
     assert C.OddParts() != C.All()
+
+
+# every marked-part declaration over the part sets above, least <= 4 and m <= 2
+MARKED = [C.MarkedParts(plain, least, m)
+          for plain in PARTS_IN for least in range(1, 5) for m in range(3)]
+
+
+def test_marked_grid_is_every_declaration():
+    assert len(MARKED) == len(set(MARKED)) == 1248
+
+
+def test_marked_generator_matches_the_predicate():
+    for n in range(9):
+        everything = list(C.All().iter_parts(n))
+        for cls in MARKED:
+            assert list(cls.iter_parts(n)) == [p for p in everything if cls.contains(p)], (cls, n)
+
+
+def test_marked_tally_matches_the_members(monkeypatch):
+    monkeypatch.setattr(_automaton, "_COUNTS", {})
+    for cls in MARKED:
+        for n in range(10, -1, -1):  # largest first, so one tally per class
+            parities = [len(parts) % 2 for parts in cls.iter_parts(n)]
+            odd = sum(parities)
+            assert C.signed_count(n, cls) == C.SignedCount(odd, len(parities) - odd), (cls, n)
+
+
+@pytest.mark.parametrize("least, m", [(0, 1), (2, -1)])
+def test_marked_parts_rejects_bad_declarations(least, m):
+    with pytest.raises(ValueError, match="MarkedParts requires"):
+        C.MarkedParts(C.MinPart(2), least, m)
+
+
+def test_marked_part_classes_are_their_declarations():
+    for k in range(1, 6):
+        for m in range(4):
+            assert C.ExactSmall(k, m) == C.MarkedParts(C.PartsIn(k, 1, (0,)), 1, m)
+            assert C.ModOneExcept(k, m) == C.MarkedParts(C.PartsIn(1, k, (1 % k,)), k + 1, m)
+
+
+def reachable(cls, top: int) -> set:
+    """The states that steps over parts 1..top reach from ``start``."""
+    seen = {cls.start()}
+    todo = list(seen)
+    while todo:
+        state = todo.pop()
+        for part in range(1, top + 1):
+            nxt = cls.step(state, part)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+# (class, T, P): from part T on, the steps repeat with period P
+WINDOWS = (
+    [(cls, max(cls.plain.least, cls.least), cls.plain.period) for cls in MARKED]
+    + [(C.GuardedSmall(k, m), k + 1, 1) for k in range(1, 6) for m in range(5)]
+)
+
+
+def test_steps_alike_one_period_apart_at_every_reachable_state():
+    """Lint of each declared part window (T, P), not a proof of it.
+
+    ``step(s, p) == step(s, p + P)`` is checked at every state s that
+    parts 1..T+3P+2 reach, and only for T <= p < T + 3P.
+    """
+    checks = 0
+    for cls, least, period in WINDOWS:
+        for state in reachable(cls, least + 3 * period + 2):
+            for p in range(least, least + 3 * period):
+                assert cls.step(state, p) == cls.step(state, p + period), (cls, state, p)
+                checks += 1
+    assert checks == 24954
 
 
 def test_distinct_part_counts():
