@@ -85,7 +85,8 @@ class _Identity:
     ``note(a, n)`` the stderr line of ``formula``, or None for a sequence
     with no formula; ``a`` holds the flags once ``k_default`` has filled an
     absent --k.  ``row(a, count)``, where given, is the first ``count``
-    terms from the generating function, on a route ``value`` does not take.
+    terms from the generating function or its recurrence, on a route
+    ``value`` does not take.
     """
 
     flags: str
@@ -109,7 +110,8 @@ _IDENTITIES = {
     "thm3": _Identity(
         "k r s", 1, lambda a, n: formulas.congruent_signed(a.k, n, a.r, a.s),
         lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= "
-        f"{a.k} congruent to {a.k + a.s} mod {a.r}"),
+        f"{a.k} congruent to {a.k + a.s} mod {a.r}",
+        row=lambda a, count: formulas.congruent_signed_sequence(a.k, a.r, a.s, count)),
     "cor-rs": _Identity(
         "r s k?", 1, lambda a, n: formulas.congruent_indicator(a.k, n, a.r, a.s),
         lambda a, n: f"n={n}, k={a.k}=r-s: class on size {n + a.k - 1}",

@@ -136,7 +136,9 @@ def congruent_signed(k: int, n: int, r: int, s: int) -> int:
     compositions of i+j+1 into j+1 positive parts, which stars and bars
     counts as C(i+j, i).  For a given j at most one i satisfies the
     constraint, and the sign is that of the length, as in
-    ``min_part_signed``.
+    ``min_part_signed``.  Such an i exists only when (k+s)j = target
+    (mod r), so with g = gcd(r, k+s) the sum is 0 unless g divides the
+    target, and else runs over one residue class of j mod r/g.
     """
     _check_kn(k, n)
     _check_rs(r, s)
@@ -148,13 +150,36 @@ def congruent_signed(k: int, n: int, r: int, s: int) -> int:
     # linear in j, peaks at j = 0 or j = last
     _check_work(last + 1, max(target // r, (target - last * (k + s)) // r + last),
                 target // (r + k + s))
+    g = math.gcd(r, k + s)
+    if target % g:
+        return 0
+    step = r // g
+    first = target // g * pow((k + s) // g, -1, step) % step
     total = 0
-    for j in range(last + 1):
-        rem = target - j * (k + s)
-        if rem % r == 0:
-            i = rem // r
-            total += (-1) ** j * binomial(i + j, i)
+    for j in range(first, last + 1, step):
+        i = (target - j * (k + s)) // r
+        total += (-1) ** j * binomial(i + j, i)
     return total
+
+
+def congruent_signed_sequence(k: int, r: int, s: int, count: int) -> list[int]:
+    """First ``count`` values of ``congruent_signed`` for fixed k, r, s, by the recurrence.
+
+    The parts k+s, k+s+r, ... have generating function P = x^(k+s)/(1-x^r),
+    and the signed count on size N is the x^N coefficient of P/(1+P) =
+    x^(k+s)/(1-x^r+x^(k+s)).  At N = n+k-1 that reads
+    b(n) = b(n-r) - b(n-k-s) + [n = s+1], with b(n) = 0 for n <= 0.
+    """
+    if k < 1:
+        raise ValueError(f"requires k >= 1, got k={k}")
+    _check_rs(r, s)
+    if count < 0:
+        raise ValueError(f"requires count >= 0, got {count}")
+    vals: list[int] = []
+    for n in range(1, count + 1):
+        vals.append((vals[n - 1 - r] if n > r else 0)
+                    - (vals[n - 1 - k - s] if n > k + s else 0) + (n == s + 1))
+    return vals
 
 
 def congruent_indicator(k: int, n: int, r: int, s: int) -> int:

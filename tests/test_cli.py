@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compparity import cli, formulas
+from compparity import cli, formulas, series
 from compparity.verify import CHECK_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -171,6 +171,13 @@ def test_series_bfile_format(capsys):
         capsys, "series", "thm2", "--k", "2", "--order", "3", "--format", "bfile"
     )
     assert (code, out) == (0, "0 1\n1 0\n2 -1\n3 -1\n")
+
+
+def test_series_pentagonal_reaches_order_20000_within_2_s(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "series", "pentagonal", "--order", "20000")
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (0, ",".join(map(str, series.pentagonal_rhs(20000).coeffs)) + "\n")
 
 
 def test_series_rational(capsys):
@@ -458,6 +465,15 @@ def test_thm2_row_equals_closed_form_at_every_index(k):
 def test_munagi_row_equals_closed_form_at_every_index(k):
     row = cli.sequence_terms(seq_args("munagi", k=k), 150)
     assert row == [formulas.min_part_count(k, n) for n in range(1, 151)]
+
+
+def test_thm3_row_reaches_index_5000_within_2_s(capsys):
+    # term by term from congruent_signed, this row took 19.6 s
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, *"bfile emit --seq thm3 --k 3 --r 4 --s 0 --max-n 5000".split())
+    assert time.perf_counter() - t0 < 2.0
+    gf = series.signed_values(series.congruent_series(3, 4, 0, 5002), 3, 5000)
+    assert (code, out) == (0, "".join(f"{n} {v}\n" for n, v in enumerate(gf, start=1)))
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -88,6 +88,27 @@ def test_each_length_count_is_its_summand():
                     assert _signed(terms) == F.congruent_signed(k, n, r, s)
 
 
+def test_congruent_signed_equals_its_sum_over_every_j():
+    # the form visits only the j whose i is whole; the sum here tries them all
+    for k in range(1, 6):
+        for r in range(1, 7):
+            for s in range(r):
+                for n in range(1, 61):
+                    target = n - 1 - s
+                    whole = sum((-1) ** j * F.binomial((target - j * (k + s)) // r + j, j)
+                                for j in range(target // (k + s) + 1)
+                                if (target - j * (k + s)) % r == 0)
+                    assert F.congruent_signed(k, n, r, s) == whole, (k, r, s, n)
+
+
+def test_congruent_recurrence_matches_sum():
+    for k in range(1, 6):
+        for r in range(1, 7):
+            for s in range(r):
+                row = F.congruent_signed_sequence(k, r, s, 100)
+                assert row == [F.congruent_signed(k, n, r, s) for n in range(1, 101)], (k, r, s)
+
+
 def test_congruent_signed_spots():
     assert F.congruent_signed(2, 4, 1, 0) == -1
     assert F.congruent_signed(4, 7, 2, 0) == -1

@@ -1,6 +1,7 @@
 """Generating function engine: polynomials, truncated series, expansions."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from compparity import compositions as C
 from compparity import formulas as F
+from compparity import partition_theorems as PT
 from compparity import series as S
 
 small_polys = st.builds(
@@ -138,6 +140,36 @@ def test_periodic_series_row():
 def test_pentagonal_product_equals_rhs():
     assert S.pentagonal_product(100).coeffs == S.pentagonal_rhs(100).coeffs
     assert S.pentagonal_product(3000).coeffs == S.pentagonal_rhs(3000).coeffs
+
+
+def factor_by_factor(order):
+    """(1 - x)(1 - x^2)...(1 - x^order), one factor at a time."""
+    c = [1] + [0] * order
+    for n in range(1, order + 1):  # times (1 - x^n); both slices hold the old values
+        c[n:] = map(operator.sub, c[n:], c[: order + 1 - n])
+    return tuple(c)
+
+
+def test_pentagonal_product_equals_the_factor_by_factor_product():
+    whole = factor_by_factor(300)
+    for order in range(301):
+        assert S.pentagonal_product(order).coeffs == whole[: order + 1], order
+    assert S.pentagonal_product(3000).coeffs == factor_by_factor(3000)
+
+
+def test_pentagonal_product_reads_neither_the_expansion_nor_the_theorems(monkeypatch):
+    want = factor_by_factor(500)
+
+    def refuse(*args):
+        raise AssertionError("the product route read another route")
+
+    monkeypatch.setattr(S, "pentagonal_rhs", refuse)
+    public = [name for name, fn in vars(PT).items()
+              if callable(fn) and not name.startswith("_") and fn.__module__ == PT.__name__]
+    assert "legendre_closed" in public
+    for name in public:
+        monkeypatch.setattr(PT, name, refuse)
+    assert S.pentagonal_product(500).coeffs == want
 
 
 def schoolbook(a, b, order):

@@ -341,6 +341,26 @@ def test_a_closed_form_off_by_one_at_one_instance_fails_its_sweep_there(
     assert report.counterexample.describe() == describe
 
 
+def test_a_product_coefficient_off_by_one_fails_pentagonal_and_legendre_there(monkeypatch):
+    real = series.pentagonal_product
+
+    def off_by_one(order):
+        coeffs = list(real(order).coeffs)
+        if order >= 37:
+            coeffs[37] += 1
+        return series.TruncatedSeries(tuple(coeffs))
+
+    monkeypatch.setattr(series, "pentagonal_product", off_by_one)
+    monkeypatch.setattr(verify, "_ROWS", {})
+    report = run_check("pentagonal")
+    assert not report.passed
+    assert report.counterexample.detail == "coefficient 37"
+    report = run_check("legendre")
+    assert not report.passed
+    assert report.counterexample.describe() == (
+        "n=37: expected 0, got 1 (series vs closed form)")
+
+
 # ---------------------------------------------------------------------------
 # series and recurrence rows: kept per (function, leading args), grown on demand
 # ---------------------------------------------------------------------------
