@@ -10,13 +10,17 @@ a prefix of size ``s``.  A partition is read one value at a time, 1, 2,
 ..., n, each with its multiplicity ``c >= 0``, and ``_tally_by_value``
 keeps per state the (odd, even) counts of every size 0..n, adding them,
 shifted by c times the value, into the next state: the column-by-column
-transfer matrix (Stanley, EC1 4.7).  Neither recurses, a tally to size n
-yields every size 0..n, and both use only the class's membership rule,
-never a closed form; ``iter_parts`` remains the definition the tests hold
-them to.  ``tally_compositions`` and ``tally_partitions`` keep those
-counts, never the states, per (side, class, parity statistic): a smaller
-size is a lookup, a larger one tallies afresh.  The sweeps in
-``compparity.verify`` ask for each class's largest size first.
+transfer matrix (Stanley, EC1 4.7).  Those counts are packed w bits a
+size into one int each (Kronecker substitution), so a move is one shift
+and one add; no count exceeds p(n) < exp(pi*sqrt(2n/3)) (Apostol 1976,
+Thm 14.5), so w = isqrt(14n) + 1 > log2 p(n), in whole bytes, suffices.
+Neither tally recurses, a tally to size n yields every size 0..n, and both
+use only the class's membership rule, never a closed form; ``iter_parts``
+remains the definition the tests hold them to.  ``tally_compositions``
+and ``tally_partitions`` keep those counts, never the states, per (side,
+class, parity statistic): a smaller size is a lookup, a larger one
+tallies afresh.  The sweeps in ``compparity.verify`` ask for each class's
+largest size first.
 
 A tally that would make more than ``MAX_TRIALS`` trials raises
 ``ValueError``.  A composition trial is a state of a row tried against a
@@ -35,7 +39,7 @@ parts, whose states are the sets of parts used, reach about 65.
 
 from __future__ import annotations
 
-from operator import add
+import math
 from typing import Callable, Hashable
 
 MAX_TRIALS = 2_000_000
@@ -99,14 +103,26 @@ def _tally(n: int, cls) -> tuple[tuple[int, int], ...]:
     return tuple(counts)
 
 
+def _slot_bits(n: int) -> int:
+    """Bits of one packed count of a size 0..n: isqrt(14n) + 1, in whole bytes."""
+    return -(-(math.isqrt(14 * n) + 1) // 8) * 8
+
+
 def _tally_by_value(n: int, start: Hashable, step: Callable, accept: Callable[[Hashable], bool],
                     flip: Callable[[int], bool]) -> tuple[tuple[int, int], ...]:
-    """(odd, even) counts of accepted partitions of each size 0..n, read by value."""
+    """(odd, even) counts of accepted partitions of each size 0..n, read by value.
+
+    Size s sits in bits s*w..s*w+w-1 of a state's odd and even ints.  Its
+    slot counts distinct partitions of s <= n, below 2^w, so it never
+    carries; the slots above n, masked off once per value, carry only up.
+    """
     # the step calls are not charged, so n is first held to where `All`
     # would pass the limit at value 1 alone
     if (n + 1) * (n + 2) // 2 > MAX_TRIALS:
         raise _past_limit(n)
-    states = {start: ([0] * (n + 1), [1] + [0] * n)}  # the empty partition, even
+    width = _slot_bits(n)
+    mask = (1 << (n + 1) * width) - 1
+    states = {start: (0, 1)}  # the empty partition, even
     work = 0
     for value in range(1, n + 1):
         moves = []  # only the moves `step` accepts are charged
@@ -120,16 +136,16 @@ def _tally_by_value(n: int, start: Hashable, step: Callable, accept: Callable[[H
             raise _past_limit(n)
         after = {}
         for (odd, even), mult, nxt in moves:
-            cell = after.setdefault(nxt, ([0] * (n + 1), [0] * (n + 1)))
-            shift = mult * value
-            for dst, src in zip(cell, (even, odd) if flip(mult) else (odd, even)):
-                dst[shift:] = map(add, dst[shift:], src)
-        states = after
-    odd, even = [0] * (n + 1), [0] * (n + 1)
-    for state, (o, e) in states.items():
-        if accept(state):
-            odd, even = list(map(add, odd, o)), list(map(add, even, e))
-    return tuple(zip(odd, even))
+            shift = mult * value * width
+            if flip(mult):
+                odd, even = even, odd
+            o, e = after.get(nxt, (0, 0))
+            after[nxt] = (o + (odd << shift), e + (even << shift))
+        states = {state: (o & mask, e & mask) for state, (o, e) in after.items()}
+    size = width // 8
+    odd, even = (x.to_bytes((n + 1) * size, "little") for x in _accepted(states, accept))
+    return tuple((int.from_bytes(odd[i:i + size], "little"),
+                  int.from_bytes(even[i:i + size], "little")) for i in range(0, len(odd), size))
 
 
 def _counts(key: tuple, n: int, tally: Callable, *args) -> tuple[int, int]:

@@ -145,16 +145,16 @@ def congruent_signed(k: int, n: int, r: int, s: int) -> int:
     target = n - 1 - s
     if target < 0:
         return 0
-    last = target // (k + s)
-    # ri + (k+s)j = target bounds the width min(i, j) of C(i+j, i), and i + j,
-    # linear in j, peaks at j = 0 or j = last
-    _check_work(last + 1, max(target // r, (target - last * (k + s)) // r + last),
-                target // (r + k + s))
     g = math.gcd(r, k + s)
     if target % g:
         return 0
     step = r // g
     first = target // g * pow((k + s) // g, -1, step) % step
+    last = target // (k + s)
+    # ri + (k+s)j = target bounds the width min(i, j) of C(i+j, i), and i + j,
+    # linear in j, peaks at j = 0 or j = last
+    _check_work((last - first) // step + 1, max(target // r, (target - last * (k + s)) // r + last),
+                target // (r + k + s))
     total = 0
     for j in range(first, last + 1, step):
         i = (target - j * (k + s)) // r

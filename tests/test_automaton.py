@@ -3,9 +3,11 @@
 ``signed_count`` and ``count_*`` tally each class over (size, state) by its
 membership automaton.  Every reference value here is taken straight from
 the definition instead: from ``iter_parts``, and from ``contains`` filtered
-over all compositions or partitions of n, which also checks ``iter_parts``.
-No reference goes through ``signed_count``.  Since a tally's counts are
-kept for every smaller size, the sizes are also asked in several orders.
+over all compositions or partitions of n, which also checks ``iter_parts``;
+at sizes too large to enumerate, from the coin-change recurrence for p(n)
+and q(n).  No reference goes through ``signed_count``.  Since a tally's
+counts are kept for every smaller size, the sizes are also asked in
+several orders.
 """
 
 import random
@@ -144,6 +146,31 @@ def test_tally_reaches_size_1001_across_routes():
 def test_sizes_past_the_tally_limit_raise(call):
     with pytest.raises(ValueError, match="tally limit"):
         call()
+
+
+def partition_numbers(n: int, distinct: bool = False) -> list[int]:
+    """p(0..n), or q(0..n) with ``distinct``, by coin change over the parts 1..n."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        # downward, each part is used at most once
+        sizes = range(n, part - 1, -1) if distinct else range(part, n + 1)
+        for size in sizes:
+            counts[size] += counts[size - part]
+    return counts
+
+
+def test_a_packed_count_slot_holds_every_partition_count():
+    # 1998 is the largest size the partition tally's first check admits
+    last = 1998
+    assert (last + 1) * (last + 2) // 2 <= _automaton.MAX_TRIALS < (last + 2) * (last + 3) // 2
+    for n, p in enumerate(partition_numbers(last)):
+        assert _automaton._slot_bits(n) >= p.bit_length(), n
+
+
+def test_partition_counts_are_exact_at_the_sizes_with_the_widest_slots(fresh_counts):
+    # the largest sizes each class is served at, where a slot holds the most bits
+    assert P.count_partitions(697, P.All()) == partition_numbers(697)[-1]
+    assert P.count_partitions(1154, P.DistinctParts()) == partition_numbers(1154, distinct=True)[-1]
 
 
 def test_one_state_classes_reach_the_tally_limit():

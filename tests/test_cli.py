@@ -122,6 +122,8 @@ def test_binomial_sum_past_its_work_limit_exits_2_at_once(argv):
     ("formula thm2 --k 1000000000 --n 1000000000", "1\n"),
     ("formula munagi --k 1000000000 --n 1000000000", "1\n"),
     ("formula thm3 --k 1000000000 --r 1 --s 0 --n 1000000000", "1\n"),
+    # gcd(r, k+s) = 2 does not divide the odd target n-1-s, so no term
+    ("formula thm3 --k 1 --r 2 --s 1 --n 1000000001", "0\n"),
     # 20 terms of width up to 19
     ("formula thm2 --k 1000000 --n 20000000", f"{formulas.min_part_signed(10 ** 6, 2 * 10 ** 7)}\n"),
 ])

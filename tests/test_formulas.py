@@ -334,8 +334,9 @@ def test_small_parts_matches_enumeration(k, n, m):
     # each term 16 + 2 bitlen(9 // 2 + 1)
     (F.min_part_signed, (3, 10), 4 * (16 + 2 * 3)),
     (F.min_part_count, (3, 10), 4 * (16 + 2 * 3)),
-    # target 19: j = 0..19, i + j peaks at j = 19 with i = 0, width up to 19 // 5
-    (F.congruent_signed, (1, 20, 4, 0), 20 * (16 + 3 * 3)),
+    # target 19: j = 3, 7, ..., 19, the j with 4 | 19 - j, i + j peaks at
+    # j = 19 with i = 0, width up to 19 // 5
+    (F.congruent_signed, (1, 20, 4, 0), 5 * (16 + 3 * 3)),
     # target 19: j = 0..3, i + j peaks at j = 0 with i = 19, width up to 19 // 6
     (F.congruent_signed, (5, 20, 1, 0), 4 * (16 + 3 * 3)),
     # i = 1..6 times l = 0, 1, upper index up to n = 10, width up to 10 // 3
