@@ -13,6 +13,8 @@ each class with ``partitions.count_partitions``.
 
 from __future__ import annotations
 
+import math
+
 from compparity import partitions
 from compparity.partitions import (
     DistinctInResidues,
@@ -44,14 +46,16 @@ def legendre_delta(n: int) -> int:
 
 
 def legendre_closed(n: int) -> int:
-    """(-1)^j when n = j(3j+-1)/2 is generalized pentagonal, else 0."""
+    """(-1)^j when n = j(3j+-1)/2 is generalized pentagonal, else 0.
+
+    n = j(3j+-1)/2 exactly when 24n + 1 = (6j+-1)^2, so one integer square
+    root decides it, and then j = (r + 1) // 6 for either sign.
+    """
     _check_n(n)
-    j = 0
-    while j * (3 * j - 1) // 2 <= n:
-        if n in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
-            return (-1) ** j
-        j += 1
-    return 0
+    r = math.isqrt(24 * n + 1)
+    if r * r != 24 * n + 1:
+        return 0
+    return -1 if (r + 1) // 6 % 2 else 1
 
 
 def odd_parts_signed(n: int) -> int:

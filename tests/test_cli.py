@@ -182,6 +182,21 @@ def test_series_pentagonal_reaches_order_20000_within_2_s(capsys):
     assert (code, out) == (0, ",".join(map(str, series.pentagonal_rhs(20000).coeffs)) + "\n")
 
 
+def test_series_pentagonal_reaches_order_100000_within_3_s(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "series", "pentagonal", "--order", "100000")
+    assert time.perf_counter() - t0 < 3.0
+    assert (code, out) == (0, ",".join(map(str, series.pentagonal_rhs(100000).coeffs)) + "\n")
+
+
+def test_series_pentagonal_past_its_limit_exits_2_within_1_s(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "series", "pentagonal", "--order", "1000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert "past the limit" in err
+
+
 def test_series_rational(capsys):
     code, out, _ = run_cli(
         capsys, "series", "rational", "--num", "1,-1", "--den", "1,-1,1", "--order", "7"

@@ -1,5 +1,7 @@
 """Classical partition identities checked by enumeration and closed forms."""
 
+import time
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,6 +24,35 @@ def test_legendre_matches_pentagonal_coefficients():
     coeffs = S.pentagonal_product(50).coeffs
     for n in range(51):
         assert coeffs[n] == PT.legendre_closed(n)
+
+
+def test_legendre_closed_equals_the_pentagonal_expansion():
+    coeffs = S.pentagonal_rhs(20000).coeffs
+    assert [PT.legendre_closed(n) for n in range(20001)] == list(coeffs)
+
+
+def legendre_by_search(n):
+    """(-1)^j when n = j(3j+-1)/2, found by trying every j in turn."""
+    j = 0
+    while j * (3 * j - 1) // 2 <= n:
+        if n in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            return (-1) ** j
+        j += 1
+    return 0
+
+
+def test_legendre_closed_equals_the_search_over_j():
+    for n in range(3001):
+        assert PT.legendre_closed(n) == legendre_by_search(n), n
+
+
+def test_legendre_closed_answers_at_once_near_10_to_the_18():
+    j = 816496581  # j(3j-1)/2 is just below 10^18
+    n = j * (3 * j - 1) // 2
+    t0 = time.perf_counter()
+    got = [PT.legendre_closed(n), PT.legendre_closed(n + j), PT.legendre_closed(n + 1)]
+    assert time.perf_counter() - t0 < 0.05
+    assert got == [-1, -1, 0]
 
 
 def test_euler_distinct_equals_odd():

@@ -303,3 +303,25 @@ def test_shift_check_nonzero_s():
     assert rep.passed and rep.k == 3
     rep = S.cyclotomic_shift_check(4, 3, 120)
     assert rep.passed and rep.k == 5 and rep.period == 24
+
+
+def test_unit_product_equals_schoolbook():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        a, b = (S.TruncatedSeries(tuple(rng.choice((-1, 0, 0, 1)) for _ in range(rng.randint(1, 40))))
+                for _ in range(2))
+        order = min(a.order, b.order)
+        want = schoolbook(a.coeffs, b.coeffs, order)
+        assert (a * b).coeffs == want
+        assert (b * a).coeffs == want
+
+
+def test_pentagonal_product_is_refused_past_its_addition_limit():
+    def additions(order):
+        top = max(j for j in range(1000) if j * (j + 1) // 2 <= order)
+        return sum(order - j * (j - 1) // 2 for j in range(1, top + 1))
+
+    edge = 121644
+    assert additions(edge) <= S.MAX_PRODUCT_ADDITIONS < additions(edge + 1)
+    with pytest.raises(ValueError, match="additions"):
+        S.pentagonal_product(edge + 1)
