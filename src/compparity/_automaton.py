@@ -19,8 +19,8 @@ use only the class's membership rule, never a closed form; ``iter_parts``
 remains the definition the tests hold them to.  ``tally_compositions``
 and ``tally_partitions`` keep those counts, never the states, per (side,
 class, parity statistic): a smaller size is a lookup, a larger one
-tallies afresh.  The sweeps in ``compparity.verify`` ask for each class's
-largest size first.
+tallies afresh.  The sweeps in ``compparity.verify`` read a class's
+counts once per row of a sweep, at the row's largest size.
 
 A tally that would make more than ``MAX_TRIALS`` trials raises
 ``ValueError``.  A composition trial is a state of a row tried against a
@@ -148,21 +148,21 @@ def _tally_by_value(n: int, start: Hashable, step: Callable, accept: Callable[[H
                   int.from_bytes(even[i:i + size], "little")) for i in range(0, len(odd), size))
 
 
-def _counts(key: tuple, n: int, tally: Callable, *args) -> tuple[int, int]:
-    """(odd, even) counts at size n >= 0: stored under ``key`` or ``tally(n, *args)``."""
+def _counts(key: tuple, n: int, tally: Callable, *args) -> tuple[tuple[int, int], ...]:
+    """(odd, even) counts of sizes 0..N, N >= n: stored under ``key`` or ``tally(n, *args)``."""
     row = _COUNTS.get(key)
     if row is None or len(row) <= n:
         row = _COUNTS[key] = tally(n, *args)
-    return row[n]
+    return row
 
 
-def tally_compositions(n: int, cls) -> tuple[int, int]:
-    """(odd-length, even-length) member counts of a composition class."""
+def tally_compositions(n: int, cls) -> tuple[tuple[int, int], ...]:
+    """(odd-length, even-length) member counts of a composition class, sizes 0..N, N >= n."""
     return _counts(("compositions", cls, None), n, _tally, cls)
 
 
-def tally_partitions(n: int, cls, flip: Callable[[int], bool]) -> tuple[int, int]:
-    """(odd, even) member counts of a partition class.
+def tally_partitions(n: int, cls, flip: Callable[[int], bool]) -> tuple[tuple[int, int], ...]:
+    """(odd, even) member counts of a partition class, sizes 0..N, N >= n.
 
     A value of multiplicity c flips the parity when ``flip(c)``, false at
     c = 0; with ``c % 2 == 1`` the parity is that of the length.  The counts

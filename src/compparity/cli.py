@@ -2,7 +2,9 @@
 
 Subcommands: count, signed, formula, series, verify, period, bfile.
 ``verify all`` runs every sweep and prints one line per sweep, a failing
-sweep's report after its line, and a summary line.
+sweep's report after its line, and a summary line; with ``--format csv``
+stdout holds one csv table, a row per sweep, and the timed lines go to
+stderr.
 Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
 parameter error.  ``--format plain|csv|bfile`` selects rendering; bfile
 rendering only applies to univariate series output, and ``bfile`` takes
@@ -20,6 +22,7 @@ flag, and a flag the token does not use, is a parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
@@ -310,18 +313,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
     for name in CHECK_NAMES:  # an empty grid exits 2 before any sweep prints
         expand(name, config)
+    # csv: stdout is one table, a row per sweep; the timed lines go to stderr
+    csv = args.fmt == "csv"
+    timed = sys.stderr if csv else sys.stdout
     failing = 0
     start = time.monotonic()
-    for name in CHECK_NAMES:
+    for number, name in enumerate(CHECK_NAMES):
         t0 = time.monotonic()
         report = run_check(name, config)
         status = "pass" if report.passed else "FAIL"
         print(f"{name:12s} {status}  instances={report.instances:5d}  "
-              f"{time.monotonic() - t0:6.2f}s")
-        if not report.passed:
-            failing += 1
+              f"{time.monotonic() - t0:6.2f}s", file=timed)
+        failing += not report.passed
+        if csv:
+            header, row = render_report(report, "csv").splitlines(keepends=True)
+            sys.stdout.write(row if number else header + row)
+        elif not report.passed:
             sys.stdout.write(render_report(report, args.fmt))
-    print(f"{len(CHECK_NAMES)} sweeps, {failing} failing, {time.monotonic() - start:.1f}s")
+    print(f"{len(CHECK_NAMES)} sweeps, {failing} failing, {time.monotonic() - start:.1f}s",
+          file=timed)
     return 1 if failing else 0
 
 
@@ -457,9 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

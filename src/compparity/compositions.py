@@ -23,7 +23,7 @@ verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
 distinct parts about 65.  A tally to size n yields the counts of every
 size up to n, and only those counts are kept, per class, for the rest of
 the process: a smaller size is then a lookup, and a larger one tallies
-afresh.
+afresh.  ``counts_by_size`` hands back the counts of every size up to n.
 
 Enumeration order is lexicographic on part tuples, so golden outputs are
 stable.  Signed counting tracks length parity: ``SignedCount.diff`` is the
@@ -381,7 +381,13 @@ def signed_count(n: int, cls: CompositionClass) -> SignedCount:
     ``signed_count(0, All()).diff == -1``.
     """
     _check_size(n)
-    return SignedCount(*tally_compositions(n, cls))
+    return SignedCount(*tally_compositions(n, cls)[n])
+
+
+def counts_by_size(n: int, cls: CompositionClass) -> tuple[tuple[int, int], ...]:
+    """(odd-length, even-length) member counts of each size 0..n, from one tally."""
+    _check_size(n)
+    return tally_compositions(n, cls)[:n + 1]
 
 
 def signed_count_distinct(n: int) -> int:

@@ -20,7 +20,8 @@ n = 697 (all partitions) to 1297 (distinct parts in three residues mod
 ``_automaton.MAX_TRIALS`` trials the tally raises ``ValueError``.
 Counts are kept per class and statistic, so the length parity of
 ``signed_count`` and the singleton sign of ``singleton_signed_count``
-never mix.
+never mix; ``counts_by_size`` hands back the length-parity counts of
+every size up to n.
 
 Partition-side signed results are reported as even-length minus odd-length
 (the opposite orientation from the composition side); ``signed_count``
@@ -326,7 +327,13 @@ def _flips_length(mult: int) -> bool:
 def signed_count(n: int, cls: PartitionClass) -> SignedCount:
     """Tally partitions in the class by length parity over its automaton."""
     _check_size(n)
-    return SignedCount(*tally_partitions(n, cls, _flips_length))
+    return SignedCount(*tally_partitions(n, cls, _flips_length)[n])
+
+
+def counts_by_size(n: int, cls: PartitionClass) -> tuple[tuple[int, int], ...]:
+    """(odd-length, even-length) partition counts of each size 0..n, from one tally."""
+    _check_size(n)
+    return tally_partitions(n, cls, _flips_length)[:n + 1]
 
 
 def _is_singleton(mult: int) -> bool:
@@ -341,4 +348,4 @@ def singleton_signed_count(n: int, cls: PartitionClass) -> SignedCount:
     even number of such values.
     """
     _check_size(n)
-    return SignedCount(*tally_partitions(n, cls, _is_singleton))
+    return SignedCount(*tally_partitions(n, cls, _is_singleton)[n])

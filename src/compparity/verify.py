@@ -1,32 +1,42 @@
 """Named verification sweeps: every route to a value must give the same integer.
 
-Each sweep covers a parameter grid and, at each instance, derives the
-value along independent routes, named from ``ROUTES``: enumeration (the
+Each sweep covers a parameter grid and derives its values along
+independent routes, named from ``ROUTES``: enumeration (the
 membership-automaton tally of the class), closed forms, recurrence,
 generating function and companion classes.  A sweep declares its routes
-once, in ``_SWEEPS``, as functions of exactly its grid axes: a reference
-route, then the routes compared with it, each optionally limited to the
-instances a guard accepts.  ``_compare`` evaluates them in that order and
-reports the first disagreement as ``<route> vs <reference>``.  The two
-checks that are not value comparisons, cor-period's shift/period check and
-the pentagonal coefficient scan, are written out.  A route that indexes a
-series or recurrence row asks ``_row`` for the size it indexes; the row is
-kept and grown on demand.
+once, in ``_SWEEPS``: a reference route, then the routes compared with it,
+each optionally limited by a guard.
 
-A sweep may run its instances in a process pool; instances are pure
-functions of their parameters and results are reassembled in parameter
-order, so reports are byte-identical regardless of scheduling.  Instances
-run largest-first, in reverse parameter order, so that the enumeration
-route tallies each class once at its largest size and reads every smaller
-size from that tally.
+A sweep's unit of work is a row: one value of the leading axes, with n,
+the last axis, running over its range.  Each route is asked once per row
+for its values at the row's n, in order.  An enumeration or companion
+route reads one tally at the row's largest size, and a series or
+recurrence route one ``_row``, kept and grown on demand; a closed form
+keeps its per-n definition, which ``_each`` lifts to the row.  A guard
+takes one instance, every grid axis: its route is asked only for the n it
+accepts, and is compared with the reference there.  ``_compare`` checks
+each route's values against the reference's with one list equality.  Only
+when two differ does it look for the smallest failing n, and at that n it
+reports the first quantity and then the first route in order that fails,
+as ``<route> vs <reference>``: what comparing instance by instance would
+report.  The two checks that are not value comparisons, cor-period's
+shift/period check and the pentagonal coefficient scan, are written out
+and run on rows too.
+
+A sweep may run its rows in a process pool; rows are pure functions of
+their parameters and results are reassembled in parameter order, so
+reports are byte-identical regardless of scheduling.  Rows run in reverse
+parameter order, so the rows of the largest parameters, usually the
+costliest, start first.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from compparity import compositions, formulas, partition_theorems, partitions, series
 from compparity.compositions import (
@@ -135,8 +145,8 @@ def _row(fn: Callable, *lead: int, size: tuple[int, ...]):
 
     A row's entry at an index does not depend on how far the row was
     computed, so a larger request computes the row again at the
-    componentwise max of the stored and requested sizes.  Sweeps run
-    largest-first, so that is rare.  Callers look ``fn`` up at call time,
+    componentwise max of the stored and requested sizes.  A sweep asks
+    once per row, at the row's largest size, so that is rare.  Callers look ``fn`` up at call time,
     so a function wrapped or replaced since gets an entry of its own.
     """
     stored = _ROWS.get((fn, lead))
@@ -149,16 +159,54 @@ def _row(fn: Callable, *lead: int, size: tuple[int, ...]):
 
 @dataclass(frozen=True, slots=True)
 class _Route:
-    """One route to an instance's value, named from ``ROUTES``.
+    """One route to a sweep's values, named from ``ROUTES``.
 
-    ``value`` and ``when`` take the sweep's grid axes, in grid order.  The
-    route runs at the instances ``when`` accepts, or at every instance when
-    it is None.
+    ``values`` takes a row's leading axes, in grid order, then ``ns``, the
+    ascending n at which it is asked, and returns one value per n.  ``when``
+    takes one instance, every grid axis: the route is asked only for the n
+    it accepts, or for every n of the row when it is None.
     """
 
     name: str
-    value: Callable[..., object]
+    values: Callable[..., list]
     when: Callable[..., bool] | None = None
+
+
+def _each(value: Callable[..., object]) -> Callable[..., list]:
+    """The row route of ``value``, a function of one instance, asked largest n first.
+
+    Largest first, so that a per-n route that reads a tally, such as a
+    ``partition_theorems`` delta, tallies its class once.
+    """
+    @functools.wraps(value)
+    def values(*lead_ns):
+        *lead, ns = lead_ns
+        return [value(*lead, n) for n in reversed(ns)][::-1]
+    return values
+
+
+def _at(values: Sequence, ns: Sequence[int], shift: int = 0, sign: int = 1) -> list:
+    """``sign * values[n + shift]`` at each n of a row."""
+    return [sign * values[n + shift] for n in ns]
+
+
+def _signed(cls, ns: Sequence[int], shift: int = 0) -> list[int]:
+    """Odd minus even count of a composition class at size n + shift, at each n of a row.
+
+    One tally, at the row's largest size, serves the row.
+    """
+    counts = compositions.counts_by_size(ns[-1] + shift, cls)
+    return [counts[n + shift][0] - counts[n + shift][1] for n in ns]
+
+
+def _members(side, cls, ns: Sequence[int], shift: int = 0) -> list[int]:
+    """Member count of a class at size n + shift, at each n of a row.
+
+    ``side`` is the module of the class, ``compositions`` or ``partitions``.
+    One tally, at the row's largest size, serves the row.
+    """
+    counts = side.counts_by_size(ns[-1] + shift, cls)
+    return [counts[n + shift][0] + counts[n + shift][1] for n in ns]
 
 
 @dataclass(frozen=True)
@@ -175,8 +223,8 @@ class _Sweep:
 
     ``routes`` holds the reference route, then the routes compared with
     it; ``also`` adds a (quantity, routes) pair per further quantity.  A
-    sweep with a ``check`` runs it on each instance's parameters instead of
-    comparing its routes.
+    sweep with a ``check`` runs it on each row, its leading parameters and
+    its n, instead of comparing its routes.
     """
 
     grid: str
@@ -184,29 +232,41 @@ class _Sweep:
     instances: Callable[[list[tuple]], list[tuple]] = lambda points: points
     note: Callable[[dict[str, int]], str] = lambda last: ""
     also: tuple[tuple[str, tuple[_Route, ...]], ...] = ()
-    check: Callable[[tuple], Counterexample | None] | None = None
+    check: Callable[[tuple, tuple[int, ...]], Counterexample | None] | None = None
 
 
-def _compare(sweep: _Sweep, params: tuple) -> Counterexample | None:
-    """The first route, in order, that disagrees with its reference, or None.
+def _compare(sweep: _Sweep, lead: tuple, ns: tuple[int, ...]) -> Counterexample | None:
+    """The row's first disagreement in parameter order, or None.
 
-    No route after the first disagreement is evaluated.  The detail reads
-    ``<route> vs <reference>``, after ``<quantity>: `` for an ``also`` pair.
+    Each route's values at the n its guard accepts are compared with the
+    reference's there by one list equality.  A route that differs is
+    searched for its smallest failing n; of the failures at the smallest
+    such n, the first quantity and then the first route in order is
+    reported.  The detail reads ``<route> vs <reference>``, after
+    ``<quantity>: `` for an ``also`` pair.
     """
-    for quantity, routes in (("", sweep.routes),) + sweep.also:
-        reference = None
+    first = None  # (n, expected, got, detail) of the earliest failure found
+    for quantity, (reference, *routes) in (("", sweep.routes),) + sweep.also:
+        expected = reference.values(*lead, ns)
         for route in routes:
-            if route.when is None or route.when(*params):
-                got = route.value(*params)
-                if reference is None:
-                    reference, expected = route, got
-                elif got != expected:
-                    axes = [axis for axis, _, dots, last in _terms(sweep.grid)
-                            if dots or last.isdigit()]
-                    detail = f"{route.name} vs {reference.name}"
-                    return Counterexample(tuple(zip(axes, params)), expected, got,
-                                          f"{quantity}: {detail}" if quantity else detail)
-    return None
+            at, want = ns, expected
+            if route.when is not None:
+                kept = [i for i, n in enumerate(ns) if route.when(*lead, n)]
+                if not kept:
+                    continue
+                at, want = [ns[i] for i in kept], [expected[i] for i in kept]
+            got = route.values(*lead, at)
+            if got == want:
+                continue
+            n, e, g = next(t for t in zip(at, want, got, strict=True) if t[1] != t[2])
+            if first is None or n < first[0]:
+                detail = f"{route.name} vs {reference.name}"
+                first = n, e, g, f"{quantity}: {detail}" if quantity else detail
+    if first is None:
+        return None
+    n, expected, got, detail = first
+    axes = [axis for axis, _, dots, last in _terms(sweep.grid) if dots or last.isdigit()]
+    return Counterexample(tuple(zip(axes, (*lead, n))), expected, got, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +276,11 @@ def _compare(sweep: _Sweep, params: tuple) -> Counterexample | None:
 _SHIFT_ORDER = 60  # series order of the cor-period shift/period checks
 
 
-def _check_cor_period(params):
-    if params[0] == "value":
-        return _compare(_SWEEPS["cor-period"], params[1:])
-    (_, r, s, order) = params
+def _check_cor_period(lead, ns):
+    kind, r, s = lead
+    if kind == "value":
+        return _compare(_SWEEPS["cor-period"], (r, s), ns)
+    (order,) = ns
     tag = (("r", r), ("s", s))
     report = series.cyclotomic_shift_check(r, s, order)
     if not report.inverse_ok:
@@ -234,8 +295,8 @@ def _check_cor_period(params):
     return None
 
 
-def _check_pentagonal(params):
-    (order,) = params
+def _check_pentagonal(lead, ns):
+    (order,) = ns
     lhs = series.pentagonal_product(order)
     rhs = series.pentagonal_rhs(order)
     if lhs.coeffs != rhs.coeffs:
@@ -262,9 +323,19 @@ _THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
 _OVERRIDE = {"n": "max_n", "order": "max_n", "k": "max_k", "r": "max_r", "m": "max_m"}
 
 
-def _guarded_coefficient(k: int, m: int, t: int, n: int) -> int:
-    """The x^(n+k-1) coefficient of the guarded class's series G_m at weight t."""
-    return _row(series.guarded_series, k, m, t, size=(n + k - 1,)).coeffs[n + k - 1]
+def _guarded_coefficients(k: int, m: int, t: int, ns: Sequence[int], sign: int = 1) -> list[int]:
+    """``sign`` times the x^(n+k-1) coefficient of G_m at weight t, at each n of a row.
+
+    G_m is the guarded class's series.
+    """
+    row = _row(series.guarded_series, k, m, t, size=(ns[-1] + k - 1,))
+    return _at(row.coeffs, ns, k - 1, sign)
+
+
+def _small_parts_values(k: int, m: int, ns: Sequence[int]) -> list[int]:
+    """The signed small-part count at each n of a row, from one bivariate series."""
+    table = _row(series.small_parts_series, k, size=(ns[-1] + k - 1, m))
+    return [series.bivariate_signed_value(table, k, n, m) for n in ns]
 
 
 def _with_shift_checks(points: list[tuple]) -> list[tuple]:
@@ -275,137 +346,139 @@ def _with_shift_checks(points: list[tuple]) -> list[tuple]:
 
 _SWEEPS = {
     "thm1": _Sweep("n=1..60", (
-        _Route("closed form", lambda n: formulas.min_part_signed(2, n)),
-        _Route("second closed form", lambda n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3)),
-        _Route("recurrence", lambda n:
-               _row(formulas.min_part_signed_sequence, 2, size=(n,))[n - 1]),
-        _Route("enumeration", lambda n: compositions.signed_count(n + 1, MinPart(2)).diff,
+        _Route("closed form", _each(lambda n: formulas.min_part_signed(2, n))),
+        _Route("second closed form", _each(
+            lambda n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3))),
+        _Route("recurrence", lambda ns:
+               _at(_row(formulas.min_part_signed_sequence, 2, size=(ns[-1],)), ns, -1)),
+        _Route("enumeration", lambda ns: _signed(MinPart(2), ns, 1),
                lambda n: n <= _THM1_ENUMERATED),
     ), note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
     "thm2": _Sweep("k=1..6 n=1..20", (
-        _Route("closed form", lambda k, n: formulas.min_part_signed(k, n)),
-        _Route("enumeration", lambda k, n:
-               compositions.signed_count(n + k - 1, MinPart(k)).diff),
-        _Route("recurrence", lambda k, n:
-               _row(formulas.min_part_signed_sequence, k, size=(n,))[n - 1]),
-        _Route("series", lambda k, n:
-               -_row(series.min_part_series, k, size=(n + k - 1,)).coeffs[n + k - 1]),
+        _Route("closed form", _each(lambda k, n: formulas.min_part_signed(k, n))),
+        _Route("enumeration", lambda k, ns: _signed(MinPart(k), ns, k - 1)),
+        _Route("recurrence", lambda k, ns:
+               _at(_row(formulas.min_part_signed_sequence, k, size=(ns[-1],)), ns, -1)),
+        _Route("series", lambda k, ns: _at(
+            _row(series.min_part_series, k, size=(ns[-1] + k - 1,)).coeffs, ns, k - 1, -1)),
     )),
     "thm3": _Sweep("k=1..6 r=1..5 s=0..r-1 n=1..18", (
-        _Route("closed form", lambda k, r, s, n: formulas.congruent_signed(k, n, r, s)),
-        _Route("enumeration", lambda k, r, s, n:
-               compositions.signed_count(n + k - 1, MinPartCongruent(k, r, s)).diff),
-        _Route("series", lambda k, r, s, n: -_row(
-            series.congruent_series, k, r, s, size=(n + k - 1,)).coeffs[n + k - 1]),
-        _Route("second closed form", lambda k, r, s, n: formulas.congruent_indicator(k, n, r, s),
-               lambda k, r, s, n: k == r - s),
-        _Route("second closed form", lambda k, r, s, n: formulas.congruent_periodic(k, n, r, s),
-               lambda k, r, s, n: k == 2 * r - s),
+        _Route("closed form", _each(
+            lambda k, r, s, n: formulas.congruent_signed(k, n, r, s))),
+        _Route("enumeration", lambda k, r, s, ns: _signed(MinPartCongruent(k, r, s), ns, k - 1)),
+        _Route("series", lambda k, r, s, ns: _at(_row(
+            series.congruent_series, k, r, s, size=(ns[-1] + k - 1,)).coeffs, ns, k - 1, -1)),
+        _Route("second closed form", _each(
+            lambda k, r, s, n: formulas.congruent_indicator(k, n, r, s)),
+            lambda k, r, s, n: k == r - s),
+        _Route("second closed form", _each(
+            lambda k, r, s, n: formulas.congruent_periodic(k, n, r, s)),
+            lambda k, r, s, n: k == 2 * r - s),
     )),
     "cor-rs": _Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
-        _Route("closed form", lambda r, s, n: formulas.congruent_indicator(r - s, n, r, s)),
-        _Route("second closed form", lambda r, s, n: formulas.congruent_signed(r - s, n, r, s)),
-        _Route("enumeration", lambda r, s, n:
-               compositions.signed_count(n + r - s - 1, MinPartCongruent(r - s, r, s)).diff),
+        _Route("closed form", _each(
+            lambda r, s, n: formulas.congruent_indicator(r - s, n, r, s))),
+        _Route("second closed form", _each(
+            lambda r, s, n: formulas.congruent_signed(r - s, n, r, s))),
+        _Route("enumeration", lambda r, s, ns:
+               _signed(MinPartCongruent(r - s, r, s), ns, r - s - 1)),
     )),
     "cor-period": _Sweep("r=1..5 s=0..r-1 k=2r-s n=1..18", (
-        _Route("closed form", lambda r, s, n: formulas.congruent_periodic(2 * r - s, n, r, s)),
-        _Route("second closed form", lambda r, s, n:
-               formulas.congruent_signed(2 * r - s, n, r, s)),
-        _Route("enumeration", lambda r, s, n: compositions.signed_count(
-            n + 2 * r - s - 1, MinPartCongruent(2 * r - s, r, s)).diff),
+        _Route("closed form", _each(
+            lambda r, s, n: formulas.congruent_periodic(2 * r - s, n, r, s))),
+        _Route("second closed form", _each(
+            lambda r, s, n: formulas.congruent_signed(2 * r - s, n, r, s))),
+        _Route("enumeration", lambda r, s, ns:
+               _signed(MinPartCongruent(2 * r - s, r, s), ns, 2 * r - s - 1)),
     ), _with_shift_checks, note=lambda last: f"; shift/period to order {_SHIFT_ORDER}",
         check=_check_cor_period),
     "thm4": _Sweep("k=2..4 m=0..3 n=1..16", (
-        _Route("closed form", lambda k, m, n: formulas.guarded_signed_boxed(k, n, m)),
-        _Route("second closed form", lambda k, m, n: formulas.guarded_signed_sum(k, n, m)),
-        _Route("enumeration", lambda k, m, n:
-               compositions.signed_count(n + k - 1, GuardedSmall(k, m)).diff),
-        _Route("series", lambda k, m, n: -_guarded_coefficient(k, m, -1, n)),
+        _Route("closed form", _each(lambda k, m, n: formulas.guarded_signed_boxed(k, n, m))),
+        _Route("second closed form", _each(
+            lambda k, m, n: formulas.guarded_signed_sum(k, n, m))),
+        _Route("enumeration", lambda k, m, ns: _signed(GuardedSmall(k, m), ns, k - 1)),
+        _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, -1, ns, -1)),
     ), also=(("unsigned", (
-        _Route("closed form", lambda k, m, n: formulas.guarded_count_boxed(k, n, m)),
-        _Route("second closed form", lambda k, m, n: formulas.guarded_count_sum(k, n, m)),
-        _Route("enumeration", lambda k, m, n:
-               compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
-        _Route("series", lambda k, m, n: _guarded_coefficient(k, m, 1, n)),
+        _Route("closed form", _each(lambda k, m, n: formulas.guarded_count_boxed(k, n, m))),
+        _Route("second closed form", _each(
+            lambda k, m, n: formulas.guarded_count_sum(k, n, m))),
+        _Route("enumeration", lambda k, m, ns:
+               _members(compositions, GuardedSmall(k, m), ns, k - 1)),
+        _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, 1, ns)),
     )),)),
     "thm4bar": _Sweep("k=1..4 m=0..3 n=1..16", (
-        _Route("closed form", lambda k, m, n: formulas.small_parts_signed(k, n, m)),
-        _Route("enumeration", lambda k, m, n:
-               compositions.signed_count(n + k - 1, ExactSmall(k, m)).diff),
-        _Route("series", lambda k, m, n: series.bivariate_signed_value(
-            _row(series.small_parts_series, k, size=(n + k - 1, m)), k, n, m)),
+        _Route("closed form", _each(lambda k, m, n: formulas.small_parts_signed(k, n, m))),
+        _Route("enumeration", lambda k, m, ns: _signed(ExactSmall(k, m), ns, k - 1)),
+        _Route("series", _small_parts_values),
     )),
     "comp1": _Sweep("n=1..22", (
-        _Route("enumeration", lambda n: compositions.count_compositions(n, OddParts())),
-        _Route("companion class", lambda n: compositions.count_compositions(n + 1, MinPart(2))),
-        _Route("series", lambda n:
-               _row(series.parts_in_series, 1, 2, (1,), 1, size=(n,)).coeffs[n]),
+        _Route("enumeration", lambda ns: _members(compositions, OddParts(), ns)),
+        _Route("companion class", lambda ns: _members(compositions, MinPart(2), ns, 1)),
+        _Route("series", lambda ns:
+               _at(_row(series.parts_in_series, 1, 2, (1,), 1, size=(ns[-1],)).coeffs, ns)),
     )),
     "comp2": _Sweep("k=1..5 n=1..20", (
-        _Route("enumeration", lambda k, n:
-               compositions.count_compositions(n, MinPartCongruent(1, k, 0))),
+        _Route("enumeration", lambda k, ns: _members(compositions, MinPartCongruent(1, k, 0), ns)),
         # at k = 1 both classes are all compositions of n: one tally
-        _Route("companion class", lambda k, n:
-               compositions.count_compositions(n + k - 1, MinPart(k)), lambda k, n: k >= 2),
-        _Route("closed form", lambda k, n: formulas.min_part_count(k, n)),
+        _Route("companion class", lambda k, ns: _members(compositions, MinPart(k), ns, k - 1),
+               lambda k, n: k >= 2),
+        _Route("closed form", _each(lambda k, n: formulas.min_part_count(k, n))),
     )),
     "comp3": _Sweep("k=1..4 m=0..3 n=1..16", (
-        _Route("enumeration", lambda k, m, n:
-               compositions.count_compositions(n, ModOneExcept(k, m))),
-        _Route("companion class", lambda k, m, n:
-               compositions.count_compositions(n + k - 1, GuardedSmall(k, m))),
-        _Route("series", lambda k, m, n: _guarded_coefficient(k, m, 1, n)),
+        _Route("enumeration", lambda k, m, ns: _members(compositions, ModOneExcept(k, m), ns)),
+        _Route("companion class", lambda k, m, ns:
+               _members(compositions, GuardedSmall(k, m), ns, k - 1)),
+        _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, 1, ns)),
     )),
     "legendre": _Sweep("n=0..50", (
-        _Route("closed form", lambda n: partition_theorems.legendre_closed(n)),
-        _Route("enumeration", lambda n: partition_theorems.legendre_delta(n)),
-        _Route("series", lambda n: _row(series.pentagonal_product, size=(n,)).coeffs[n]),
+        _Route("closed form", _each(lambda n: partition_theorems.legendre_closed(n))),
+        _Route("enumeration", _each(lambda n: partition_theorems.legendre_delta(n))),
+        _Route("series", lambda ns:
+               _at(_row(series.pentagonal_product, size=(ns[-1],)).coeffs, ns)),
     )),
     "pentagonal": _Sweep("order=100", check=_check_pentagonal),
     "euler": _Sweep("n=0..30", (
-        _Route("enumeration", lambda n:
-               partitions.count_partitions(n, partitions.DistinctParts())),
-        _Route("companion class", lambda n:
-               partitions.count_partitions(n, partitions.OddParts())),
+        _Route("enumeration", lambda ns: _members(partitions, partitions.DistinctParts(), ns)),
+        _Route("companion class", lambda ns: _members(partitions, partitions.OddParts(), ns)),
     ), also=(("signed", (
-        _Route("closed form", lambda n:
-               (-1) ** n * partitions.count_partitions(n, partitions.OddParts())),
-        _Route("enumeration", lambda n: partition_theorems.odd_parts_signed(n)),
+        _Route("closed form", _each(lambda n:
+               (-1) ** n * partitions.count_partitions(n, partitions.OddParts()))),
+        _Route("enumeration", _each(lambda n: partition_theorems.odd_parts_signed(n))),
     )),)),
     "glaisher": _Sweep("k=1..4 n=0..30", (
-        _Route("enumeration", lambda k, n:
-               partitions.count_partitions(n, partitions.MaxMultiplicity(k))),
-        _Route("companion class", lambda k, n:
-               partitions.count_partitions(n, partitions.NoPartDivisibleBy(k))),
+        _Route("enumeration", lambda k, ns:
+               _members(partitions, partitions.MaxMultiplicity(k), ns)),
+        _Route("companion class", lambda k, ns:
+               _members(partitions, partitions.NoPartDivisibleBy(k), ns)),
     )),
     "franklin": _Sweep("k=1..3 m=0..3 n=0..25", (
-        _Route("enumeration", lambda k, m, n:
-               partitions.count_partitions(n, partitions.FranklinRepeated(k, m))),
-        _Route("companion class", lambda k, m, n:
-               partitions.count_partitions(n, partitions.FranklinDivisible(k, m))),
+        _Route("enumeration", lambda k, m, ns:
+               _members(partitions, partitions.FranklinRepeated(k, m), ns)),
+        _Route("companion class", lambda k, m, ns:
+               _members(partitions, partitions.FranklinDivisible(k, m), ns)),
     )),
     "nyirenda-d": _Sweep("r=1..3 n=0..40", (
-        _Route("closed form", lambda r, n: partition_theorems.nyirenda_d_closed(n, r)),
-        _Route("enumeration", lambda r, n: partition_theorems.nyirenda_d_delta(n, r)),
+        _Route("closed form", _each(lambda r, n: partition_theorems.nyirenda_d_closed(n, r))),
+        _Route("enumeration", _each(lambda r, n: partition_theorems.nyirenda_d_delta(n, r))),
     )),
     "nyirenda-c": _Sweep("r=1..3 n=0..40", (
-        _Route("closed form", lambda r, n: partition_theorems.nyirenda_c_closed(n, r)),
-        _Route("enumeration", lambda r, n: partition_theorems.nyirenda_c_delta(n, r)),
-        _Route("second closed form", lambda r, n: partition_theorems.legendre_closed(n),
+        _Route("closed form", _each(lambda r, n: partition_theorems.nyirenda_c_closed(n, r))),
+        _Route("enumeration", _each(lambda r, n: partition_theorems.nyirenda_c_delta(n, r))),
+        _Route("second closed form", _each(lambda r, n: partition_theorems.legendre_closed(n)),
                lambda r, n: r == 1),
     )),
     "andrews": _Sweep("k=1..3 n=0..30", (
-        _Route("enumeration", lambda k, n:
-               partitions.count_partitions(n, partitions.InitialKReps(k))),
-        _Route("companion class", lambda k, n:
-               partitions.count_partitions(n, partitions.NoPartDivisibleBy(2 * k))),
-        _Route("companion class", lambda k, n:
-               partitions.count_partitions(n, partitions.MaxMultiplicity(2 * k))),
+        _Route("enumeration", lambda k, ns: _members(partitions, partitions.InitialKReps(k), ns)),
+        _Route("companion class", lambda k, ns:
+               _members(partitions, partitions.NoPartDivisibleBy(2 * k), ns)),
+        _Route("companion class", lambda k, ns:
+               _members(partitions, partitions.MaxMultiplicity(2 * k), ns)),
     )),
     "andrews-d": _Sweep("m=0..7 n=0..30", (
-        _Route("closed form", lambda m, n: partition_theorems.andrews_singleton_closed(n, m)),
-        _Route("enumeration", lambda m, n: partition_theorems.andrews_singleton_delta(n, m)),
+        _Route("closed form", _each(
+            lambda m, n: partition_theorems.andrews_singleton_closed(n, m))),
+        _Route("enumeration", _each(
+            lambda m, n: partition_theorems.andrews_singleton_delta(n, m))),
     )),
 }
 
@@ -463,24 +536,31 @@ def expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
     return sorted(instances), ranges
 
 
+def _rows(instances: list[tuple]) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Sorted instances as rows: (leading parameters, the ascending n)."""
+    return [(lead, tuple(p[-1] for p in group))
+            for lead, group in itertools.groupby(instances, lambda p: p[:-1])]
+
+
 def _dispatch(tagged):
-    name, params = tagged
+    name, lead, ns = tagged
     sweep = _SWEEPS[name]
-    return _compare(sweep, params) if sweep.check is None else sweep.check(params)
+    return _compare(sweep, lead, ns) if sweep.check is None else sweep.check(lead, ns)
 
 
 def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationReport:
     """Run one named sweep and return its report; raises as ``expand`` does."""
     instances, ranges = expand(name, config)
-    # n is the last axis of every grid, so the reversed order asks for each
-    # class's largest size first and one tally serves all its smaller sizes
-    tagged = [(name, p) for p in reversed(instances)]
-    if config.jobs > 1 and len(tagged) > 1:
+    # reverse parameter order: the rows of the largest parameters start first
+    rows = [(name, lead, ns) for lead, ns in reversed(_rows(instances))]
+    if config.jobs > 1 and len(rows) > 1:
+        import multiprocessing  # only a pool needs it, and it is slow to import
+
         with multiprocessing.Pool(config.jobs) as pool:
-            chunk = max(1, len(tagged) // (config.jobs * 4))
-            results = pool.map(_dispatch, tagged, chunksize=chunk)
+            chunk = max(1, len(rows) // (config.jobs * 4))
+            results = pool.map(_dispatch, rows, chunksize=chunk)
     else:
-        results = [_dispatch(t) for t in tagged]
+        results = [_dispatch(row) for row in rows]
     results.reverse()
     first_failure = next((r for r in results if r is not None), None)
     return VerificationReport(

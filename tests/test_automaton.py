@@ -1,7 +1,7 @@
 """The automaton tally behind the counts, held to the class definitions.
 
-``signed_count`` and ``count_*`` tally each class over (size, state) by its
-membership automaton.  Every reference value here is taken straight from
+``signed_count``, ``count_*`` and ``counts_by_size`` tally each class over
+(size, state) by its membership automaton.  Every reference value here is taken straight from
 the definition instead: from ``iter_parts``, and from ``contains`` filtered
 over all compositions or partitions of n, which also checks ``iter_parts``;
 at sizes too large to enumerate, from the coin-change recurrence for p(n)
@@ -221,6 +221,14 @@ def test_counts_do_not_depend_on_the_request_order(fresh_counts, member_counts, 
         expected = member_counts[side, cls][n]
         assert side.signed_count(n, cls) == expected, (cls, n)
         assert count(n, cls) == expected.total, (cls, n)
+        assert side.counts_by_size(n, cls) == tuple(
+            (c.odd_count, c.even_count) for c in member_counts[side, cls][:n + 1]), (cls, n)
+
+
+@pytest.mark.parametrize("side, cls", [(C, C.All()), (P, P.All())])
+def test_counts_by_size_rejects_a_negative_size(side, cls):
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        side.counts_by_size(-1, cls)
 
 
 @pytest.mark.parametrize("m", range(5))

@@ -1,6 +1,7 @@
 """Command line behavior: exact stdout, exit codes, file round trips."""
 
 import contextlib
+import csv
 import io
 import os
 import pathlib
@@ -266,26 +267,45 @@ def test_verify_all_passes_every_sweep_in_order(capsys):
     assert re.fullmatch(r"19 sweeps, 0 failing, \d+\.\ds", lines[-1])
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv"])
-def test_verify_all_prints_a_failing_sweeps_report_after_its_line(capsys, monkeypatch, fmt):
+def plant_a_comp2_failure(monkeypatch):
+    """Add 1 to comp2's closed form at k=2 n=5; the counterexample it gives."""
     # comp2 is the only sweep whose routes read formulas.min_part_count
     right = formulas.min_part_count
     monkeypatch.setattr(formulas, "min_part_count",
                         lambda k, n: right(k, n) + ((k, n) == (2, 5)))
-    code, out, _ = run_cli(capsys, "verify", "all", "--format", fmt)
+    return f"k=2 n=5: expected {right(2, 5)}, got {right(2, 5) + 1} (closed form vs enumeration)"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_verify_all_prints_a_failing_sweeps_report_after_its_line(capsys, monkeypatch, fmt):
+    ce = plant_a_comp2_failure(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "all", "--format", fmt)
+    assert code == 1
+    if fmt == "csv":  # stdout is one table; the sweep lines and the summary go to stderr
+        table, out = out.splitlines(), err
+        assert table[0] == "name,ranges,instances,status,counterexample"
+        assert table[1 + CHECK_NAMES.index("comp2")] == (
+            f'comp2,"k=1..5 n=1..20",100,fail,{ce.replace(",", ";")}')
     lines = out.splitlines()
     failing = [i for i, line in enumerate(lines) if " FAIL " in line]
-    assert code == 1
     assert [lines[i].split()[0] for i in failing] == ["comp2"]
-    ce = f"k=2 n=5: expected {right(2, 5)}, got {right(2, 5) + 1} (closed form vs enumeration)"
-    report = {
-        "plain": ['check=comp2 ranges="k=1..5 n=1..20" instances=100 status=fail',
-                  f"counterexample: {ce}"],
-        "csv": ["name,ranges,instances,status,counterexample",
-                f'comp2,"k=1..5 n=1..20",100,fail,{ce.replace(",", ";")}'],
-    }[fmt]
-    assert lines[failing[0] + 1:failing[0] + 3] == report
+    if fmt == "plain":
+        assert lines[failing[0] + 1:failing[0] + 3] == [
+            'check=comp2 ranges="k=1..5 n=1..20" instances=100 status=fail',
+            f"counterexample: {ce}"]
+    else:
+        assert [SWEEP_LINE.fullmatch(line)[1] for line in lines[:-1]] == list(CHECK_NAMES)
     assert re.fullmatch(r"19 sweeps, 1 failing, \d+\.\ds", lines[-1])
+
+
+def test_verify_all_csv_stdout_is_a_header_and_one_row_per_sweep(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0
+    assert [len(row) for row in rows] == [5] * 20
+    assert rows[0] == ["name", "ranges", "instances", "status", "counterexample"]
+    assert [(row[0], row[3], row[4]) for row in rows[1:]] == [
+        (name, "pass", "") for name in CHECK_NAMES]
 
 
 @pytest.mark.parametrize("args, message", [
@@ -304,6 +324,19 @@ def test_verify_all_rejects_invalid_arguments_with_exit_2(capsys, monkeypatch, a
     code, out, err = run_cli(capsys, "verify", "all", *args)
     assert (code, out) == (2, "")
     assert err.startswith(message)
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "formula", "thm2", "--k", "2", "--n", "4")[:2] == (0, "-1\n")
+        assert run_cli(capsys, "count", "--class", "odd", "--n", "7")[:2] == (0, "13\n")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_bfile_emit_stdout(capsys):
@@ -460,6 +493,18 @@ def test_module_entry_point_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "16\n", "")
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only `verify --jobs N` with N > 1 needs a pool, and the import is slow
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, compparity.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "'multiprocessing'" not in proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from compparity import _automaton, compositions, partition_theorems, partitions, series, verify
+from compparity import (
+    _automaton, compositions, formulas, partition_theorems, partitions, series, verify)
 from compparity.verify import (
     CHECK_NAMES,
     Counterexample,
@@ -120,17 +121,16 @@ def test_absent_axes_are_ignored():
 
 
 # ---------------------------------------------------------------------------
-# instances run largest-first; reports keep parameter order
+# rows run largest-first; reports keep parameter order
 # ---------------------------------------------------------------------------
 
 FAILING = {(1, 3), (2, 5)}
 
 
-def fail_at_two_instances(params):
-    k, n = params
-    if (k, n) in FAILING:
-        return Counterexample((("k", k), ("n", n)), 0, 1, "planted")
-    return None
+def fail_at_two_instances(lead, ns):
+    (k,) = lead
+    n = next((n for n in ns if (k, n) in FAILING), None)
+    return None if n is None else Counterexample((("k", k), ("n", n)), 0, 1, "planted")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -190,8 +190,21 @@ def test_partition_sweeps_pass_on_wide_grids(monkeypatch):
 SHARED_TALLIES = {("euler", "signed", "closed form", "enumeration")}
 
 
+def value_rows(name, config=SweepConfig()):
+    """The sweep's rows of route values: cor-period's without the shift checks."""
+    rows = verify._rows(verify.expand(name, config)[0])
+    if name == "cor-period":
+        rows = [(lead[1:], ns) for lead, ns in rows if lead[0] == "value"]
+    return rows
+
+
+def accepted(route, lead, ns):
+    """The n of the row at which the route is asked."""
+    return [n for n in ns if route.when is None or route.when(*lead, n)]
+
+
 def test_no_two_routes_read_one_tally(monkeypatch):
-    """Every route at every default instance, with the tally keys it reads.
+    """Every route on every default row, with the tally keys it reads.
 
     Equal classes share one tally, so two routes whose classes are equal
     would compare a number with itself.  The pairs found must be exactly
@@ -209,16 +222,13 @@ def test_no_two_routes_read_one_tally(monkeypatch):
     for name, sweep in verify._SWEEPS.items():
         if not sweep.routes:
             continue
-        instances, _ = verify.expand(name, SweepConfig())
-        if name == "cor-period":  # its value instances, without the shift checks
-            instances = [p[1:] for p in instances if p[0] == "value"]
-        for params in instances:
+        for lead, ns in value_rows(name):
             for quantity, routes in (("", sweep.routes), *sweep.also):
                 keys = []
                 for route in routes:
                     read.clear()
-                    if route.when is None or route.when(*params):
-                        route.value(*params)
+                    if at := accepted(route, lead, ns):
+                        route.values(*lead, at)
                     keys.append((route.name, set(read)))
                 for (a, ka), (b, kb) in itertools.combinations(keys, 2):
                     if ka & kb:
@@ -231,42 +241,173 @@ def test_no_two_routes_read_one_tally(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def recorded(calls, name, value, when=None):
-    """A route that records its name when evaluated and returns ``value``."""
+    """A route that records each row it is asked for and returns ``value(n)`` at each n."""
     def call(*args):
         calls.append((name, args))
-        return value
+        return [value(n) for n in args[-1]]
     return verify._Route(name, call, when)
 
 
-def test_compare_evaluates_routes_in_order_and_stops_at_the_first_disagreement():
+def test_compare_asks_each_route_once_per_row_and_reports_the_smallest_failing_n():
     calls = []
     sweep = verify._Sweep("k=1..2 n=1..3", (
-        recorded(calls, "closed form", 5),
-        recorded(calls, "enumeration", 5),
-        recorded(calls, "series", 4),
-        recorded(calls, "recurrence", 3),
+        recorded(calls, "closed form", lambda n: 5),
+        recorded(calls, "enumeration", lambda n: 5 + (n == 3)),
+        recorded(calls, "series", lambda n: 5 - (n >= 2)),
+        recorded(calls, "recurrence", lambda n: 5 - 2 * (n == 2)),
     ))
-    found = verify._compare(sweep, (2, 3))
-    assert [name for name, _ in calls] == ["closed form", "enumeration", "series"]
-    assert calls[0][1] == (2, 3)
-    assert found == Counterexample((("k", 2), ("n", 3)), 5, 4, "series vs closed form")
-    assert found.describe() == "k=2 n=3: expected 5, got 4 (series vs closed form)"
+    found = verify._compare(sweep, (2,), (1, 2, 3))
+    assert calls == [(name, (2, (1, 2, 3)))
+                     for name in ("closed form", "enumeration", "series", "recurrence")]
+    # series and recurrence both fail at n = 2: the first in order is reported
+    assert found == Counterexample((("k", 2), ("n", 2)), 5, 4, "series vs closed form")
+    assert found.describe() == "k=2 n=2: expected 5, got 4 (series vs closed form)"
+    calls.clear()
+    assert verify._compare(sweep, (1,), (1,)) is None
+    assert [args for _, args in calls] == [(1, (1,))] * 4
 
 
-def test_compare_skips_guarded_routes_and_prefixes_a_second_quantity():
+def test_compare_asks_guarded_routes_only_where_accepted_and_prefixes_a_second_quantity():
     calls = []
     sweep = verify._Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
-        recorded(calls, "closed form", 1),
-        recorded(calls, "enumeration", 7, lambda r, s, n: r == 9),
-        recorded(calls, "second closed form", 1),
+        recorded(calls, "closed form", lambda n: 1),
+        recorded(calls, "enumeration", lambda n: 7, lambda r, s, n: r == 9),
+        # wrong past n = 2, where its guard keeps it from being asked
+        recorded(calls, "second closed form", lambda n: 1 + (n > 2), lambda r, s, n: n <= 2),
     ), also=(("unsigned", (
-        recorded(calls, "closed form", 2),
-        recorded(calls, "enumeration", 3),
+        recorded(calls, "closed form", lambda n: 2),
+        recorded(calls, "enumeration", lambda n: 2 + (n >= 4)),
     )),))
-    found = verify._compare(sweep, (3, 1, 4))
-    assert [name for name, _ in calls] == [
-        "closed form", "second closed form", "closed form", "enumeration"]
+    found = verify._compare(sweep, (3, 1), (1, 2, 3, 4, 5))
+    assert calls == [("closed form", (3, 1, (1, 2, 3, 4, 5))),
+                     ("second closed form", (3, 1, [1, 2])),
+                     ("closed form", (3, 1, (1, 2, 3, 4, 5))),
+                     ("enumeration", (3, 1, (1, 2, 3, 4, 5)))]
     assert found.describe() == "r=3 s=1 n=4: expected 2, got 3 (unsigned: enumeration vs closed form)"
+
+
+def planted_sweep(planted):
+    """A sweep whose routes give k*100 + m*10 + n, plus 1 at each planted instance.
+
+    ``planted`` holds (quantity, route, k, m, n); the second closed form is
+    asked only for n <= 3, as thm1's enumeration only for n <= 20.
+    """
+    def route(quantity, name, when=None):
+        def values(k, m, ns):
+            return [k * 100 + m * 10 + n + ((quantity, name, k, m, n) in planted) for n in ns]
+        return verify._Route(name, values, when)
+
+    return verify._Sweep("k=1..3 m=0..2 n=1..6", (
+        route("", "closed form"),
+        route("", "enumeration"),
+        route("", "second closed form", lambda k, m, n: n <= 3),
+        route("", "series"),
+    ), also=(("unsigned", (
+        route("unsigned", "closed form"),
+        route("unsigned", "enumeration"),
+    )),))
+
+
+TWO_ROWS = {("", "enumeration", 3, 0, 2), ("", "enumeration", 2, 1, 5)}
+TWO_NS = {("", "series", 2, 1, 4), ("", "series", 2, 1, 6)}
+
+
+@pytest.mark.parametrize("planted, describe", [
+    (TWO_ROWS, "k=2 m=1 n=5: expected 215, got 216 (enumeration vs closed form)"),
+    (TWO_ROWS | TWO_NS, "k=2 m=1 n=4: expected 214, got 215 (series vs closed form)"),
+    # at one n the first quantity is reported, then the first route
+    (TWO_NS | {("unsigned", "enumeration", 2, 1, 4)},
+     "k=2 m=1 n=4: expected 214, got 215 (series vs closed form)"),
+    (TWO_NS | {("unsigned", "enumeration", 2, 1, 2)},
+     "k=2 m=1 n=2: expected 212, got 213 (unsigned: enumeration vs closed form)"),
+    # past its guard a route is not asked, so a wrong value there passes
+    ({("", "second closed form", 2, 1, 5)}, None),
+    ({("", "second closed form", 2, 1, 5), ("", "second closed form", 2, 1, 3)},
+     "k=2 m=1 n=3: expected 213, got 214 (second closed form vs closed form)"),
+    ({("", "second closed form", 2, 1, 3), ("", "series", 2, 1, 3)},
+     "k=2 m=1 n=3: expected 213, got 214 (second closed form vs closed form)"),
+])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_planted_disagreements_report_the_first_instance_then_quantity_then_route(
+        monkeypatch, planted, describe, jobs):
+    monkeypatch.setitem(verify._SWEEPS, "thm4", planted_sweep(planted))
+    report = run_check("thm4", SweepConfig(max_k=3, max_m=2, max_n=6, jobs=jobs))
+    assert report.instances == 54
+    assert (report.counterexample and report.counterexample.describe()) == describe
+
+
+def compare_instance(sweep, params):
+    """The first disagreement at one instance, asking each route for that n alone.
+
+    The comparison loop as it was before sweeps compared rows: quantities
+    and routes in order, stopping at the first route that differs from its
+    quantity's reference.
+    """
+    *lead, n = params
+    axes = [axis for axis, _, dots, last in verify._terms(sweep.grid) if dots or last.isdigit()]
+    for quantity, routes in (("", sweep.routes), *sweep.also):
+        reference = None
+        for route in routes:
+            if route.when is None or route.when(*params):
+                (got,) = route.values(*lead, (n,))
+                if reference is None:
+                    reference, expected = route, got
+                elif got != expected:
+                    detail = f"{route.name} vs {reference.name}"
+                    return Counterexample(tuple(zip(axes, params)), expected, got,
+                                          f"{quantity}: {detail}" if quantity else detail)
+    return None
+
+
+def check_instance_by_instance(name, config):
+    """The report of a sweep run one instance at a time, largest first."""
+    sweep = verify._SWEEPS[name]
+    instances, ranges = verify.expand(name, config)
+    results = []
+    for params in reversed(instances):
+        if name == "cor-period" and params[0] == "value":
+            results.append(compare_instance(sweep, params[1:]))
+        elif sweep.check is not None:
+            results.append(sweep.check(params[:-1], params[-1:]))
+        else:
+            results.append(compare_instance(sweep, params))
+    failure = next((r for r in reversed(results) if r is not None), None)
+    return VerificationReport(name, ranges, len(instances), failure is None, failure)
+
+
+def plus_one_at(module, name, where):
+    """Patch ``module.name`` to add 1 to its value at the arguments ``where``."""
+    real = getattr(module, name)
+    return module, name, lambda *args: real(*args) + (args == where)
+
+
+# three of the point defects that pass every default sweep; each fails its
+# sweeps once n reaches 60
+POINT_DEFECTS = {
+    "clean": None,
+    "min_part_signed": (formulas, "min_part_signed", (3, 25)),
+    "legendre_closed": (partition_theorems, "legendre_closed", (60,)),
+    "andrews_singleton_closed": (partition_theorems, "andrews_singleton_closed", (40, 3)),
+}
+
+
+@pytest.mark.parametrize("defect", POINT_DEFECTS)
+def test_rows_report_what_an_instance_at_a_time_loop_reports(monkeypatch, defect):
+    if POINT_DEFECTS[defect] is not None:
+        monkeypatch.setattr(*plus_one_at(*POINT_DEFECTS[defect]))
+    failing = set()
+    for config in (SweepConfig(), SweepConfig(max_n=60)):
+        for name in CHECK_NAMES:
+            rows = run_check(name, config)
+            assert rows == check_instance_by_instance(name, config), (name, config)
+            if not rows.passed:
+                failing.add((name, config.max_n))
+    assert failing == {
+        "clean": set(),
+        "min_part_signed": {("thm2", 60)},
+        "legendre_closed": {("legendre", 60), ("nyirenda-c", 60)},
+        "andrews_singleton_closed": {("andrews-d", 60)},
+    }[defect]
 
 
 def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
@@ -284,25 +425,36 @@ def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
 
 
 def test_every_route_takes_exactly_its_sweeps_grid_axes():
+    # a route lifted from one instance takes the axes; a row route takes the
+    # leading axes and the row's n; a guard takes one instance
     for name, sweep in verify._SWEEPS.items():
         axes = [axis for axis, _, dots, last in verify._terms(sweep.grid)
                 if dots or last.isdigit()]
         for quantity, routes in (("", sweep.routes), *sweep.also):
             for route in routes:
-                for fn in (route.value, route.when):
-                    if fn is not None:
-                        assert list(inspect.signature(fn).parameters) == axes, (
-                            name, quantity, route.name)
+                lifted = getattr(route.values, "__wrapped__", None)
+                if lifted is None:
+                    assert list(inspect.signature(route.values).parameters) == axes[:-1] + [
+                        "ns"], (name, quantity, route.name)
+                else:
+                    assert list(inspect.signature(lifted).parameters) == axes, (
+                        name, quantity, route.name)
+                if route.when is not None:
+                    assert list(inspect.signature(route.when).parameters) == axes, (
+                        name, quantity, route.name)
 
 
 def test_an_enumeration_off_by_one_fails_thm2_at_the_first_instance(monkeypatch):
-    real = compositions.signed_count
+    real = compositions.counts_by_size
 
     def off_by_one(n, cls):
-        counts = real(n, cls)
-        return compositions.SignedCount(counts.odd_count + (n == 10), counts.even_count)
+        counts = list(real(n, cls))
+        if n >= 10:
+            odd, even = counts[10]
+            counts[10] = odd + 1, even
+        return tuple(counts)
 
-    monkeypatch.setattr(compositions, "signed_count", off_by_one)
+    monkeypatch.setattr(compositions, "counts_by_size", off_by_one)
     report = run_check("thm2")
     assert not report.passed
     assert report.counterexample.describe() == (
@@ -310,13 +462,17 @@ def test_an_enumeration_off_by_one_fails_thm2_at_the_first_instance(monkeypatch)
 
 
 def test_a_partition_count_off_by_one_fails_glaisher_at_the_first_instance(monkeypatch):
-    real = partitions.count_partitions
+    real = partitions.counts_by_size
     capped = {partitions.MaxMultiplicity(k) for k in range(1, 5)}
 
     def off_by_one(n, cls):
-        return real(n, cls) + (n == 7 and cls in capped)
+        counts = list(real(n, cls))
+        if n >= 7 and cls in capped:
+            odd, even = counts[7]
+            counts[7] = odd + 1, even
+        return tuple(counts)
 
-    monkeypatch.setattr(partitions, "count_partitions", off_by_one)
+    monkeypatch.setattr(partitions, "counts_by_size", off_by_one)
     report = run_check("glaisher")
     assert not report.passed
     assert report.counterexample.describe() == (
@@ -395,11 +551,13 @@ def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
 
 
 def test_rows_asked_for_in_ascending_order_give_the_same_values(monkeypatch):
+    # each sweep row asked for one n more at a time, so every stored row grows
     monkeypatch.setattr(verify, "_ROWS", {})
     for name in ("thm1", "thm2", "thm3", "thm4bar", "legendre"):
         sweep = verify._SWEEPS[name]
-        instances, _ = verify.expand(name, SweepConfig())
-        assert [p for p in instances if verify._compare(sweep, p)] == [], name
+        for lead, ns in value_rows(name):
+            assert [ns[:end] for end in range(1, len(ns) + 1)
+                    if verify._compare(sweep, lead, ns[:end])] == [], (name, lead)
     # a two-dimensional row grows to the componentwise max of the sizes asked
     rows = RecordingRows()
     monkeypatch.setattr(verify, "_ROWS", rows)
