@@ -40,7 +40,7 @@ parts, whose states are the sets of parts used, reach about 65.
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable
+from collections.abc import Callable, Hashable
 
 MAX_TRIALS = 2_000_000
 

@@ -25,10 +25,10 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from compparity import compositions, formulas, partition_theorems, sequences, series
+from compparity._value import Value
 from compparity.verify import CHECK_NAMES, SweepConfig, expand, overrides, render_report, run_check
 
 # Parameter flags a token may use; any other one given is rejected.
@@ -79,8 +79,7 @@ def _composition_class(args: argparse.Namespace) -> compositions.CompositionClas
 # named formulas and sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Identity:
+class _Identity(Value):
     """A formula or sequence token.
 
     ``flags`` names its parameters (``?`` marks an optional one) and
@@ -92,12 +91,23 @@ class _Identity:
     ``value`` does not take.
     """
 
-    flags: str
-    offset: int
-    value: Callable[[argparse.Namespace, int], int]
-    note: Callable[[argparse.Namespace, int], str] | None = None
-    k_default: Callable[[argparse.Namespace], int] | None = None
-    row: Callable[[argparse.Namespace, int], list[int]] | None = None
+    __slots__ = ("flags", "offset", "value", "note", "k_default", "row")
+
+    def __init__(
+        self,
+        flags: str,
+        offset: int,
+        value: Callable[[argparse.Namespace, int], int],
+        note: Callable[[argparse.Namespace, int], str] | None = None,
+        k_default: Callable[[argparse.Namespace], int] | None = None,
+        row: Callable[[argparse.Namespace, int], list[int]] | None = None,
+    ) -> None:
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "k_default", k_default)
+        object.__setattr__(self, "row", row)
 
 
 _IDENTITIES = {

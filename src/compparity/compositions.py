@@ -32,20 +32,20 @@ number of odd-length members minus the number of even-length members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterator
+from collections.abc import Hashable, Iterator
 
 from compparity._automaton import tally_compositions
+from compparity._value import OrderedValue, Value
 
 
-@dataclass(frozen=True, order=True)
-class Composition:
+class Composition(OrderedValue):
     """Ordered tuple of positive integer parts; sorts lexicographically."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        for i, p in enumerate(self.parts):
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        for i, p in enumerate(parts):
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"part {p!r} at index {i} is not a positive integer")
 
@@ -58,12 +58,14 @@ class Composition:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class SignedCount:
+class SignedCount(Value):
     """Counts of odd-length and even-length members of a finite class."""
 
-    odd_count: int
-    even_count: int
+    __slots__ = ("odd_count", "even_count")
+
+    def __init__(self, odd_count: int, even_count: int) -> None:
+        object.__setattr__(self, "odd_count", odd_count)
+        object.__setattr__(self, "even_count", even_count)
 
     @property
     def diff(self) -> int:
@@ -75,7 +77,7 @@ class SignedCount:
         return self.odd_count + self.even_count
 
 
-class CompositionClass:
+class CompositionClass(Value):
     """Base class for part restrictions.
 
     Subclasses supply ``contains`` (a direct predicate on part tuples),
@@ -88,6 +90,8 @@ class CompositionClass:
     parts), ``GuardedSmall`` (small parts and a phase) and
     ``DistinctParts`` (the set of parts used).
     """
+
+    __slots__ = ()
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         raise NotImplementedError
@@ -110,18 +114,19 @@ def _check_size(n: int) -> None:
         raise ValueError(f"composition size must be >= 0, got {n}")
 
 
-@dataclass(frozen=True)
 class PartsIn(CompositionClass):
     """Every part p has p >= least and p % period in residues, kept sorted and once each."""
 
-    least: int
-    period: int
-    residues: tuple[int, ...]
+    __slots__ = ("least", "period", "residues")
 
-    def __post_init__(self) -> None:
-        residues = tuple(sorted(set(self.residues)))
-        if self.least < 1 or self.period < 1 or not residues or not (
-                0 <= residues[0] and residues[-1] < self.period):
+    def __init__(self, least: int, period: int, residues: tuple[int, ...]) -> None:
+        # the fields as given, so that an error shows them; then the sorted residues
+        object.__setattr__(self, "least", least)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "residues", residues)
+        residues = tuple(sorted(set(residues)))
+        if least < 1 or period < 1 or not residues or not (
+                0 <= residues[0] and residues[-1] < period):
             raise ValueError("PartsIn requires least, period >= 1 and a nonempty set of "
                              f"residues in 0..period-1, got {self}")
         object.__setattr__(self, "residues", residues)
@@ -185,9 +190,10 @@ class OddParts:
         return PartsIn(1, 2, (1,))
 
 
-@dataclass(frozen=True)
 class DistinctParts(CompositionClass):
     """All parts pairwise distinct."""
+
+    __slots__ = ()
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         return len(set(parts)) == len(parts)
@@ -212,19 +218,19 @@ class DistinctParts(CompositionClass):
         return None if used >> part & 1 else used | 1 << part
 
 
-@dataclass(frozen=True)
 class MarkedParts(CompositionClass):
     """Every part lies in ``plain`` or is a marked part >= least; exactly m are marked."""
 
-    plain: PartsIn
-    least: int
-    m: int
+    __slots__ = ("plain", "least", "m")
 
-    def __post_init__(self) -> None:
-        if self.least < 1:
-            raise ValueError(f"MarkedParts requires least >= 1, got least={self.least}")
-        if self.m < 0:
-            raise ValueError(f"MarkedParts requires m >= 0, got m={self.m}")
+    def __init__(self, plain: PartsIn, least: int, m: int) -> None:
+        if least < 1:
+            raise ValueError(f"MarkedParts requires least >= 1, got least={least}")
+        if m < 0:
+            raise ValueError(f"MarkedParts requires m >= 0, got m={m}")
+        object.__setattr__(self, "plain", plain)
+        object.__setattr__(self, "least", least)
+        object.__setattr__(self, "m", m)
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         marked = [p for p in parts if not self.plain.contains((p,))]
@@ -317,18 +323,18 @@ def is_guarded(parts: tuple[int, ...], k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class GuardedSmall(CompositionClass):
     """Exactly m parts < k, each of them guarded (see ``is_guarded``)."""
 
-    k: int
-    m: int
+    __slots__ = ("k", "m")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"GuardedSmall requires k >= 1, got k={self.k}")
-        if self.m < 0:
-            raise ValueError(f"GuardedSmall requires m >= 0, got m={self.m}")
+    def __init__(self, k: int, m: int) -> None:
+        if k < 1:
+            raise ValueError(f"GuardedSmall requires k >= 1, got k={k}")
+        if m < 0:
+            raise ValueError(f"GuardedSmall requires m >= 0, got m={m}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         small = sum(1 for p in parts if p < self.k)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterator
+from collections.abc import Iterator
 
 
 def binomial(a: int, b: int) -> int:

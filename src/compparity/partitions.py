@@ -31,25 +31,25 @@ itself just returns both tallies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Iterator
+from collections.abc import Hashable, Iterator
 
 from compparity._automaton import tally_partitions
+from compparity._value import OrderedValue, Value
 from compparity.compositions import SignedCount
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(OrderedValue):
     """Weakly decreasing tuple of positive integer parts; sorts lexicographically."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        for i, p in enumerate(self.parts):
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        for i, p in enumerate(parts):
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"part {p!r} at index {i} is not a positive integer")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
 
     @property
     def size(self) -> int:
@@ -60,7 +60,7 @@ class Partition:
         return len(self.parts)
 
 
-class PartitionClass:
+class PartitionClass(Value):
     """Base class for partition restrictions.
 
     A subclass supplies ``contains``, which ``iter_parts`` applies to every
@@ -70,6 +70,8 @@ class PartitionClass:
     ``mult == 0`` past a member's largest part must leave ``accept``
     unchanged.  The defaults suit a one-state rule on each value alone.
     """
+
+    __slots__ = ()
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         raise NotImplementedError
@@ -104,7 +106,6 @@ def _iter_partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
 class PartsIn(PartitionClass):
     """Every part v has v % period in residues and occurs at most ``most`` times.
 
@@ -112,14 +113,16 @@ class PartsIn(PartitionClass):
     and may be none, which leaves only the empty partition.
     """
 
-    period: int
-    residues: tuple[int, ...]
-    most: int | None = None
+    __slots__ = ("period", "residues", "most")
 
-    def __post_init__(self) -> None:
-        residues = tuple(sorted(set(self.residues)))
-        if (self.period < 1 or residues and not 0 <= residues[0] <= residues[-1] < self.period
-                or self.most is not None and self.most < 0):
+    def __init__(self, period: int, residues: tuple[int, ...], most: int | None = None) -> None:
+        # the fields as given, so that an error shows them; then the sorted residues
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "most", most)
+        residues = tuple(sorted(set(residues)))
+        if (period < 1 or residues and not 0 <= residues[0] <= residues[-1] < period
+                or most is not None and most < 0):
             raise ValueError("PartsIn requires period >= 1, residues in 0..period-1 and "
                              f"most >= 0 or None, got {self}")
         object.__setattr__(self, "residues", residues)
@@ -186,18 +189,18 @@ class NoPartDivisibleBy:
         return PartsIn(k, tuple(range(1, k)))
 
 
-@dataclass(frozen=True)
 class FranklinRepeated(PartitionClass):
     """Exactly m distinct part values each occurring at least k times."""
 
-    k: int
-    m: int
+    __slots__ = ("k", "m")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"FranklinRepeated requires k >= 1, got k={self.k}")
-        if self.m < 0:
-            raise ValueError(f"FranklinRepeated requires m >= 0, got m={self.m}")
+    def __init__(self, k: int, m: int) -> None:
+        if k < 1:
+            raise ValueError(f"FranklinRepeated requires k >= 1, got k={k}")
+        if m < 0:
+            raise ValueError(f"FranklinRepeated requires m >= 0, got m={m}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         counts = Counter(parts)
@@ -212,18 +215,18 @@ class FranklinRepeated(PartitionClass):
         return repeated == self.m
 
 
-@dataclass(frozen=True)
 class FranklinDivisible(PartitionClass):
     """Exactly m distinct part values divisible by k."""
 
-    k: int
-    m: int
+    __slots__ = ("k", "m")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"FranklinDivisible requires k >= 1, got k={self.k}")
-        if self.m < 0:
-            raise ValueError(f"FranklinDivisible requires m >= 0, got m={self.m}")
+    def __init__(self, k: int, m: int) -> None:
+        if k < 1:
+            raise ValueError(f"FranklinDivisible requires k >= 1, got k={k}")
+        if m < 0:
+            raise ValueError(f"FranklinDivisible requires m >= 0, got m={m}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         values = set(parts)
@@ -261,15 +264,15 @@ def _initial_reps_step(intact: bool, mult: int, k: int) -> bool | None:
     return intact and mult >= k
 
 
-@dataclass(frozen=True)
 class InitialKReps(PartitionClass):
     """Partitions with initial k-repetitions (see ``has_initial_repetitions``)."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"InitialKReps requires k >= 1, got k={self.k}")
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError(f"InitialKReps requires k >= 1, got k={k}")
+        object.__setattr__(self, "k", k)
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         return has_initial_repetitions(parts, self.k)
@@ -281,7 +284,6 @@ class InitialKReps(PartitionClass):
         return _initial_reps_step(intact, mult, self.k)
 
 
-@dataclass(frozen=True)
 class InitialTwoRepsWithMarks(PartitionClass):
     """Initial 2-repetitions and exactly m distinct part values.
 
@@ -289,11 +291,12 @@ class InitialTwoRepsWithMarks(PartitionClass):
     multiplicity one; see ``singleton_signed_count``.
     """
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"InitialTwoRepsWithMarks requires m >= 0, got m={self.m}")
+    def __init__(self, m: int) -> None:
+        if m < 0:
+            raise ValueError(f"InitialTwoRepsWithMarks requires m >= 0, got m={m}")
+        object.__setattr__(self, "m", m)
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         return len(set(parts)) == self.m and has_initial_repetitions(parts, 2)

@@ -10,8 +10,9 @@ separates the two fields) so that annotated fixture files still load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from compparity._value import Value
 
 
 def detect_period(values: Sequence[int]) -> tuple[int, int] | None:
@@ -46,19 +47,19 @@ def detect_period(values: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class IntegerSequence:
+class IntegerSequence(Value):
     """Values with an offset: values[i] is the term at index offset + i.
 
     Computed sequences and parsed b-files (``parse_bfile``) alike.
     """
 
-    offset: int
-    values: tuple[int, ...]
+    __slots__ = ("offset", "values")
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, offset: int, values: tuple[int, ...]) -> None:
+        if not values:
             raise ValueError("sequence must contain at least one term")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "values", values)
 
     @property
     def last_index(self) -> int:
@@ -117,14 +118,20 @@ def parse_bfile(text: str) -> IntegerSequence:
     return IntegerSequence(offset, tuple(values))
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    """Result of comparing a computed sequence against a b-file."""
+class MatchReport(Value):
+    """Result of comparing a computed sequence against a b-file.
 
-    matched: bool
-    overlap_start: int
-    overlap_end: int
-    first_mismatch: tuple[int, int, int] | None  # (index, computed, file)
+    ``first_mismatch`` is (index, computed, file value), or None on a match.
+    """
+
+    __slots__ = ("matched", "overlap_start", "overlap_end", "first_mismatch")
+
+    def __init__(self, matched: bool, overlap_start: int, overlap_end: int,
+                 first_mismatch: tuple[int, int, int] | None) -> None:
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "overlap_start", overlap_start)
+        object.__setattr__(self, "overlap_end", overlap_end)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
     def describe(self) -> str:
         if self.matched:

@@ -31,26 +31,25 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
+from compparity._value import Value
 from compparity.formulas import congruent_periodic
 from compparity.sequences import detect_period
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Value):
     """Integer polynomial; coeffs[d] is the coefficient of x^d.
 
-    Trailing zero coefficients are trimmed on construction, so equality of
-    dataclasses is equality of polynomials.  The zero polynomial has an
-    empty coefficient tuple.
+    Trailing zero coefficients are trimmed on construction, so two
+    polynomials are equal exactly when their coefficient tuples are.  The
+    zero polynomial has an empty coefficient tuple.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        c = tuple(coeffs)
         end = len(c)
         while end and c[end - 1] == 0:
             end -= 1
@@ -134,15 +133,15 @@ def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(quot))
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Power series known exactly up to x^order."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -156,12 +155,6 @@ class TruncatedSeries:
         if not 0 <= d <= self.order:
             raise ValueError(f"coefficient {d} beyond truncation order {self.order}")
         return self.coeffs[d]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: order + 1], other.coeffs))
-        )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
@@ -412,22 +405,22 @@ def pentagonal_rhs(order: int) -> TruncatedSeries:
 # bivariate series for the small-part statistic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BivariateSeries:
+class BivariateSeries(Value):
     """Series in x and y truncated to a rectangle.
 
     coeffs[a][b] is the coefficient of x^a y^b, 0 <= a <= x_order and
     0 <= b <= y_order.
     """
 
-    coeffs: tuple[tuple[int, ...], ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs or not self.coeffs[0]:
+    def __init__(self, coeffs: tuple[tuple[int, ...], ...]) -> None:
+        if not coeffs or not coeffs[0]:
             raise ValueError("bivariate series needs at least the constant term")
-        width = len(self.coeffs[0])
-        if any(len(row) != width for row in self.coeffs):
+        width = len(coeffs[0])
+        if any(len(row) != width for row in coeffs):
             raise ValueError("ragged coefficient rows")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def x_order(self) -> int:
@@ -497,17 +490,20 @@ def cyclotomic(n: int) -> IntPolynomial:
     return num
 
 
-@dataclass(frozen=True)
-class ShiftCheckReport:
+class ShiftCheckReport(Value):
     """Outcome of the inverse/periodicity check for a k = 2r-s sequence."""
 
-    r: int
-    s: int
-    k: int
-    inverse_ok: bool
-    preperiod: int | None
-    period: int | None
-    period_divides: bool
+    __slots__ = ("r", "s", "k", "inverse_ok", "preperiod", "period", "period_divides")
+
+    def __init__(self, r: int, s: int, k: int, inverse_ok: bool, preperiod: int | None,
+                 period: int | None, period_divides: bool) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "inverse_ok", inverse_ok)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "period_divides", period_divides)
 
     @property
     def passed(self) -> bool:

@@ -35,10 +35,10 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from compparity import compositions, formulas, partition_theorems, partitions, series
+from compparity._value import Value
 from compparity.compositions import (
     ExactSmall,
     GuardedSmall,
@@ -49,30 +49,42 @@ from compparity.compositions import (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Range overrides for a sweep; None keeps the check's default."""
+class SweepConfig(Value):
+    """Range overrides for a sweep; None keeps the check's default.
 
-    max_n: int | None = None
-    max_k: int | None = None
-    max_r: int | None = None
-    max_m: int | None = None
-    jobs: int = 1
+    ``jobs`` may not exceed the CPUs this process may run on.
+    """
 
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        cpus = os.cpu_count() or 1
-        if self.jobs > cpus:
-            raise ValueError(f"jobs must be <= {cpus}, the number of CPUs, got {self.jobs}")
+    __slots__ = ("max_n", "max_k", "max_r", "max_m", "jobs")
+
+    def __init__(self, max_n: int | None = None, max_k: int | None = None,
+                 max_r: int | None = None, max_m: int | None = None, jobs: int = 1) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # the platform reports no affinity: count every CPU
+            cpus = os.cpu_count() or 1
+        if jobs > cpus:
+            raise ValueError(f"jobs must be <= {cpus}, the number of CPUs, got {jobs}")
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "max_k", max_k)
+        object.__setattr__(self, "max_r", max_r)
+        object.__setattr__(self, "max_m", max_m)
+        object.__setattr__(self, "jobs", jobs)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    params: tuple[tuple[str, int], ...]
-    expected: object
-    actual: object
-    detail: str = ""
+class Counterexample(Value):
+    """A failing instance: its parameters, the two values and what was compared."""
+
+    __slots__ = ("params", "expected", "actual", "detail")
+
+    def __init__(self, params: tuple[tuple[str, int], ...], expected: object, actual: object,
+                 detail: str = "") -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "detail", detail)
 
     def describe(self) -> str:
         where = " ".join(f"{k}={v}" for k, v in self.params)
@@ -82,19 +94,22 @@ class Counterexample:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    name: str
-    ranges: str
-    instances: int
-    passed: bool
-    counterexample: Counterexample | None
+class VerificationReport(Value):
+    """One sweep's outcome: a failed report carries its first counterexample."""
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.counterexample is None:
+    __slots__ = ("name", "ranges", "instances", "passed", "counterexample")
+
+    def __init__(self, name: str, ranges: str, instances: int, passed: bool,
+                 counterexample: Counterexample | None) -> None:
+        if not passed and counterexample is None:
             raise ValueError("failed report must carry a counterexample")
-        if self.passed and self.counterexample is not None:
+        if passed and counterexample is not None:
             raise ValueError("passed report must not carry a counterexample")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def render_report(report: VerificationReport, fmt: str = "plain") -> str:
@@ -157,8 +172,7 @@ def _row(fn: Callable, *lead: int, size: tuple[int, ...]):
     return stored[1]
 
 
-@dataclass(frozen=True, slots=True)
-class _Route:
+class _Route(Value):
     """One route to a sweep's values, named from ``ROUTES``.
 
     ``values`` takes a row's leading axes, in grid order, then ``ns``, the
@@ -167,9 +181,13 @@ class _Route:
     it accepts, or for every n of the row when it is None.
     """
 
-    name: str
-    values: Callable[..., list]
-    when: Callable[..., bool] | None = None
+    __slots__ = ("name", "values", "when")
+
+    def __init__(self, name: str, values: Callable[..., list],
+                 when: Callable[..., bool] | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "when", when)
 
 
 def _each(value: Callable[..., object]) -> Callable[..., list]:
@@ -209,8 +227,7 @@ def _members(side, cls, ns: Sequence[int], shift: int = 0) -> list[int]:
     return [counts[n + shift][0] + counts[n + shift][1] for n in ns]
 
 
-@dataclass(frozen=True)
-class _Sweep:
+class _Sweep(Value):
     """One named sweep: the grid it covers and the routes compared on it.
 
     ``grid`` reads as the report's ranges.  A term ``a=first..last`` is an
@@ -227,12 +244,23 @@ class _Sweep:
     its n, instead of comparing its routes.
     """
 
-    grid: str
-    routes: tuple[_Route, ...] = ()
-    instances: Callable[[list[tuple]], list[tuple]] = lambda points: points
-    note: Callable[[dict[str, int]], str] = lambda last: ""
-    also: tuple[tuple[str, tuple[_Route, ...]], ...] = ()
-    check: Callable[[tuple, tuple[int, ...]], Counterexample | None] | None = None
+    __slots__ = ("grid", "routes", "instances", "note", "also", "check")
+
+    def __init__(
+        self,
+        grid: str,
+        routes: tuple[_Route, ...] = (),
+        instances: Callable[[list[tuple]], list[tuple]] = lambda points: points,
+        note: Callable[[dict[str, int]], str] = lambda last: "",
+        also: tuple[tuple[str, tuple[_Route, ...]], ...] = (),
+        check: Callable[[tuple, tuple[int, ...]], Counterexample | None] | None = None,
+    ) -> None:
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "routes", routes)
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "also", also)
+        object.__setattr__(self, "check", check)
 
 
 def _compare(sweep: _Sweep, lead: tuple, ns: tuple[int, ...]) -> Counterexample | None:

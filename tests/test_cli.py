@@ -19,6 +19,8 @@ from compparity import cli, formulas, series
 from compparity.verify import CHECK_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the CPUs this process may run on, which bound `verify --jobs`
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def run_cli(capsys, *argv):
@@ -311,8 +313,8 @@ def test_verify_all_csv_stdout_is_a_header_and_one_row_per_sweep(capsys):
 @pytest.mark.parametrize("args, message", [
     (("--max-n", "-1"), "error: check thm1 has no instances over n=1..-1"),
     (("--jobs", "0"), "error: jobs must be >= 1, got 0"),
-    (("--jobs", str(os.cpu_count() + 1)),
-     f"error: jobs must be <= {os.cpu_count()}, the number of CPUs, got {os.cpu_count() + 1}"),
+    (("--jobs", str(CPUS + 1)),
+     f"error: jobs must be <= {CPUS}, the number of CPUs, got {CPUS + 1}"),
     # every grid is expanded before the first sweep prints its line
     (("--max-k", "0"), "error: check thm2 has no instances over k=1..0 n=1..20"),
 ])
@@ -496,15 +498,19 @@ def test_module_entry_point_runs_the_cli():
 
 
 def test_importing_the_cli_leaves_multiprocessing_unimported():
-    # only `verify --jobs N` with N > 1 needs a pool, and the import is slow
+    # Every CLI call pays for its imports.  Only `verify --jobs N` with N > 1
+    # needs a pool; the value classes need neither dataclasses (with inspect)
+    # nor typing.  Without `site`, whose own imports would hide any of these.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, compparity.cli; print(sorted(sys.modules))"],
+        [sys.executable, "-S", "-c", "import sys, compparity.cli; print(*sorted(sys.modules))"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0
-    assert "'multiprocessing'" not in proc.stdout
+    loaded = set(proc.stdout.split())
+    assert "compparity.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "multiprocessing"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Verification sweep registry: every check runs, reports are stable."""
 
-import dataclasses
 import inspect
 import itertools
 import time
@@ -59,6 +58,19 @@ def test_report_invariants():
         VerificationReport(
             name="thm2", ranges="k=1 n=1", instances=1, passed=False, counterexample=None
         )
+
+
+def test_jobs_are_bounded_by_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert SweepConfig(jobs=2).jobs == 2
+    with pytest.raises(ValueError, match=r"^jobs must be <= 2, the number of CPUs, got 3$"):
+        SweepConfig(jobs=3)
+    # where the affinity is unknown, every CPU counts
+    monkeypatch.delattr(verify.os, "sched_getaffinity")
+    assert SweepConfig(jobs=64).jobs == 64
+    with pytest.raises(ValueError, match=r"^jobs must be <= 64, the number of CPUs, got 65$"):
+        SweepConfig(jobs=65)
 
 
 def test_counterexample_describe():
@@ -135,7 +147,7 @@ def fail_at_two_instances(lead, ns):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_the_first_counterexample_in_parameter_order_is_reported(monkeypatch, jobs):
-    sweep = dataclasses.replace(verify._SWEEPS["thm2"], check=fail_at_two_instances)
+    sweep = verify._Sweep(verify._SWEEPS["thm2"].grid, check=fail_at_two_instances)
     monkeypatch.setitem(verify._SWEEPS, "thm2", sweep)
     report = run_check("thm2", SweepConfig(max_n=6, max_k=2, jobs=jobs))
     assert (report.passed, report.instances) == (False, 12)
