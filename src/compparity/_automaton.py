@@ -6,9 +6,17 @@ piece of a member and returns the next state or ``None`` to reject, and
 ``accept`` says whether a member may end in a state.  A composition is read
 one part at a time, and ``_tally`` counts prefixes forward by size: row
 ``s`` holds the (odd, even) length-parity counts of each state reached by
-a prefix of size ``s``.  A partition is read one value at a time, 1, 2,
-..., n, each with its multiplicity ``c >= 0``, and ``_tally_by_value``
-keeps per state the (odd, even) counts of every size 0..n, adding them,
+a prefix of size ``s``.  A state met on two consecutive nonempty rows
+gets a list of its accepted (part, next) moves, built once on the second
+of them for the parts that fit there; every later row, with less room,
+walks that list up to its room.  A state met only once, such as each set
+of used parts of distinct compositions, is read part by part and nothing
+is kept for it.  Whether a state recurs is read from the previous
+nonempty row, so the lists follow what the tally meets, not an option of
+the class: a one-state class calls ``step`` at most 2n times, not
+n(n+1)/2.  A partition is read one value at a time, 1, 2, ..., n, each
+with its multiplicity ``c >= 0``, and ``_tally_by_value`` keeps per
+state the (odd, even) counts of every size 0..n, adding them,
 shifted by c times the value, into the next state: the column-by-column
 transfer matrix (Stanley, EC1 4.7).  Those counts are packed w bits a
 size into one int each (Kronecker substitution), so a move is one shift
@@ -69,16 +77,23 @@ def _tally(n: int, cls) -> tuple[tuple[int, int], ...]:
     A composition is read one part at a time, and every part flips the
     length parity.
     """
-    step = cls.step
-    rows = {0: {cls.start(): [0, 1]}}  # the empty composition has even length
+    # the start row's charge, as below, made before the rows are allocated
+    if n * (n + 1) // 2 > MAX_TRIALS:
+        raise _past_limit(n)
+    step, accept = cls.step, cls.accept
+    rows: list[dict | None] = [None] * (n + 1)
+    rows[0] = {cls.start(): [0, 1]}  # the empty composition has even length
+    moves = {}  # state -> its accepted (part, next), parts 1..room of its second row
+    previous = {}  # the last nonempty row
     counts = []
     work = 0
     for size in range(n):
-        row = rows.pop(size, None)
+        row = rows[size]
         if row is None:
             counts.append((0, 0))
             continue
-        counts.append(_accepted(row, cls.accept))  # no later part reaches this row
+        rows[size] = None
+        counts.append(_accepted(row, accept))  # no later part reaches this row
         room = n - size
         # this row's trials, plus those its states would still make with a
         # single successor on every later row
@@ -86,11 +101,31 @@ def _tally(n: int, cls) -> tuple[tuple[int, int], ...]:
             raise _past_limit(n)
         work += len(row) * room
         for state, (odd, even) in row.items():
-            for part in range(1, room + 1):
-                nxt = step(state, part)
-                if nxt is None:
+            listed = moves.get(state)
+            if listed is None:
+                if state not in previous:  # met once so far: read part by part
+                    # the same additions as below, written out: a loop shared
+                    # through a generator made distinct compositions 25% slower
+                    for part in range(1, room + 1):
+                        nxt = step(state, part)
+                        if nxt is None:
+                            continue
+                        target = rows[size + part]
+                        if target is None:
+                            target = rows[size + part] = {}
+                        cell = target.get(nxt)
+                        if cell is None:
+                            target[nxt] = [even, odd]
+                        else:
+                            cell[0] += even
+                            cell[1] += odd
                     continue
-                target = rows.get(size + part)
+                listed = moves[state] = [(part, nxt) for part in range(1, room + 1)
+                                         if (nxt := step(state, part)) is not None]
+            for part, nxt in listed:
+                if part > room:
+                    break  # a list is sorted by part
+                target = rows[size + part]
                 if target is None:
                     target = rows[size + part] = {}
                 cell = target.get(nxt)
@@ -99,7 +134,8 @@ def _tally(n: int, cls) -> tuple[tuple[int, int], ...]:
                 else:
                     cell[0] += even
                     cell[1] += odd
-    counts.append(_accepted(rows.get(n, {}), cls.accept))
+        previous = row
+    counts.append(_accepted(rows[n] or {}, accept))
     return tuple(counts)
 
 
@@ -122,6 +158,7 @@ def _tally_by_value(n: int, start: Hashable, step: Callable, accept: Callable[[H
         raise _past_limit(n)
     width = _slot_bits(n)
     mask = (1 << (n + 1) * width) - 1
+    flips = [flip(mult) for mult in range(n + 1)]
     states = {start: (0, 1)}  # the empty partition, even
     work = 0
     for value in range(1, n + 1):
@@ -137,15 +174,16 @@ def _tally_by_value(n: int, start: Hashable, step: Callable, accept: Callable[[H
         after = {}
         for (odd, even), mult, nxt in moves:
             shift = mult * value * width
-            if flip(mult):
+            if flips[mult]:
                 odd, even = even, odd
             o, e = after.get(nxt, (0, 0))
             after[nxt] = (o + (odd << shift), e + (even << shift))
         states = {state: (o & mask, e & mask) for state, (o, e) in after.items()}
     size = width // 8
     odd, even = (x.to_bytes((n + 1) * size, "little") for x in _accepted(states, accept))
-    return tuple((int.from_bytes(odd[i:i + size], "little"),
-                  int.from_bytes(even[i:i + size], "little")) for i in range(0, len(odd), size))
+    odds = [int.from_bytes(odd[i:i + size], "little") for i in range(0, len(odd), size)]
+    evens = [int.from_bytes(even[i:i + size], "little") for i in range(0, len(even), size)]
+    return tuple(zip(odds, evens))
 
 
 def _counts(key: tuple, n: int, tally: Callable, *args) -> tuple[tuple[int, int], ...]:

@@ -542,22 +542,24 @@ def expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
     so a sweep can never pass vacuously.
     """
     sweep = _sweep(name)
-    points: list[dict[str, int]] = [{}]
+    points: list[tuple[int, ...]] = [()]
+    position: dict[str, int] = {}  # axis -> its index in a point
     last: dict[str, int] = {}
     text: list[str] = []
     for axis, first, dots, top in _terms(sweep.grid):
         if top.isdigit():
+            position[axis] = len(position)
             override = getattr(config, _OVERRIDE[axis])
             top = last[axis] = int(top) if override is None else override
-            lo = int(first) if dots else top
-            points = [{**p, axis: v} for p in points for v in range(lo, top + 1)]
+            values = range(int(first) if dots else top, top + 1)
+            points = [(*p, v) for p in points for v in values]
         elif dots:  # bounded by an earlier axis, as in s=0..r-1
+            position[axis] = len(position)
             ref, _, minus = top.partition("-")
-            points = [
-                {**p, axis: v} for p in points for v in range(int(first), p[ref] - int(minus) + 1)
-            ]
+            at, lo, less = position[ref], int(first), int(minus)
+            points = [(*p, v) for p in points for v in range(lo, p[at] - less + 1)]
         text.append(f"{axis}={first}{dots}{top}")
-    instances = sweep.instances([tuple(p.values()) for p in points])
+    instances = sweep.instances(points)
     ranges = " ".join(text) + sweep.note(last)
     if not instances:
         raise ValueError(f"check {name} has no instances over {ranges}")

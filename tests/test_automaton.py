@@ -180,6 +180,47 @@ def test_one_state_classes_reach_the_tally_limit():
         C.count_compositions(2000, C.MinPartCongruent(50, 50, 0))
 
 
+class CountedSteps:
+    """A composition class's automaton that counts its ``step`` calls.
+
+    Not a ``CompositionClass``, so the class grids above stay complete.
+    """
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.calls = 0
+
+    def start(self):
+        return self.cls.start()
+
+    def step(self, state, part):
+        self.calls += 1
+        return self.cls.step(state, part)
+
+    def accept(self, state):
+        return self.cls.accept(state)
+
+
+# a one-state class and the largest size its members are listed at
+@pytest.mark.parametrize("cls, listed", [
+    (C.MinPart(2), MAX_N),
+    (C.MinPart(150), 300),  # parts >= 150: at most two, and few members
+], ids=repr)
+def test_a_one_state_tally_reads_each_part_at_most_twice(cls, listed):
+    # the start row reads parts 1..300, the state's second row lists them once
+    counted = CountedSteps(cls)
+    counts = _automaton._tally(300, counted)
+    assert counted.calls <= 2 * 300
+    for n in range(listed + 1):
+        expected = parity_count(cls.iter_parts(n))
+        assert counts[n] == (expected.odd_count, expected.even_count), n
+    # past the limit, refused before any step
+    counted = CountedSteps(cls)
+    with pytest.raises(ValueError, match="tally limit"):
+        _automaton._tally(2000, counted)
+    assert counted.calls == 0
+
+
 # ---------------------------------------------------------------------------
 # the stored counts: one tally per class, any request order
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def test_verify_all_csv_stdout_is_a_header_and_one_row_per_sweep(capsys):
      f"error: jobs must be <= {CPUS}, the number of CPUs, got {CPUS + 1}"),
     # every grid is expanded before the first sweep prints its line
     (("--max-k", "0"), "error: check thm2 has no instances over k=1..0 n=1..20"),
-])
+], ids=["max-n-below-range", "no-jobs", "jobs-past-cpus", "max-k-empties-thm2"])
 def test_verify_all_rejects_invalid_arguments_with_exit_2(capsys, monkeypatch, args, message):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")

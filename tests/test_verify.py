@@ -40,6 +40,40 @@ def test_unknown_check_rejected():
         run_check("thm99", TINY)
 
 
+def product_instances(name, config):
+    """The sweep's instances from the product of its axes, s < r filtered after.
+
+    A grid term ``axis=a..b`` or ``axis=b`` is a range, its top overridden by
+    ``config``; ``s=0..r-1`` is taken below the largest r and cut to s < r;
+    a term like ``k=r-s`` is no axis.
+    """
+    sweep = verify._SWEEPS[name]
+    axes, ranges = [], []
+    for term in sweep.grid.split():
+        axis, _, text = term.partition("=")
+        first, dots, last = text.rpartition("..")
+        if text == "0..r-1":
+            ranges.append(range(max(ranges[axes.index("r")], default=0)))
+        elif last.isdigit():
+            override = getattr(config, verify._OVERRIDE[axis])
+            top = int(last) if override is None else override
+            ranges.append(range(int(first) if dots else top, top + 1))
+        else:
+            continue
+        axes.append(axis)
+    points = list(itertools.product(*ranges))
+    if "s" in axes:
+        r, s = axes.index("r"), axes.index("s")
+        points = [p for p in points if p[s] < p[r]]
+    return sorted(sweep.instances(points))
+
+
+@pytest.mark.parametrize("config", [SweepConfig(), TINY], ids=["default", "tiny"])
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_expand_lists_the_product_of_the_axes(name, config):
+    assert verify.expand(name, config)[0] == product_instances(name, config)
+
+
 def test_parallel_reports_are_byte_identical():
     for name in ("thm3", "franklin"):
         serial = run_check(name, SweepConfig(max_n=8, max_k=3, max_r=2, max_m=2, jobs=1))
