@@ -11,8 +11,10 @@ A sweep's unit of work is a row: one value of the leading axes, with n,
 the last axis, running over its range.  Each route is asked once per row
 for its values at the row's n, in order.  An enumeration or companion
 route reads one tally at the row's largest size, and a series or
-recurrence route one ``_row``, kept and grown on demand; a closed form
-keeps its per-n definition, which ``_each`` lifts to the row.  A guard
+recurrence route one ``_row``, kept and grown on demand.  So does a
+binomial-sum closed form, through its row form in ``formulas``, which
+steps each term from one n to the next; an O(1) or tally-backed closed
+form keeps its per-n definition, which ``_each`` lifts to the row.  A guard
 takes one instance, every grid axis: its route is asked only for the n it
 accepts, and is compared with the reference there.  ``_compare`` checks
 each route's values against the reference's with one list equality.  Only
@@ -149,9 +151,9 @@ ROUTES = (
     "companion class",
 )
 
-# (function, leading args) -> (size, row): the series and recurrence rows
-# that many instances index into, each at the largest size asked so far;
-# kept for the rest of the process
+# (function, leading args) -> (size, row): the series, recurrence and
+# closed-form rows that many instances index into, each at the largest
+# size asked so far; kept for the rest of the process
 _ROWS: dict[tuple, tuple[tuple[int, ...], object]] = {}
 
 
@@ -193,8 +195,11 @@ class _Route(Value):
 def _each(value: Callable[..., object]) -> Callable[..., list]:
     """The row route of ``value``, a function of one instance, asked largest n first.
 
-    Largest first, so that a per-n route that reads a tally, such as a
-    ``partition_theorems`` delta, tallies its class once.
+    For per-n routes that cost O(1) or read a tally.  Largest first, so
+    that a per-n route that reads a tally, such as a ``partition_theorems``
+    delta, tallies its class once.  A binomial-sum closed form is read
+    through its row form instead (``_row_at``), which is charged and
+    refused as these calls would be, largest n first.
     """
     @functools.wraps(value)
     def values(*lead_ns):
@@ -206,6 +211,14 @@ def _each(value: Callable[..., object]) -> Callable[..., list]:
 def _at(values: Sequence, ns: Sequence[int], shift: int = 0, sign: int = 1) -> list:
     """``sign * values[n + shift]`` at each n of a row."""
     return [sign * values[n + shift] for n in ns]
+
+
+def _row_at(fn: Callable, *lead: int, ns: Sequence[int]) -> list:
+    """The values at each n of a row of ``fn(*lead, count)``, which lists n = 1..count.
+
+    One ``_row`` at the row's largest n serves the row.
+    """
+    return _at(_row(fn, *lead, size=(ns[-1],)), ns, -1)
 
 
 def _signed(cls, ns: Sequence[int], shift: int = 0) -> list[int]:
@@ -374,25 +387,23 @@ def _with_shift_checks(points: list[tuple]) -> list[tuple]:
 
 _SWEEPS = {
     "thm1": _Sweep("n=1..60", (
-        _Route("closed form", _each(lambda n: formulas.min_part_signed(2, n))),
+        _Route("closed form", lambda ns: _row_at(formulas.min_part_signed_row, 2, ns=ns)),
         _Route("second closed form", _each(
             lambda n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3))),
-        _Route("recurrence", lambda ns:
-               _at(_row(formulas.min_part_signed_sequence, 2, size=(ns[-1],)), ns, -1)),
+        _Route("recurrence", lambda ns: _row_at(formulas.min_part_signed_sequence, 2, ns=ns)),
         _Route("enumeration", lambda ns: _signed(MinPart(2), ns, 1),
                lambda n: n <= _THM1_ENUMERATED),
     ), note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
     "thm2": _Sweep("k=1..6 n=1..20", (
-        _Route("closed form", _each(lambda k, n: formulas.min_part_signed(k, n))),
+        _Route("closed form", lambda k, ns: _row_at(formulas.min_part_signed_row, k, ns=ns)),
         _Route("enumeration", lambda k, ns: _signed(MinPart(k), ns, k - 1)),
-        _Route("recurrence", lambda k, ns:
-               _at(_row(formulas.min_part_signed_sequence, k, size=(ns[-1],)), ns, -1)),
+        _Route("recurrence", lambda k, ns: _row_at(formulas.min_part_signed_sequence, k, ns=ns)),
         _Route("series", lambda k, ns: _at(
             _row(series.min_part_series, k, size=(ns[-1] + k - 1,)).coeffs, ns, k - 1, -1)),
     )),
     "thm3": _Sweep("k=1..6 r=1..5 s=0..r-1 n=1..18", (
-        _Route("closed form", _each(
-            lambda k, r, s, n: formulas.congruent_signed(k, n, r, s))),
+        _Route("closed form", lambda k, r, s, ns:
+               _row_at(formulas.congruent_signed_row, k, r, s, ns=ns)),
         _Route("enumeration", lambda k, r, s, ns: _signed(MinPartCongruent(k, r, s), ns, k - 1)),
         _Route("series", lambda k, r, s, ns: _at(_row(
             series.congruent_series, k, r, s, size=(ns[-1] + k - 1,)).coeffs, ns, k - 1, -1)),
@@ -406,36 +417,39 @@ _SWEEPS = {
     "cor-rs": _Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
         _Route("closed form", _each(
             lambda r, s, n: formulas.congruent_indicator(r - s, n, r, s))),
-        _Route("second closed form", _each(
-            lambda r, s, n: formulas.congruent_signed(r - s, n, r, s))),
+        _Route("second closed form", lambda r, s, ns:
+               _row_at(formulas.congruent_signed_row, r - s, r, s, ns=ns)),
         _Route("enumeration", lambda r, s, ns:
                _signed(MinPartCongruent(r - s, r, s), ns, r - s - 1)),
     )),
     "cor-period": _Sweep("r=1..5 s=0..r-1 k=2r-s n=1..18", (
         _Route("closed form", _each(
             lambda r, s, n: formulas.congruent_periodic(2 * r - s, n, r, s))),
-        _Route("second closed form", _each(
-            lambda r, s, n: formulas.congruent_signed(2 * r - s, n, r, s))),
+        _Route("second closed form", lambda r, s, ns:
+               _row_at(formulas.congruent_signed_row, 2 * r - s, r, s, ns=ns)),
         _Route("enumeration", lambda r, s, ns:
                _signed(MinPartCongruent(2 * r - s, r, s), ns, 2 * r - s - 1)),
     ), _with_shift_checks, note=lambda last: f"; shift/period to order {_SHIFT_ORDER}",
         check=_check_cor_period),
     "thm4": _Sweep("k=2..4 m=0..3 n=1..16", (
-        _Route("closed form", _each(lambda k, m, n: formulas.guarded_signed_boxed(k, n, m))),
-        _Route("second closed form", _each(
-            lambda k, m, n: formulas.guarded_signed_sum(k, n, m))),
+        _Route("closed form", lambda k, m, ns:
+               _row_at(formulas.guarded_signed_boxed_row, k, m, ns=ns)),
+        _Route("second closed form", lambda k, m, ns:
+               _row_at(formulas.guarded_signed_sum_row, k, m, ns=ns)),
         _Route("enumeration", lambda k, m, ns: _signed(GuardedSmall(k, m), ns, k - 1)),
         _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, -1, ns, -1)),
     ), also=(("unsigned", (
-        _Route("closed form", _each(lambda k, m, n: formulas.guarded_count_boxed(k, n, m))),
-        _Route("second closed form", _each(
-            lambda k, m, n: formulas.guarded_count_sum(k, n, m))),
+        _Route("closed form", lambda k, m, ns:
+               _row_at(formulas.guarded_count_boxed_row, k, m, ns=ns)),
+        _Route("second closed form", lambda k, m, ns:
+               _row_at(formulas.guarded_count_sum_row, k, m, ns=ns)),
         _Route("enumeration", lambda k, m, ns:
                _members(compositions, GuardedSmall(k, m), ns, k - 1)),
         _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, 1, ns)),
     )),)),
     "thm4bar": _Sweep("k=1..4 m=0..3 n=1..16", (
-        _Route("closed form", _each(lambda k, m, n: formulas.small_parts_signed(k, n, m))),
+        _Route("closed form", lambda k, m, ns:
+               _row_at(formulas.small_parts_signed_row, k, m, ns=ns)),
         _Route("enumeration", lambda k, m, ns: _signed(ExactSmall(k, m), ns, k - 1)),
         _Route("series", _small_parts_values),
     )),
@@ -450,7 +464,7 @@ _SWEEPS = {
         # at k = 1 both classes are all compositions of n: one tally
         _Route("companion class", lambda k, ns: _members(compositions, MinPart(k), ns, k - 1),
                lambda k, n: k >= 2),
-        _Route("closed form", _each(lambda k, n: formulas.min_part_count(k, n))),
+        _Route("closed form", lambda k, ns: _row_at(formulas.min_part_count_row, k, ns=ns)),
     )),
     "comp3": _Sweep("k=1..4 m=0..3 n=1..16", (
         _Route("enumeration", lambda k, m, ns: _members(compositions, ModOneExcept(k, m), ns)),

@@ -110,6 +110,8 @@ def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     # these were served after 1.5 s
     "formula thm4 --k 2 --m 2000 --n 11647",
     "formula thm4a --k 2 --m 2000 --n 11647",
+    # the sweep reads the row form, refused as its per-n call at n = 6000 is
+    "verify thm1 --max-n 6000",
 ])
 def test_binomial_sum_past_its_work_limit_exits_2_at_once(argv):
     # unbounded, the first three ran for over 60 s and the fourth for 39 s
@@ -271,11 +273,18 @@ def test_verify_all_passes_every_sweep_in_order(capsys):
 
 def plant_a_comp2_failure(monkeypatch):
     """Add 1 to comp2's closed form at k=2 n=5; the counterexample it gives."""
-    # comp2 is the only sweep whose routes read formulas.min_part_count
-    right = formulas.min_part_count
-    monkeypatch.setattr(formulas, "min_part_count",
-                        lambda k, n: right(k, n) + ((k, n) == (2, 5)))
-    return f"k=2 n=5: expected {right(2, 5)}, got {right(2, 5) + 1} (closed form vs enumeration)"
+    # comp2 is the only sweep whose routes read formulas.min_part_count_row
+    row = formulas.min_part_count_row
+
+    def planted(k, count):
+        values = row(k, count)
+        if k == 2 and count >= 5:
+            values[4] += 1
+        return values
+
+    monkeypatch.setattr(formulas, "min_part_count_row", planted)
+    right = formulas.min_part_count(2, 5)
+    return f"k=2 n=5: expected {right}, got {right + 1} (closed form vs enumeration)"
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv"])

@@ -390,3 +390,110 @@ def test_binomial_work_charge_bounds_every_upper_index(monkeypatch):
                     for (terms, top, width, calls, a, widest), most in zip(loops, per_term):
                         assert calls <= most * terms, (form.__name__, args)
                         assert a <= top and widest <= width, (form.__name__, args)
+
+
+# ---------------------------------------------------------------------------
+# row forms: each equals its per-n form at every n, and is refused as it is
+# ---------------------------------------------------------------------------
+
+def _congruent(k, r, s, n):
+    return F.congruent_signed(k, n, r, s)
+
+
+def _per_n_in_row_order(form):
+    """``form(k, n, m)`` as a function of (k, m, n), the row form's order."""
+    return lambda k, m, n: form(k, n, m)
+
+
+# per sweep: the row form, its per-n form taking (leading parameters, n), the
+# leading parameters of the wide grid, its count and the default grid's count
+ROW_FORMS = {
+    "thm1": (F.min_part_signed_row, F.min_part_signed, [(2,)], 600, 60),
+    "thm2": (F.min_part_signed_row, F.min_part_signed, [(k,) for k in range(1, 13)], 200, 20),
+    "comp2": (F.min_part_count_row, F.min_part_count, [(k,) for k in range(1, 13)], 200, 20),
+    "thm3": (F.congruent_signed_row, _congruent,
+             [(k, r, s) for k in range(1, 11) for r in range(1, 9) for s in range(r)], 60, 18),
+    "cor-rs": (F.congruent_signed_row, _congruent,
+               [(r - s, r, s) for r in range(1, 11) for s in range(r)], 100, 18),
+    "cor-period": (F.congruent_signed_row, _congruent,
+                   [(2 * r - s, r, s) for r in range(1, 11) for s in range(r)], 100, 18),
+    "thm4 signed boxed": (F.guarded_signed_boxed_row, _per_n_in_row_order(F.guarded_signed_boxed),
+                          [(k, m) for k in range(2, 7) for m in range(6)], 40, 16),
+    "thm4 unsigned boxed": (F.guarded_count_boxed_row, _per_n_in_row_order(F.guarded_count_boxed),
+                            [(k, m) for k in range(2, 7) for m in range(6)], 40, 16),
+    "thm4 signed sum": (F.guarded_signed_sum_row, _per_n_in_row_order(F.guarded_signed_sum),
+                        [(k, m) for k in range(1, 7) for m in range(6)], 40, 16),
+    "thm4 unsigned sum": (F.guarded_count_sum_row, _per_n_in_row_order(F.guarded_count_sum),
+                          [(k, m) for k in range(1, 7) for m in range(6)], 40, 16),
+    "thm4bar": (F.small_parts_signed_row, _per_n_in_row_order(F.small_parts_signed),
+                [(k, m) for k in range(1, 9) for m in range(7)], 80, 16),
+}
+
+
+@pytest.mark.parametrize("sweep", ROW_FORMS)
+def test_row_form_equals_its_per_n_form_at_every_n(sweep):
+    # count 1 ends many rows before their first nonzero value: at n <= s in
+    # thm3, and at every n < (k+1)m, where the room is negative, in thm4
+    row, per_n, leads, wide, default = ROW_FORMS[sweep]
+    for lead in leads:
+        want = [per_n(*lead, n) for n in range(1, wide + 1)]
+        for count in (1, default, wide):
+            assert row(*lead, count) == want[:count], (lead, count)
+
+
+@pytest.mark.parametrize("row, lead", [
+    (F.min_part_signed_row, (2,)), (F.min_part_count_row, (2,)),
+    (F.congruent_signed_row, (2, 3, 1)), (F.guarded_signed_boxed_row, (2, 1)),
+    (F.guarded_count_sum_row, (2, 1)), (F.small_parts_signed_row, (2, 1)),
+])
+def test_row_form_rejects_an_empty_row(row, lead):
+    with pytest.raises(ValueError, match="requires count >= 1, got count=0"):
+        row(*lead, 0)
+
+
+def _values_or_error(compute):
+    try:
+        return compute()
+    except ValueError as error:
+        return str(error)
+
+
+# leading parameters that refuse at some n and not at the row's largest:
+# odd targets are empty at (2, 2, 0), and the bits of C(a, b) per term fall
+# where min(b, a-b) grows
+REFUSAL_CASES = [
+    (sweep, lead) for sweep, leads in [
+        ("thm2", [(1,), (2,), (3,), (5,)]), ("comp2", [(1,), (4,)]),
+        ("thm3", [(1, 4, 0), (5, 1, 0), (2, 2, 0), (3, 4, 1), (2, 6, 3), (7, 2, 1)]),
+        ("thm4 signed boxed", [(2, 0), (3, 1), (4, 2)]), ("thm4 unsigned boxed", [(3, 2)]),
+        ("thm4 signed sum", [(1, 0), (1, 2), (2, 1), (3, 2)]), ("thm4 unsigned sum", [(4, 1)]),
+        ("thm4bar", [(1, 0), (2, 1), (3, 2), (4, 1)]),
+    ] for lead in leads]
+
+
+@pytest.mark.parametrize("sweep, lead", REFUSAL_CASES)
+def test_row_form_is_refused_where_a_per_n_call_is_with_its_message(monkeypatch, sweep, lead):
+    # a sweep asked the per-n form largest n first, so the error it met was
+    # the largest refused n's; the row form must raise that one, or none
+    row, per_n, *_ = ROW_FORMS[sweep]
+    refused = 0
+    for work in [*range(0, 400, 7), *range(400, 5000, 97)]:
+        monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work)
+        for count in (1, 9, 23, 40):
+            want = _values_or_error(
+                lambda: [per_n(*lead, n) for n in range(count, 0, -1)][::-1])
+            assert _values_or_error(lambda: row(*lead, count)) == want, (work, count)
+            refused += isinstance(want, str)
+    assert refused > 0
+
+
+def test_a_row_refused_below_its_last_n_names_the_largest_refused_n(monkeypatch):
+    # at (k, r, s) = (2, 2, 0) an odd target n-1 has no terms and is not
+    # charged, so at a limit of 0 the row to n = 40 is refused at n = 39
+    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", 0)
+    assert F.congruent_signed(2, 40, 2, 0) == 0
+    with pytest.raises(ValueError) as at_39:
+        F.congruent_signed(2, 39, 2, 0)
+    with pytest.raises(ValueError) as row:
+        F.congruent_signed_row(2, 2, 0, 40)
+    assert str(row.value) == str(at_39.value)

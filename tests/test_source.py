@@ -118,3 +118,59 @@ def test_every_library_module_is_imported_by_another():
                and not any(f"compparity.{path.stem}" in imported_modules(other)
                            for other in paths if other != path)]
     assert orphans == []
+
+
+def formulas_functions() -> dict[str, ast.FunctionDef]:
+    path = ROOT / "src" / "compparity" / "formulas.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def names_reached(functions: dict[str, ast.FunctionDef], name: str) -> set[str]:
+    """The names a function's body uses, and those of the private functions it reaches."""
+    reached, todo = set(), [name]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id not in reached:
+                reached.add(node.id)
+                if node.id.startswith("_") and node.id in functions:
+                    todo.append(node.id)
+    return reached
+
+
+def shared_by_design(name: str) -> bool:
+    # argument checks and work charges: they refuse, but compute no value
+    return name.startswith("_check") or name.endswith("_loop") or name == "_box_size_counts"
+
+
+def test_row_forms_compute_through_no_other_route():
+    # a row form is checked against its per-n form, so it may not call it or
+    # another per-n closed form, nor a recurrence, a series or another row form
+    functions = formulas_functions()
+    rows = {name for name in functions if name.endswith("_row") and not name.startswith("_")}
+    assert len(rows) == 8
+    per_n = {row.removesuffix("_row") for row in rows}
+    # the per-n forms and the private helpers they compute through
+    computes_per_n = per_n | {name for form in per_n for name in names_reached(functions, form)
+                              if name.startswith("_") and name in functions
+                              and not shared_by_design(name)}
+    for row in sorted(rows):
+        reached = names_reached(functions, row)
+        assert reached & computes_per_n == set(), row
+        assert reached & rows == set(), row
+        assert [name for name in reached if name.endswith(("_sequence", "_series"))
+                or name == "series"] == [], row
+
+
+def test_boxed_and_quadruple_rows_share_no_private_helper():
+    # each of Theorem 4's two forms keeps its own weight and g loops
+    functions = formulas_functions()
+
+    def helpers(*rows):
+        return {name for row in rows for name in names_reached(functions, row)
+                if name.startswith("_") and name in functions and not shared_by_design(name)}
+
+    boxed = helpers("guarded_signed_boxed_row", "guarded_count_boxed_row")
+    quadruple = helpers("guarded_signed_sum_row", "guarded_count_sum_row")
+    assert boxed and quadruple
+    assert boxed & quadruple == set()

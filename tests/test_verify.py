@@ -427,20 +427,35 @@ def plus_one_at(module, name, where):
     return module, name, lambda *args: real(*args) + (args == where)
 
 
+def plus_one_in_row(module, name, lead, n):
+    """Patch the row form ``module.name`` to add 1 to its value at ``lead`` and n."""
+    real = getattr(module, name)
+
+    def planted(*args):
+        *at, count = args
+        values = real(*args)
+        if tuple(at) == lead and count >= n:
+            values[n - 1] += 1
+        return values
+
+    return module, name, planted
+
+
 # three of the point defects that pass every default sweep; each fails its
-# sweeps once n reaches 60
+# sweeps once n reaches 60.  The sweeps read min_part_signed through its row form.
 POINT_DEFECTS = {
     "clean": None,
-    "min_part_signed": (formulas, "min_part_signed", (3, 25)),
-    "legendre_closed": (partition_theorems, "legendre_closed", (60,)),
-    "andrews_singleton_closed": (partition_theorems, "andrews_singleton_closed", (40, 3)),
+    "min_part_signed": plus_one_in_row(formulas, "min_part_signed_row", (3,), 25),
+    "legendre_closed": plus_one_at(partition_theorems, "legendre_closed", (60,)),
+    "andrews_singleton_closed": plus_one_at(
+        partition_theorems, "andrews_singleton_closed", (40, 3)),
 }
 
 
 @pytest.mark.parametrize("defect", POINT_DEFECTS)
 def test_rows_report_what_an_instance_at_a_time_loop_reports(monkeypatch, defect):
     if POINT_DEFECTS[defect] is not None:
-        monkeypatch.setattr(*plus_one_at(*POINT_DEFECTS[defect]))
+        monkeypatch.setattr(*POINT_DEFECTS[defect])
     failing = set()
     for config in (SweepConfig(), SweepConfig(max_n=60)):
         for name in CHECK_NAMES:
@@ -593,6 +608,16 @@ def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
         "guarded_series": 28,  # thm4's (k, m, t), 3 x 4 x 2, and comp3's k=1 rows
         "pentagonal_product": 1,  # legendre's; the pentagonal sweep builds its own
         "parts_in_series": 1,  # comp1's odd parts
+        "min_part_signed_row": 6,  # k=1..6, thm1's k=2 row serving thm2
+        "min_part_count_row": 5,  # comp2's k=1..5
+        # thm3's 90 (k, r, s) serve cor-rs and cor-period, but for cor-period's
+        # six with k = 2r-s > 6: (r, s) = (4, 0), (4, 1) and (5, 0..3)
+        "congruent_signed_row": 96,
+        "guarded_signed_boxed_row": 12,  # each of thm4's (k, m), 3 x 4
+        "guarded_count_boxed_row": 12,
+        "guarded_signed_sum_row": 12,
+        "guarded_count_sum_row": 12,
+        "small_parts_signed_row": 16,  # thm4bar's (k, m), 4 x 4
     }
 
 
