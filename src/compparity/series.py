@@ -7,6 +7,18 @@ order.  Rational-function expansion requires the denominator to have
 constant term +1 or -1, which keeps the recurrence for the coefficients
 integral.
 
+``expand_rational`` is the one kernel every rational series goes
+through.  Its recurrence runs a head, the indices below the largest lag
+of the denominator, where only the shorter lags reach back, and then a
+steady state with no bounds test.  The denominators built here have one
+or two terms +1 or -1 besides the constant (all but 1 - 2x, at k = 1),
+and for those the steps are straight-line loops that add or subtract
+without a multiply, such as c[t] += c[t-p] - c[t-m]; any other
+denominator takes a generic loop.
+Every expansion S is then checked: S * den, formed from den itself by
+one shifted add per term over the whole row, must equal the numerator
+through the order, or ArithmeticError is raised.
+
 The generating functions of the signed composition counts live here too.
 They all have the shape "1 - sum over n >= 1 of value_n * x^(n+k-1)", so
 the signed value at index n is minus the series coefficient at n+k-1;
@@ -187,10 +199,21 @@ class TruncatedSeries(Value):
 def expand_rational(num: IntPolynomial, den: IntPolynomial, order: int) -> TruncatedSeries:
     """Coefficients of num/den up to x^order.
 
-    The constant term of den must be +1 or -1; otherwise the expansion is
-    not guaranteed integral and a ValueError is raised.  The result S
-    satisfies S * den = num through the truncation order; the expansion
-    checks this and raises ArithmeticError otherwise.
+    The constant term q0 of den must be +1 or -1; otherwise the expansion
+    is not guaranteed integral and a ValueError is raised.  Multiplying
+    num and den by q0 makes it +1, and then c_t = num_t + sum over the
+    steps (u, w) of w c_(t-u), one step w = -q0 den_u for each nonzero
+    den_u with 1 <= u <= order.  A head, t below the largest lag, reads
+    only the lags that reach back to c_0; the steady state after it reads
+    every lag with no bounds test.  With one or two steps of weight +1
+    or -1, the common case, the loops are written out for the signs and
+    add or subtract without a multiply (``_unit_recurrence``); any other
+    den takes ``_weighted_recurrence``.
+
+    The result S is checked: S * den is formed to x^order from den itself,
+    not from the steps, as one shifted add per nonzero term of den over
+    the whole row, and must equal num through the order.  A mismatch
+    raises ArithmeticError.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -199,20 +222,77 @@ def expand_rational(num: IntPolynomial, den: IntPolynomial, order: int) -> Trunc
         raise ValueError(
             f"denominator constant term must be +1 or -1, got {q0}"
         )
-    terms = [(u, d) for u, d in enumerate(den.coeffs) if u and d]  # u ascending
-    c = list(num.coeffs[: order + 1])
+    num_row = num.coeffs[: order + 1]
+    c = list(num_row) if q0 == 1 else [-v for v in num_row]
     c += [0] * (order + 1 - len(c))
-    for t in range(order + 1):
+    terms = [(u, d) for u, d in enumerate(den.coeffs[1 : order + 1], 1) if d]
+    steps = [(u, -q0 * d) for u, d in terms]
+    if len(steps) <= 2 and all(w in (1, -1) for _, w in steps):
+        _unit_recurrence(c, steps)
+    else:
+        _weighted_recurrence(c, steps)
+    prod = c.copy() if q0 == 1 else [-v for v in c]
+    for u, d in terms:
+        if d == 1:
+            prod[u:] = map(operator.add, prod[u:], c)
+        elif d == -1:
+            prod[u:] = map(operator.sub, prod[u:], c)
+        else:
+            prod[u:] = map(operator.add, prod[u:], map(operator.mul, c, itertools.repeat(d)))
+    if any(map(operator.ne, prod, num_row)) or any(prod[len(num_row):]):
+        raise ArithmeticError(f"expansion of {num}/{den} fails S * den = num")
+    return TruncatedSeries(tuple(c))
+
+
+def _unit_recurrence(c: list[int], steps: list[tuple[int, int]]) -> None:
+    """c[t] += w c[t-u] in place, for at most two steps (u, w), w = +-1.
+
+    The lags ascend, p < m.  Up to m only p reaches back (the head); from m
+    on both do.  Steps of opposite signs share one loop, c[t] += c[t-a] -
+    c[t-b] with a the lag of the +1 step.
+    """
+    if not steps:
+        return
+    n = len(c)
+    (p, wp), *rest = steps
+    m = rest[0][0] if rest else n
+    if wp == 1:
+        for t in range(p, m):
+            c[t] += c[t - p]
+    else:
+        for t in range(p, m):
+            c[t] -= c[t - p]
+    if not rest:
+        return
+    wm = rest[0][1]
+    if wp == wm == 1:
+        for t in range(m, n):
+            c[t] += c[t - p] + c[t - m]
+    elif wp == wm:
+        for t in range(m, n):
+            c[t] -= c[t - p] + c[t - m]
+    else:
+        a, b = (p, m) if wp == 1 else (m, p)
+        for t in range(m, n):
+            c[t] += c[t - a] - c[t - b]
+
+
+def _weighted_recurrence(c: list[int], steps: list[tuple[int, int]]) -> None:
+    """c[t] += sum of w c[t-u] in place over the steps (u, w), lags ascending."""
+    n = len(c)
+    top = steps[-1][0]
+    for t in range(1, min(top, n)):  # the head: the lags u <= t
         acc = c[t]
-        for u, d in terms:
+        for u, w in steps:
             if u > t:
                 break
-            acc -= d * c[t - u]
-        c[t] = acc * q0  # q0 in {1, -1} so this is exact division
-    series = TruncatedSeries(tuple(c))
-    if (series * den.as_series(order)).coeffs != num.as_series(order).coeffs:
-        raise ArithmeticError(f"expansion of {num}/{den} fails S * den = num")
-    return series
+            acc += w * c[t - u]
+        c[t] = acc
+    for t in range(top, n):
+        acc = c[t]
+        for u, w in steps:
+            acc += w * c[t - u]
+        c[t] = acc
 
 
 def signed_values(series: TruncatedSeries, k: int, count: int) -> list[int]:
@@ -308,8 +388,10 @@ def guarded_series(k: int, m: int, t: int, order: int) -> TruncatedSeries:
     Written by hand from that language, never from ``GuardedSmall.step``.
     The numerator is expanded in closed form, (x-x^k)^m = x^m (1-x^(k-1))^m
     by the binomial theorem and x + L = 1 - t x^k, and cut at the order
-    less the leading power.  It is then divided by L once and by (1-x) L
-    m times, so the work is O(order * (m+1)).
+    less the leading power.  It is then divided by L once and, m times,
+    by 1-x (a running sum) and by L, so the work is O(order * (2m+1)).
+    Each of those 2m+1 divisions is one ``expand_rational`` call with its
+    own product check; for k >= 2 each denominator has two unit steps.
     """
     if k < 1 or m < 0:
         raise ValueError(f"requires k >= 1 and m >= 0, got k={k}, m={m}")
@@ -330,8 +412,8 @@ def guarded_series(k: int, m: int, t: int, order: int) -> TruncatedSeries:
     if not num.coeffs:  # every term is past the order
         return TruncatedSeries((0,) * (order + 1))
     ell = _up_to(low, (0, 1), (1, -1), (k, -t))
-    ell_times_one_minus_x = _up_to(low, (0, 1), (1, -2), (2, 1), (k, -t), (k + 1, t))
-    for den in [ell] + [ell_times_one_minus_x] * m:
+    one_minus_x = _up_to(low, (0, 1), (1, -1))
+    for den in [ell] + [one_minus_x, ell] * m:
         num = IntPolynomial(expand_rational(num, den, low).coeffs)
     return TruncatedSeries((0,) * shift + num.as_series(low).coeffs)
 

@@ -71,6 +71,117 @@ def test_expand_rational_known_row():
     assert ts.coeffs == (1, 0, -1, -1, 0, 1, 1, 0)
 
 
+def long_division(num, den, order):
+    """num/den to x^order by schoolbook long division, den(0) = +1 or -1."""
+    rem = [num.coefficient(d) for d in range(order + 1)]
+    q0 = den.coefficient(0)
+    out = []
+    for t in range(order + 1):
+        q = rem[t] * q0  # 1/q0 = q0
+        out.append(q)
+        for u in range(1, order + 1 - t):
+            rem[t + u] -= q * den.coefficient(u)
+    return tuple(out)
+
+
+def assert_expansion(num, den, order):
+    got = S.expand_rational(num, den, order)
+    assert got.coeffs == long_division(num, den, order)
+    prod = S.IntPolynomial(got.coeffs) * den
+    assert ([prod.coefficient(d) for d in range(order + 1)]
+            == [num.coefficient(d) for d in range(order + 1)])
+
+
+unit_polys = st.builds(
+    S.IntPolynomial,
+    st.lists(st.sampled_from((-1, 0, 0, 1)), max_size=8).map(tuple),
+)
+unit_constant_dens = st.builds(
+    lambda q0, rest: S.IntPolynomial((q0,) + rest.coeffs),  # q0 + x * rest
+    st.sampled_from((1, -1)),
+    st.one_of(small_polys, unit_polys),
+)
+
+
+@given(small_polys, unit_constant_dens, st.integers(0, 80))
+def test_expand_rational_equals_long_division(num, den, order):
+    assert_expansion(num, den, order)
+
+
+P = S.IntPolynomial
+KERNEL_CASES = {  # name: (num, den, order, the recurrence that runs)
+    "no step": (P((1, 2, 3)), P((1,)), 6, "_unit_recurrence"),
+    "one unit term +": (P((1,)), P((1, -1)), 12, "_unit_recurrence"),
+    "one unit term -": (P((1, 1)), P((1, 0, 0, 1)), 20, "_unit_recurrence"),
+    "two unit terms (+,-)": (P((1, -1)), P((1, -1, 0, 1)), 40, "_unit_recurrence"),
+    "two unit terms (-,+)": (P((1, -1)), P((1, 1, 0, -1)), 40, "_unit_recurrence"),
+    "two unit terms (+,+)": (P((1, -1)), P((1, -1, 0, -1)), 40, "_unit_recurrence"),
+    "two unit terms (-,-)": (P((1, -1)), P((1, 1, 0, 1)), 40, "_unit_recurrence"),
+    "three unit terms": (P((1,)), P((1, -1, 1, -1)), 30, "_weighted_recurrence"),
+    "weight 2": (P((1,)), P((1, -2)), 30, "_weighted_recurrence"),
+    "weight -3 beside a unit term": (P((2, 1)), P((1, 1, 0, 3)), 30, "_weighted_recurrence"),
+    "q0 = -1, one unit term": (P((1, 2)), P((-1, 1)), 20, "_unit_recurrence"),
+    "q0 = -1, two unit terms": (P((3, 0, -1)), P((-1, 1, 0, 0, -1)), 30, "_unit_recurrence"),
+    "q0 = -1, weight 2": (P((1,)), P((-1, 0, 2)), 20, "_weighted_recurrence"),
+    "den of higher degree than the order": (P((1, 1)), P((1, -1, 0, 0, 0, 0, 0, 1)), 4,
+                                            "_unit_recurrence"),
+    "weighted den past the order": (P((1,)), P((1, 2, 0, 0, 0, 0, 5)), 3, "_weighted_recurrence"),
+    "order 0": (P((5, 1)), P((-1, 1, 1)), 0, "_unit_recurrence"),
+    "num longer than order+1": (P(tuple(range(1, 12))), P((1, -1, 1)), 5, "_unit_recurrence"),
+    "zero num": (P(()), P((1, -1, 0, 1)), 10, "_unit_recurrence"),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_expand_rational_kernel_paths(monkeypatch, name):
+    num, den, order, path = KERNEL_CASES[name]
+    ran = []
+    for helper in ("_unit_recurrence", "_weighted_recurrence"):
+        def spy(c, steps, helper=helper, real=getattr(S, helper)):
+            ran.append(helper)
+            real(c, steps)
+        monkeypatch.setattr(S, helper, spy)
+    assert_expansion(num, den, order)
+    assert ran == [path]
+
+
+def corrupt_at(real, index):
+    def corrupted(c, steps):
+        real(c, steps)
+        c[index] += 1
+    return corrupted
+
+
+@pytest.mark.parametrize("index", [0, 7, -1])
+@pytest.mark.parametrize("helper, den", [("_unit_recurrence", (1, -1, 0, 1)),
+                                         ("_weighted_recurrence", (1, -2, 0, 1))])
+def test_product_check_fires_on_a_corrupted_recurrence(monkeypatch, helper, den, index):
+    monkeypatch.setattr(S, helper, corrupt_at(getattr(S, helper), index))
+    with pytest.raises(ArithmeticError, match=r"fails S \* den = num"):
+        S.expand_rational(P((1, -1)), P(den), 30)
+
+
+def test_series_rational_exits_1_when_the_product_check_fails(monkeypatch, capsys):
+    from compparity import cli
+
+    monkeypatch.setattr(S, "_unit_recurrence", corrupt_at(S._unit_recurrence, -1))
+    code = cli.main(["series", "rational", "--num", "1,-1", "--den", "1,-1,1", "--order", "7"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "fails S * den = num" in err
+
+
+def test_long_rows_equal_their_recurrence_and_boxed_routes():
+    """The series rows at the lengths the CLI's long calls ask for."""
+    assert (S.signed_values(S.min_part_series(3, 5000), 3, 4998)
+            == F.min_part_signed_sequence(3, 4998))
+    assert (S.signed_values(S.congruent_series(3, 6, 0, 3000), 3, 2998)
+            == F.congruent_signed_sequence(3, 6, 0, 2998))
+    assert (S.signed_values(S.guarded_series(3, 2, -1, 402), 3, 400)
+            == F.guarded_signed_boxed_row(3, 2, 400))
+    assert list(S.guarded_series(3, 2, 1, 402).coeffs[3:]) == F.guarded_count_boxed_row(3, 2, 400)
+
+
 def test_min_part_series_matches_formula():
     for k in range(1, 7):
         ts = S.min_part_series(k, 20 + k - 1)
