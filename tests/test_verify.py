@@ -2,6 +2,8 @@
 
 import inspect
 import itertools
+import json
+import pathlib
 import time
 from collections import Counter
 
@@ -20,6 +22,7 @@ from compparity.verify import (
 )
 
 TINY = SweepConfig(max_n=8, max_k=3, max_r=2, max_m=2)
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_registry_is_complete():
@@ -33,6 +36,14 @@ def test_every_check_passes_on_tiny_ranges(name):
     assert report.passed, render_report(report, "plain")
     assert report.instances > 0
     assert report.counterexample is None
+
+
+def test_default_reports_are_the_ones_the_benchmark_records():
+    # the benchmark compares each sweep's default report with its reference
+    # file; the suite pins the same reports, reading that file only
+    recorded = json.loads(REFERENCE.read_text(encoding="ascii"))["sweeps"]
+    assert {name: render_report(run_check(name)) for name in CHECK_NAMES} == {
+        name: entry["report"] for name, entry in recorded.items()}
 
 
 def test_unknown_check_rejected():
