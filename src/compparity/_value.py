@@ -2,7 +2,8 @@
 
 A subclass names its fields in ``__slots__``, a tuple, and sets them in
 its own ``__init__`` with ``object.__setattr__``, checking and
-normalising as it goes.  ``Value`` then gives it what a frozen dataclass
+normalising as it goes, or passes them on in slot order to
+``Value.__init__``, which sets them as they are.  ``Value`` then gives it what a frozen dataclass
 would: equality with instances of the same class only, a hash and a repr
 ``Name(field=value, ...)`` from the fields in slot order, fields that
 cannot be assigned or deleted, and pickling through ``__init__``.
@@ -26,6 +27,10 @@ class Value:
         else:
             fields = lambda obj: ()
         cls._fields = staticmethod(fields)  # the tuple of an instance's fields
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -14,9 +14,11 @@ Formula and verify subcommands index theorems by n while the underlying
 composition class lives on size n+k-1; a note restating the actual size
 is printed to stderr so stdout stays scriptable.
 
-Each class, formula, sequence and series token is one entry of a table
-(``_CLASSES``, ``_IDENTITIES``, ``_SERIES``) naming its flags; a missing
-flag, and a flag the token does not use, is a parameter error.
+A class token is an entry of ``_CLASSES``.  Each formula, sequence and
+series token is served by an entry of ``identities.IDENTITIES``, which
+names its flags and the routes that serve it; ``series rational`` is the
+CLI's own.  A missing flag, and a flag the token does not use, is a
+parameter error.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import sys
 import time
 from collections.abc import Callable
 
-from compparity import compositions, formulas, partition_theorems, sequences, series
-from compparity._value import Value
+from compparity import compositions, sequences, series
+from compparity.identities import SEQUENCES, SERIES, Identity
 from compparity.verify import CHECK_NAMES, SweepConfig, expand, overrides, render_report, run_check
 
 # Parameter flags a token may use; any other one given is rejected.
@@ -76,107 +78,34 @@ def _composition_class(args: argparse.Namespace) -> compositions.CompositionClas
 
 
 # ---------------------------------------------------------------------------
-# named formulas and sequences
+# formula, sequence and series tokens: entries of ``identities.IDENTITIES``
 # ---------------------------------------------------------------------------
 
-class _Identity(Value):
-    """A formula or sequence token.
-
-    ``flags`` names its parameters (``?`` marks an optional one) and
-    ``offset`` its first index.  ``value(a, n)`` is the term at index n and
-    ``note(a, n)`` the stderr line of ``formula``, or None for a sequence
-    with no formula; ``a`` holds the flags once ``k_default`` has filled an
-    absent --k.  ``row(a, count)``, where given, is the first ``count``
-    terms from the generating function or its recurrence, on a route
-    ``value`` does not take.
-    """
-
-    __slots__ = ("flags", "offset", "value", "note", "k_default", "row")
-
-    def __init__(
-        self,
-        flags: str,
-        offset: int,
-        value: Callable[[argparse.Namespace, int], int],
-        note: Callable[[argparse.Namespace, int], str] | None = None,
-        k_default: Callable[[argparse.Namespace], int] | None = None,
-        row: Callable[[argparse.Namespace, int], list[int]] | None = None,
-    ) -> None:
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "k_default", k_default)
-        object.__setattr__(self, "row", row)
+FORMULA_NAMES = tuple(token for token, (*_, note) in SEQUENCES.items() if note)
 
 
-_IDENTITIES = {
-    "thm2": _Identity(
-        "k", 1, lambda a, n: formulas.min_part_signed(a.k, n),
-        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= {a.k}",
-        row=lambda a, count: series.signed_values(
-            series.min_part_series(a.k, count + a.k - 1), a.k, count)),
-    "munagi": _Identity(
-        "k", 1, lambda a, n: formulas.min_part_count(a.k, n),
-        lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with parts >= {a.k}",
-        row=lambda a, count: list(series.min_part_series(a.k, count + a.k - 1, 1).coeffs[a.k:])),
-    "thm3": _Identity(
-        "k r s", 1, lambda a, n: formulas.congruent_signed(a.k, n, a.r, a.s),
-        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with parts >= "
-        f"{a.k} congruent to {a.k + a.s} mod {a.r}",
-        row=lambda a, count: formulas.congruent_signed_sequence(a.k, a.r, a.s, count)),
-    "cor-rs": _Identity(
-        "r s k?", 1, lambda a, n: formulas.congruent_indicator(a.k, n, a.r, a.s),
-        lambda a, n: f"n={n}, k={a.k}=r-s: class on size {n + a.k - 1}",
-        k_default=lambda a: a.r - a.s),
-    "cor-period": _Identity(
-        "r s k?", 1, lambda a, n: formulas.congruent_periodic(a.k, n, a.r, a.s),
-        lambda a, n: f"n={n}, k={a.k}=2r-s: class on size {n + a.k - 1}, period {6 * a.r}",
-        k_default=lambda a: 2 * a.r - a.s),
-    "thm4": _Identity(
-        "k m", 1, lambda a, n: (
-            formulas.guarded_signed_boxed if a.k >= 2 else formulas.guarded_signed_sum
-        )(a.k, n, a.m),
-        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with exactly "
-        f"{a.m} guarded parts < {a.k}",
-        row=lambda a, count: series.signed_values(
-            series.guarded_series(a.k, a.m, -1, count + a.k - 1), a.k, count)),
-    "thm4a": _Identity(
-        "k m", 1, lambda a, n: (
-            formulas.guarded_count_boxed if a.k >= 2 else formulas.guarded_count_sum
-        )(a.k, n, a.m),
-        lambda a, n: f"n={n}, k={a.k}: compositions of {n + a.k - 1} with exactly {a.m} "
-        f"guarded parts < {a.k} (equivalently of {n} with {a.m} parts > {a.k} not 1 mod {a.k})",
-        row=lambda a, count: list(
-            series.guarded_series(a.k, a.m, 1, count + a.k - 1).coeffs[a.k:])),
-    "thm4bar": _Identity(
-        "k m", 1, lambda a, n: formulas.small_parts_signed(a.k, n, a.m),
-        lambda a, n: f"n={n}, k={a.k}: signed compositions of {n + a.k - 1} with exactly "
-        f"{a.m} parts < {a.k}",
-        row=lambda a, count: series.signed_values(
-            series.small_parts_series(a.k, count + a.k - 1, a.m).y_slice(a.m), a.k, count)),
-    "distinct": _Identity("", 0, lambda a, n: compositions.signed_count_distinct(n)),
-    "odd-parts": _Identity("", 0, lambda a, n: partition_theorems.odd_parts_signed(n)),
-    "legendre": _Identity("", 0, lambda a, n: partition_theorems.legendre_closed(n)),
-}
-FORMULA_NAMES = tuple(name for name, ident in _IDENTITIES.items() if ident.note)
-
-
-def _resolve(args: argparse.Namespace, ident: _Identity, context: str) -> argparse.Namespace:
-    """Check the token's flags; the flags with any default --k filled in."""
+def _resolve(args: argparse.Namespace, ident: Identity, quantity: str,
+             context: str) -> tuple[tuple, int, Callable[[int], object]]:
+    """Check the token's flags; its parameters, with a --k given in place of the
+    default, their size shift and the term at index n that ``formula`` prints."""
     _flags(args, ident.flags, context)
-    if ident.k_default is None or args.k is not None:
-        return args
-    return argparse.Namespace(**{**vars(args), "k": ident.k_default(args)})
+    p, shift = ident.at([getattr(args, axis) for axis in ident.axes[:-1]], args.k)
+    name = ident.value(*p) if callable(ident.value) else ident.value
+    return p, shift, functools.partial(ident.route(quantity, name).value, p)
 
 
-# Indices, from the first, at which a row is checked against ``value``.
+def _fresh(fn: Callable, *lead: int, size: tuple[int, ...]):
+    """``fn(*lead, *size)``, computed afresh: a command keeps no row."""
+    return fn(*lead, *size)
+
+
+# Indices, from the first, at which a row is checked against the per-n form.
 _SPOT_CHECKS = 32
 # Most coefficients a row's series may compute, (count+k) x (m+1): the
 # thm4bar table holds that many, and the thm4 series divides a row of
 # count+k coefficients by m+1 factors.  A longer row, which a large k or m
-# pads with slices nobody reads, is not built; its terms come from
-# ``value``.  ``series thm4bar`` refuses a table of more cells than this.
+# pads with slices nobody reads, is not built; its terms come from the
+# per-n form.  ``series thm4bar`` refuses a table of more cells than this.
 _ROW_CELLS = 2_000_000
 
 
@@ -184,50 +113,28 @@ def sequence_terms(args: argparse.Namespace, count: int) -> list[int]:
     """The first ``count`` terms of the sequence named by ``args.seq``.
 
     ``args`` holds every token flag, None when absent, as the parser sets
-    them.  A token with a ``row`` is served whole from it, once its first
-    ``_SPOT_CHECKS`` terms agree with ``value``; a mismatch raises
-    ArithmeticError.  Otherwise, and past ``_ROW_CELLS``, every term comes
-    from ``value``, the last index first, so that a tallied class such as
-    ``distinct`` is tallied once.
+    them.  A token with a row route is served whole from it, once its
+    first ``_SPOT_CHECKS`` terms agree with the per-n form; a mismatch
+    raises ArithmeticError.  Otherwise, and past ``_ROW_CELLS``, every term
+    comes from the per-n form, the last index first, so that a tallied
+    class such as ``distinct`` is tallied once.
     """
-    ident = _IDENTITIES[args.seq]
-    first = ident.offset
+    ident, quantity, row, _ = SEQUENCES[args.seq]
+    first = ident.first
     if count < 1:
         raise ValueError(f"empty index range {first}..{first + count - 1}")
-    a = _resolve(args, ident, f"sequence {args.seq}")
-    if ident.row is None or (count + a.k) * ((a.m or 0) + 1) > _ROW_CELLS:
-        return [ident.value(a, n) for n in range(first + count - 1, first - 1, -1)][::-1]
+    p, shift, value = _resolve(args, ident, quantity, f"sequence {args.seq}")
+    if row is None or (count + p[0]) * ((args.m or 0) + 1) > _ROW_CELLS:
+        return [value(n) for n in range(first + count - 1, first - 1, -1)][::-1]
     # closed form first, so that a bad parameter fails with its message
-    spot = [ident.value(a, n) for n in range(first, first + min(count, _SPOT_CHECKS))]
-    row = ident.row(a, count)
-    for n, (want, got) in enumerate(zip(spot, row), start=first):
+    spot = [value(n) for n in range(first, first + min(count, _SPOT_CHECKS))]
+    terms = ident.route(quantity, row).values(_fresh, p, shift, range(first, first + count))
+    for n, (want, got) in enumerate(zip(spot, terms), start=first):
         if want != got:
             raise ArithmeticError(
                 f"sequence {args.seq}: the generating function gives {got} at n={n}, "
                 f"the closed form {want}")
-    return row
-
-
-# series token: (flags, expansion to --order)
-_SERIES = {
-    "thm2": ("k", lambda a: series.min_part_series(a.k, a.order)),
-    "thm3": ("k r s", lambda a: series.congruent_series(a.k, a.r, a.s, a.order)),
-    "cor-period": ("r", lambda a: series.periodic_series(a.r, a.order)),
-    "thm4bar": ("k y_order?", lambda a: _small_parts_table(
-        a.k, a.order, a.y_order if a.y_order is not None else 3)),
-    "pentagonal": ("", lambda a: series.pentagonal_product(a.order)),
-    "rational": ("num den", lambda a: series.expand_rational(
-        _polynomial(a.num), _polynomial(a.den), a.order)),
-}
-
-
-def _small_parts_table(k: int, x_order: int, y_order: int) -> series.BivariateSeries:
-    cells = (x_order + 1) * (y_order + 1)
-    if cells > _ROW_CELLS:
-        raise ValueError(
-            f"series thm4bar to x^{x_order} y^{y_order} holds {cells} coefficients, "
-            f"more than {_ROW_CELLS}")
-    return series.small_parts_series(k, x_order, y_order)
+    return terms
 
 
 def _polynomial(text: str) -> series.IntPolynomial:
@@ -269,10 +176,10 @@ def _cmd_signed(args: argparse.Namespace) -> int:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    ident = _IDENTITIES[args.name]
-    a = _resolve(args, ident, f"formula {args.name}")
-    value = ident.value(a, args.n)
-    print(f"note: {ident.note(a, args.n)}", file=sys.stderr)
+    ident, quantity, _, note = SEQUENCES[args.name]
+    p, _, per_n = _resolve(args, ident, quantity, f"formula {args.name}")
+    value = per_n(args.n)
+    print(f"note: {note(args.n, *p)}", file=sys.stderr)
     if args.fmt == "csv":
         flags = {f: getattr(args, f) for f in ("k", "r", "s", "m")}
         cols = ",".join("" if v is None else str(v) for v in flags.values())
@@ -286,9 +193,20 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError(f"--order must be >= 0, got {args.order}")
-    spec, expand = _SERIES[args.name]
-    _flags(args, spec, f"series {args.name}")
-    ts = expand(args)
+    if args.name == "rational":
+        _flags(args, "num den", "series rational")
+        ts = series.expand_rational(_polynomial(args.num), _polynomial(args.den), args.order)
+    else:
+        ident, spec = SERIES[args.name]
+        _flags(args, spec, f"series {args.name}")
+        lead = [getattr(args, f) for f in spec.split() if not f.endswith("?")] + [args.order]
+        if "y_order?" in spec:  # a table to x^order y^y_order
+            lead.append(3 if args.y_order is None else args.y_order)
+            cells = (args.order + 1) * (lead[-1] + 1)
+            if cells > _ROW_CELLS:
+                raise ValueError(f"series {args.name} to x^{args.order} y^{lead[-1]} holds "
+                                 f"{cells} coefficients, more than {_ROW_CELLS}")
+        ts = ident.route("", "series").expand(*lead)
     if isinstance(ts, series.BivariateSeries):
         if args.fmt == "csv":
             print("x,y,coefficient")
@@ -347,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_period(args: argparse.Namespace) -> int:
     _no_bfile(args)
-    vals = sequence_terms(args, args.max_n - _IDENTITIES[args.seq].offset + 1)
+    vals = sequence_terms(args, args.max_n - SEQUENCES[args.seq][0].first + 1)
     found = sequences.detect_period(vals)
     if args.fmt == "csv":
         print("preperiod,period")
@@ -368,7 +286,7 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         raise ValueError(f"bfile does not use --format {args.fmt}")
     offset = args.offset
     if offset is None:
-        offset = _IDENTITIES[args.seq].offset
+        offset = SEQUENCES[args.seq][0].first
 
     if args.action == "emit":
         if args.max_n is None:
@@ -444,11 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_formula)
 
     p = sub.add_parser("series", parents=[common], help="expand a generating function")
-    p.add_argument("name", choices=tuple(_SERIES))
+    p.add_argument("name", choices=tuple(SERIES) + ("rational",))
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--y-order", type=int, default=None)
-    p.add_argument("--num", type=str, default=None, help="comma-separated coefficients")
-    p.add_argument("--den", type=str, default=None, help="comma-separated coefficients")
+    listed = "comma-separated coefficients; a list that starts with - needs =, as in --den=-1,2"
+    p.add_argument("--num", type=str, default=None, help=listed)
+    p.add_argument("--den", type=str, default=None, help=listed)
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser(
@@ -462,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("period", parents=[common], help="detect a period")
-    p.add_argument("--seq", required=True, choices=tuple(_IDENTITIES))
+    p.add_argument("--seq", required=True, choices=tuple(SEQUENCES))
     p.add_argument("--max-n", type=int, required=True, help="last index of the window")
     p.set_defaults(handler=_cmd_period)
 
     p = sub.add_parser("bfile", parents=[common], help="emit or check b-files")
     p.add_argument("action", choices=("emit", "check"))
-    p.add_argument("--seq", required=True, choices=tuple(_IDENTITIES))
+    p.add_argument("--seq", required=True, choices=tuple(SEQUENCES))
     p.add_argument("--offset", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None, help="last index to emit")
     p.add_argument("--file", type=str, default=None)

@@ -549,13 +549,6 @@ def small_parts_series(k: int, x_order: int, y_order: int) -> BivariateSeries:
     return BivariateSeries(tuple(map(tuple, rows)))
 
 
-def bivariate_signed_value(series: BivariateSeries, k: int, n: int, m: int) -> int:
-    """Signed small-part count at (n, m): minus the x^(n+k-1) y^m coefficient."""
-    if k < 1 or n < 1:
-        raise ValueError(f"requires k >= 1 and n >= 1, got k={k}, n={n}")
-    return -series.coefficient(n + k - 1, m)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic comparison and the shift check for the period-6r sequences
 # ---------------------------------------------------------------------------

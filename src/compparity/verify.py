@@ -1,29 +1,27 @@
 """Named verification sweeps: every route to a value must give the same integer.
 
-Each sweep covers a parameter grid and derives its values along
-independent routes, named from ``ROUTES``: enumeration (the
-membership-automaton tally of the class), closed forms, recurrence,
-generating function and companion classes.  A sweep declares its routes
-once, in ``_SWEEPS``: a reference route, then the routes compared with it,
-each optionally limited by a guard.
+A sweep is an entry of ``identities.IDENTITIES`` with a grid.  It covers
+the grid and derives its values along independent routes, named from
+``ROUTES``: enumeration (the membership-automaton tally of the class),
+closed forms, recurrence, generating function and companion classes.  The
+entry declares them once: a reference route, then the routes compared
+with it, each optionally limited by a guard.
 
 A sweep's unit of work is a row: one value of the leading axes, with n,
 the last axis, running over its range.  Each route is asked once per row
-for its values at the row's n, in order.  An enumeration or companion
-route reads one tally at the row's largest size, and a series or
-recurrence route one ``_row``, kept and grown on demand.  So does a
-binomial-sum closed form, through its row form in ``formulas``, which
-steps each term from one n to the next; an O(1) or tally-backed closed
-form keeps its per-n definition, which ``_each`` lifts to the row.  A guard
-takes one instance, every grid axis: its route is asked only for the n it
-accepts, and is compared with the reference there.  ``_compare`` checks
-each route's values against the reference's with one list equality.  Only
-when two differ does it look for the smallest failing n, and at that n it
-reports the first quantity and then the first route in order that fails,
-as ``<route> vs <reference>``: what comparing instance by instance would
-report.  The two checks that are not value comparisons, cor-period's
-shift/period check and the pentagonal coefficient scan, are written out
-and run on rows too.
+for its values at the row's n, in order.  A tally route reads one tally
+at the row's largest size, and a row-form or series-coefficient route one
+``_row``, kept and grown on demand; a per-n route is asked at each n,
+largest first.  A guard takes one instance, every grid axis: its route is
+asked only for the n it accepts, and is compared with the reference
+there.  ``_compare`` checks each route's values against the reference's
+with one list equality.  Only when two differ does it look for the
+smallest failing n, and at that n it reports the first quantity and then
+the first route in order that fails, as ``<route> vs <reference>``: what
+comparing instance by instance would report.  The two checks that are not
+value comparisons, cor-period's shift/period check and the pentagonal
+coefficient scan, are written out here, in ``_CHECKS``, and run on rows
+too.
 
 A sweep may run its rows in a process pool; rows are pure functions of
 their parameters and results are reassembled in parameter order, so
@@ -34,21 +32,13 @@ costliest, start first.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
-from compparity import compositions, formulas, partition_theorems, partitions, series
+from compparity import series
 from compparity._value import Value
-from compparity.compositions import (
-    ExactSmall,
-    GuardedSmall,
-    MinPart,
-    MinPartCongruent,
-    ModOneExcept,
-    OddParts,
-)
+from compparity.identities import IDENTITIES, Identity, grid_terms
 
 
 class SweepConfig(Value):
@@ -69,11 +59,7 @@ class SweepConfig(Value):
             cpus = os.cpu_count() or 1
         if jobs > cpus:
             raise ValueError(f"jobs must be <= {cpus}, the number of CPUs, got {jobs}")
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "max_k", max_k)
-        object.__setattr__(self, "max_r", max_r)
-        object.__setattr__(self, "max_m", max_m)
-        object.__setattr__(self, "jobs", jobs)
+        super().__init__(max_n, max_k, max_r, max_m, jobs)
 
 
 class Counterexample(Value):
@@ -83,10 +69,7 @@ class Counterexample(Value):
 
     def __init__(self, params: tuple[tuple[str, int], ...], expected: object, actual: object,
                  detail: str = "") -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(params, expected, actual, detail)
 
     def describe(self) -> str:
         where = " ".join(f"{k}={v}" for k, v in self.params)
@@ -107,11 +90,7 @@ class VerificationReport(Value):
             raise ValueError("failed report must carry a counterexample")
         if passed and counterexample is not None:
             raise ValueError("passed report must not carry a counterexample")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "instances", instances)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "counterexample", counterexample)
+        super().__init__(name, ranges, instances, passed, counterexample)
 
 
 def render_report(report: VerificationReport, fmt: str = "plain") -> str:
@@ -163,8 +142,10 @@ def _row(fn: Callable, *lead: int, size: tuple[int, ...]):
     A row's entry at an index does not depend on how far the row was
     computed, so a larger request computes the row again at the
     componentwise max of the stored and requested sizes.  A sweep asks
-    once per row, at the row's largest size, so that is rare.  Callers look ``fn`` up at call time,
-    so a function wrapped or replaced since gets an entry of its own.
+    once per row, at the row's largest size, so that is rare; cor-period's
+    ``periodic_series(r)``, read at a size that grows as s falls, is
+    computed once per (r, s).  Routes look ``fn`` up at call time, so a
+    function wrapped or replaced since gets an entry of its own.
     """
     stored = _ROWS.get((fn, lead))
     if stored is None or any(s > have for s, have in zip(size, stored[0])):
@@ -174,109 +155,7 @@ def _row(fn: Callable, *lead: int, size: tuple[int, ...]):
     return stored[1]
 
 
-class _Route(Value):
-    """One route to a sweep's values, named from ``ROUTES``.
-
-    ``values`` takes a row's leading axes, in grid order, then ``ns``, the
-    ascending n at which it is asked, and returns one value per n.  ``when``
-    takes one instance, every grid axis: the route is asked only for the n
-    it accepts, or for every n of the row when it is None.
-    """
-
-    __slots__ = ("name", "values", "when")
-
-    def __init__(self, name: str, values: Callable[..., list],
-                 when: Callable[..., bool] | None = None) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "when", when)
-
-
-def _each(value: Callable[..., object]) -> Callable[..., list]:
-    """The row route of ``value``, a function of one instance, asked largest n first.
-
-    For per-n routes that cost O(1) or read a tally.  Largest first, so
-    that a per-n route that reads a tally, such as a ``partition_theorems``
-    delta, tallies its class once.  A binomial-sum closed form is read
-    through its row form instead (``_row_at``), which is charged and
-    refused as these calls would be, largest n first.
-    """
-    @functools.wraps(value)
-    def values(*lead_ns):
-        *lead, ns = lead_ns
-        return [value(*lead, n) for n in reversed(ns)][::-1]
-    return values
-
-
-def _at(values: Sequence, ns: Sequence[int], shift: int = 0, sign: int = 1) -> list:
-    """``sign * values[n + shift]`` at each n of a row."""
-    return [sign * values[n + shift] for n in ns]
-
-
-def _row_at(fn: Callable, *lead: int, ns: Sequence[int]) -> list:
-    """The values at each n of a row of ``fn(*lead, count)``, which lists n = 1..count.
-
-    One ``_row`` at the row's largest n serves the row.
-    """
-    return _at(_row(fn, *lead, size=(ns[-1],)), ns, -1)
-
-
-def _signed(cls, ns: Sequence[int], shift: int = 0) -> list[int]:
-    """Odd minus even count of a composition class at size n + shift, at each n of a row.
-
-    One tally, at the row's largest size, serves the row.
-    """
-    counts = compositions.counts_by_size(ns[-1] + shift, cls)
-    return [counts[n + shift][0] - counts[n + shift][1] for n in ns]
-
-
-def _members(side, cls, ns: Sequence[int], shift: int = 0) -> list[int]:
-    """Member count of a class at size n + shift, at each n of a row.
-
-    ``side`` is the module of the class, ``compositions`` or ``partitions``.
-    One tally, at the row's largest size, serves the row.
-    """
-    counts = side.counts_by_size(ns[-1] + shift, cls)
-    return [counts[n + shift][0] + counts[n + shift][1] for n in ns]
-
-
-class _Sweep(Value):
-    """One named sweep: the grid it covers and the routes compared on it.
-
-    ``grid`` reads as the report's ranges.  A term ``a=first..last`` is an
-    axis whose integer ``last`` is the default that ``SweepConfig``
-    overrides; ``s=0..r-1`` bounds an axis by an earlier one; ``order=100``
-    is a single point; any other term (``k=r-s``) is text only.  The
-    points, in axis order, pass through ``instances``, which may add
-    instances of another kind; ``note`` extends the ranges text from the
-    axes' effective last values.
-
-    ``routes`` holds the reference route, then the routes compared with
-    it; ``also`` adds a (quantity, routes) pair per further quantity.  A
-    sweep with a ``check`` runs it on each row, its leading parameters and
-    its n, instead of comparing its routes.
-    """
-
-    __slots__ = ("grid", "routes", "instances", "note", "also", "check")
-
-    def __init__(
-        self,
-        grid: str,
-        routes: tuple[_Route, ...] = (),
-        instances: Callable[[list[tuple]], list[tuple]] = lambda points: points,
-        note: Callable[[dict[str, int]], str] = lambda last: "",
-        also: tuple[tuple[str, tuple[_Route, ...]], ...] = (),
-        check: Callable[[tuple, tuple[int, ...]], Counterexample | None] | None = None,
-    ) -> None:
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "routes", routes)
-        object.__setattr__(self, "instances", instances)
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "also", also)
-        object.__setattr__(self, "check", check)
-
-
-def _compare(sweep: _Sweep, lead: tuple, ns: tuple[int, ...]) -> Counterexample | None:
+def _compare(sweep: Identity, lead: tuple, ns: tuple[int, ...]) -> Counterexample | None:
     """The row's first disagreement in parameter order, or None.
 
     Each route's values at the n its guard accepts are compared with the
@@ -287,8 +166,9 @@ def _compare(sweep: _Sweep, lead: tuple, ns: tuple[int, ...]) -> Counterexample 
     ``<quantity>: `` for an ``also`` pair.
     """
     first = None  # (n, expected, got, detail) of the earliest failure found
+    p, shift = sweep.at(lead)
     for quantity, (reference, *routes) in (("", sweep.routes),) + sweep.also:
-        expected = reference.values(*lead, ns)
+        expected = reference.values(_row, p, shift, ns)
         for route in routes:
             at, want = ns, expected
             if route.when is not None:
@@ -296,7 +176,7 @@ def _compare(sweep: _Sweep, lead: tuple, ns: tuple[int, ...]) -> Counterexample 
                 if not kept:
                     continue
                 at, want = [ns[i] for i in kept], [expected[i] for i in kept]
-            got = route.values(*lead, at)
+            got = route.values(_row, p, shift, at)
             if got == want:
                 continue
             n, e, g = next(t for t in zip(at, want, got, strict=True) if t[1] != t[2])
@@ -306,21 +186,17 @@ def _compare(sweep: _Sweep, lead: tuple, ns: tuple[int, ...]) -> Counterexample 
     if first is None:
         return None
     n, expected, got, detail = first
-    axes = [axis for axis, _, dots, last in _terms(sweep.grid) if dots or last.isdigit()]
-    return Counterexample(tuple(zip(axes, (*lead, n))), expected, got, detail)
+    return Counterexample(tuple(zip(sweep.axes, (*lead, n))), expected, got, detail)
 
 
 # ---------------------------------------------------------------------------
 # the two checks that are not value comparisons
 # ---------------------------------------------------------------------------
 
-_SHIFT_ORDER = 60  # series order of the cor-period shift/period checks
-
-
 def _check_cor_period(lead, ns):
     kind, r, s = lead
     if kind == "value":
-        return _compare(_SWEEPS["cor-period"], (r, s), ns)
+        return _compare(IDENTITIES["cor-period"], (r, s), ns)
     (order,) = ns
     tag = (("r", r), ("s", s))
     report = series.cyclotomic_shift_check(r, s, order)
@@ -353,199 +229,32 @@ def _check_pentagonal(lead, ns):
     return None
 
 
-# ---------------------------------------------------------------------------
-# sweep definitions
-# ---------------------------------------------------------------------------
+# The sweeps that run a check on each row, its leading parameters and its
+# n, instead of comparing their routes.
+_CHECKS = {"cor-period": _check_cor_period, "pentagonal": _check_pentagonal}
 
-_THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
+
+# ---------------------------------------------------------------------------
+# sweeps: the identities with a grid
+# ---------------------------------------------------------------------------
 
 # The SweepConfig field that overrides each axis's last value; the single
 # series order of the pentagonal sweep is set by max_n.
 _OVERRIDE = {"n": "max_n", "order": "max_n", "k": "max_k", "r": "max_r", "m": "max_m"}
 
-
-def _guarded_coefficients(k: int, m: int, t: int, ns: Sequence[int], sign: int = 1) -> list[int]:
-    """``sign`` times the x^(n+k-1) coefficient of G_m at weight t, at each n of a row.
-
-    G_m is the guarded class's series.
-    """
-    row = _row(series.guarded_series, k, m, t, size=(ns[-1] + k - 1,))
-    return _at(row.coeffs, ns, k - 1, sign)
+CHECK_NAMES = tuple(name for name, ident in IDENTITIES.items() if ident.grid)
 
 
-def _small_parts_values(k: int, m: int, ns: Sequence[int]) -> list[int]:
-    """The signed small-part count at each n of a row, from one bivariate series."""
-    table = _row(series.small_parts_series, k, size=(ns[-1] + k - 1, m))
-    return [series.bivariate_signed_value(table, k, n, m) for n in ns]
-
-
-def _with_shift_checks(points: list[tuple]) -> list[tuple]:
-    """Tag the value instances and add one shift/period check per (r, s)."""
-    shifts = {("shift", r, s, _SHIFT_ORDER) for r, s, _ in points}
-    return [("value", *p) for p in points] + list(shifts)
-
-
-_SWEEPS = {
-    "thm1": _Sweep("n=1..60", (
-        _Route("closed form", lambda ns: _row_at(formulas.min_part_signed_row, 2, ns=ns)),
-        _Route("second closed form", _each(
-            lambda n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3))),
-        _Route("recurrence", lambda ns: _row_at(formulas.min_part_signed_sequence, 2, ns=ns)),
-        _Route("enumeration", lambda ns: _signed(MinPart(2), ns, 1),
-               lambda n: n <= _THM1_ENUMERATED),
-    ), note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
-    "thm2": _Sweep("k=1..6 n=1..20", (
-        _Route("closed form", lambda k, ns: _row_at(formulas.min_part_signed_row, k, ns=ns)),
-        _Route("enumeration", lambda k, ns: _signed(MinPart(k), ns, k - 1)),
-        _Route("recurrence", lambda k, ns: _row_at(formulas.min_part_signed_sequence, k, ns=ns)),
-        _Route("series", lambda k, ns: _at(
-            _row(series.min_part_series, k, size=(ns[-1] + k - 1,)).coeffs, ns, k - 1, -1)),
-    )),
-    "thm3": _Sweep("k=1..6 r=1..5 s=0..r-1 n=1..18", (
-        _Route("closed form", lambda k, r, s, ns:
-               _row_at(formulas.congruent_signed_row, k, r, s, ns=ns)),
-        _Route("enumeration", lambda k, r, s, ns: _signed(MinPartCongruent(k, r, s), ns, k - 1)),
-        _Route("series", lambda k, r, s, ns: _at(_row(
-            series.congruent_series, k, r, s, size=(ns[-1] + k - 1,)).coeffs, ns, k - 1, -1)),
-        _Route("second closed form", _each(
-            lambda k, r, s, n: formulas.congruent_indicator(k, n, r, s)),
-            lambda k, r, s, n: k == r - s),
-        _Route("second closed form", _each(
-            lambda k, r, s, n: formulas.congruent_periodic(k, n, r, s)),
-            lambda k, r, s, n: k == 2 * r - s),
-    )),
-    "cor-rs": _Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
-        _Route("closed form", _each(
-            lambda r, s, n: formulas.congruent_indicator(r - s, n, r, s))),
-        _Route("second closed form", lambda r, s, ns:
-               _row_at(formulas.congruent_signed_row, r - s, r, s, ns=ns)),
-        _Route("enumeration", lambda r, s, ns:
-               _signed(MinPartCongruent(r - s, r, s), ns, r - s - 1)),
-    )),
-    "cor-period": _Sweep("r=1..5 s=0..r-1 k=2r-s n=1..18", (
-        _Route("closed form", _each(
-            lambda r, s, n: formulas.congruent_periodic(2 * r - s, n, r, s))),
-        _Route("second closed form", lambda r, s, ns:
-               _row_at(formulas.congruent_signed_row, 2 * r - s, r, s, ns=ns)),
-        _Route("enumeration", lambda r, s, ns:
-               _signed(MinPartCongruent(2 * r - s, r, s), ns, 2 * r - s - 1)),
-    ), _with_shift_checks, note=lambda last: f"; shift/period to order {_SHIFT_ORDER}",
-        check=_check_cor_period),
-    "thm4": _Sweep("k=2..4 m=0..3 n=1..16", (
-        _Route("closed form", lambda k, m, ns:
-               _row_at(formulas.guarded_signed_boxed_row, k, m, ns=ns)),
-        _Route("second closed form", lambda k, m, ns:
-               _row_at(formulas.guarded_signed_sum_row, k, m, ns=ns)),
-        _Route("enumeration", lambda k, m, ns: _signed(GuardedSmall(k, m), ns, k - 1)),
-        _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, -1, ns, -1)),
-    ), also=(("unsigned", (
-        _Route("closed form", lambda k, m, ns:
-               _row_at(formulas.guarded_count_boxed_row, k, m, ns=ns)),
-        _Route("second closed form", lambda k, m, ns:
-               _row_at(formulas.guarded_count_sum_row, k, m, ns=ns)),
-        _Route("enumeration", lambda k, m, ns:
-               _members(compositions, GuardedSmall(k, m), ns, k - 1)),
-        _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, 1, ns)),
-    )),)),
-    "thm4bar": _Sweep("k=1..4 m=0..3 n=1..16", (
-        _Route("closed form", lambda k, m, ns:
-               _row_at(formulas.small_parts_signed_row, k, m, ns=ns)),
-        _Route("enumeration", lambda k, m, ns: _signed(ExactSmall(k, m), ns, k - 1)),
-        _Route("series", _small_parts_values),
-    )),
-    "comp1": _Sweep("n=1..22", (
-        _Route("enumeration", lambda ns: _members(compositions, OddParts(), ns)),
-        _Route("companion class", lambda ns: _members(compositions, MinPart(2), ns, 1)),
-        _Route("series", lambda ns:
-               _at(_row(series.parts_in_series, 1, 2, (1,), 1, size=(ns[-1],)).coeffs, ns)),
-    )),
-    "comp2": _Sweep("k=1..5 n=1..20", (
-        _Route("enumeration", lambda k, ns: _members(compositions, MinPartCongruent(1, k, 0), ns)),
-        # at k = 1 both classes are all compositions of n: one tally
-        _Route("companion class", lambda k, ns: _members(compositions, MinPart(k), ns, k - 1),
-               lambda k, n: k >= 2),
-        _Route("closed form", lambda k, ns: _row_at(formulas.min_part_count_row, k, ns=ns)),
-    )),
-    "comp3": _Sweep("k=1..4 m=0..3 n=1..16", (
-        _Route("enumeration", lambda k, m, ns: _members(compositions, ModOneExcept(k, m), ns)),
-        _Route("companion class", lambda k, m, ns:
-               _members(compositions, GuardedSmall(k, m), ns, k - 1)),
-        _Route("series", lambda k, m, ns: _guarded_coefficients(k, m, 1, ns)),
-    )),
-    "legendre": _Sweep("n=0..50", (
-        _Route("closed form", _each(lambda n: partition_theorems.legendre_closed(n))),
-        _Route("enumeration", _each(lambda n: partition_theorems.legendre_delta(n))),
-        _Route("series", lambda ns:
-               _at(_row(series.pentagonal_product, size=(ns[-1],)).coeffs, ns)),
-    )),
-    "pentagonal": _Sweep("order=100", check=_check_pentagonal),
-    "euler": _Sweep("n=0..30", (
-        _Route("enumeration", lambda ns: _members(partitions, partitions.DistinctParts(), ns)),
-        _Route("companion class", lambda ns: _members(partitions, partitions.OddParts(), ns)),
-    ), also=(("signed", (
-        _Route("closed form", _each(lambda n:
-               (-1) ** n * partitions.count_partitions(n, partitions.OddParts()))),
-        _Route("enumeration", _each(lambda n: partition_theorems.odd_parts_signed(n))),
-    )),)),
-    "glaisher": _Sweep("k=1..4 n=0..30", (
-        _Route("enumeration", lambda k, ns:
-               _members(partitions, partitions.MaxMultiplicity(k), ns)),
-        _Route("companion class", lambda k, ns:
-               _members(partitions, partitions.NoPartDivisibleBy(k), ns)),
-    )),
-    "franklin": _Sweep("k=1..3 m=0..3 n=0..25", (
-        _Route("enumeration", lambda k, m, ns:
-               _members(partitions, partitions.FranklinRepeated(k, m), ns)),
-        _Route("companion class", lambda k, m, ns:
-               _members(partitions, partitions.FranklinDivisible(k, m), ns)),
-    )),
-    "nyirenda-d": _Sweep("r=1..3 n=0..40", (
-        _Route("closed form", _each(lambda r, n: partition_theorems.nyirenda_d_closed(n, r))),
-        _Route("enumeration", _each(lambda r, n: partition_theorems.nyirenda_d_delta(n, r))),
-    )),
-    "nyirenda-c": _Sweep("r=1..3 n=0..40", (
-        _Route("closed form", _each(lambda r, n: partition_theorems.nyirenda_c_closed(n, r))),
-        _Route("enumeration", _each(lambda r, n: partition_theorems.nyirenda_c_delta(n, r))),
-        _Route("second closed form", _each(lambda r, n: partition_theorems.legendre_closed(n)),
-               lambda r, n: r == 1),
-    )),
-    "andrews": _Sweep("k=1..3 n=0..30", (
-        _Route("enumeration", lambda k, ns: _members(partitions, partitions.InitialKReps(k), ns)),
-        _Route("companion class", lambda k, ns:
-               _members(partitions, partitions.NoPartDivisibleBy(2 * k), ns)),
-        _Route("companion class", lambda k, ns:
-               _members(partitions, partitions.MaxMultiplicity(2 * k), ns)),
-    )),
-    "andrews-d": _Sweep("m=0..7 n=0..30", (
-        _Route("closed form", _each(
-            lambda m, n: partition_theorems.andrews_singleton_closed(n, m))),
-        _Route("enumeration", _each(
-            lambda m, n: partition_theorems.andrews_singleton_delta(n, m))),
-    )),
-}
-
-CHECK_NAMES = tuple(_SWEEPS)
-
-
-def _sweep(name: str) -> _Sweep:
-    if name not in _SWEEPS:
+def _sweep(name: str) -> Identity:
+    if name not in CHECK_NAMES:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    return _SWEEPS[name]
-
-
-def _terms(grid: str) -> list[tuple[str, str, str, str]]:
-    """(axis, first, "..", last) per grid term; "" where a part is absent."""
-    out = []
-    for term in grid.split():
-        axis, _, value = term.partition("=")
-        out.append((axis, *value.rpartition("..")))
-    return out
+    return IDENTITIES[name]
 
 
 def overrides(name: str) -> tuple[str, ...]:
     """The SweepConfig fields that the named sweep reads."""
     return tuple(
-        _OVERRIDE[axis] for axis, _, _, last in _terms(_sweep(name).grid) if last.isdigit()
+        _OVERRIDE[axis] for axis, _, _, last in grid_terms(_sweep(name).grid) if last.isdigit()
     )
 
 
@@ -560,7 +269,7 @@ def expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
     position: dict[str, int] = {}  # axis -> its index in a point
     last: dict[str, int] = {}
     text: list[str] = []
-    for axis, first, dots, top in _terms(sweep.grid):
+    for axis, first, dots, top in grid_terms(sweep.grid):
         if top.isdigit():
             position[axis] = len(position)
             override = getattr(config, _OVERRIDE[axis])
@@ -588,8 +297,8 @@ def _rows(instances: list[tuple]) -> list[tuple[tuple, tuple[int, ...]]]:
 
 def _dispatch(tagged):
     name, lead, ns = tagged
-    sweep = _SWEEPS[name]
-    return _compare(sweep, lead, ns) if sweep.check is None else sweep.check(lead, ns)
+    check = _CHECKS.get(name)
+    return _compare(IDENTITIES[name], lead, ns) if check is None else check(lead, ns)
 
 
 def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationReport:

@@ -127,7 +127,7 @@ def test_criterion_5():
             for n in range(1, 17):
                 b = F.small_parts_signed(k, n, m)
                 assert b == C.signed_count(n + k - 1, C.ExactSmall(k, m)).diff
-                assert b == S.bivariate_signed_value(bs, k, n, m)
+                assert b == -bs.coefficient(n + k - 1, m)  # the class lives on n+k-1
 
 
 @criterion(6, "partition identities: Legendre through Andrews", 60)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compparity import cli, formulas, series
+from compparity import cli, formulas, identities, series
 from compparity.verify import CHECK_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -148,7 +148,7 @@ _FLAG_VALUES = st.integers(0, 40) | st.integers(0, 20_000) | st.integers(0, 10 *
 def test_every_formula_answers_or_exits_2_within_2_s(data):
     name = data.draw(st.sampled_from(cli.FORMULA_NAMES))
     argv = ["formula", name, "--n", str(data.draw(_FLAG_VALUES))]
-    for flag in cli._IDENTITIES[name].flags.split():
+    for flag in identities.SEQUENCES[name][0].flags.split():
         if not flag.endswith("?") or data.draw(st.booleans()):
             argv += ["--" + flag.rstrip("?"), str(data.draw(_FLAG_VALUES))]
     out, err = io.StringIO(), io.StringIO()
@@ -207,6 +207,19 @@ def test_series_rational(capsys):
         capsys, "series", "rational", "--num", "1,-1", "--den", "1,-1,1", "--order", "7"
     )
     assert (code, out) == (0, "1,0,-1,-1,0,1,1,0\n")
+
+
+def test_series_rational_takes_a_list_that_starts_with_a_minus_sign_after_equals(capsys):
+    # argparse reads a separate value that starts with "-" and holds a comma
+    # as an option, so only the "=" form passes it on
+    argv = ["series", "rational", "--num", "1,2,3", "--order", "8"]
+    code, out, _ = run_cli(capsys, *argv, "--den=-1,2,0,1")
+    assert (code, out) == (0, "-1,-4,-11,-23,-50,-111,-245,-540,-1191\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--den", "-1,2,0,1"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "argument --den: expected one argument" in captured.err
 
 
 def test_series_rational_nonunit_constant(capsys):

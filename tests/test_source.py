@@ -3,7 +3,7 @@
 import ast
 import pathlib
 
-from compparity import cli
+from compparity import cli, identities
 from compparity.verify import CHECK_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -40,7 +40,7 @@ def test_readme_bfile_commands_parse():
     assert len(commands) >= 11
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
-        assert args.seq in cli._IDENTITIES, argv
+        assert args.seq in identities.SEQUENCES, argv
 
 
 def test_readme_bfile_commands_write_every_term(tmp_path, capsys):
@@ -53,7 +53,7 @@ def test_readme_bfile_commands_write_every_term(tmp_path, capsys):
             argv += ["--file", str(path)]
         assert cli.main(argv) == 0, argv
         args = cli.build_parser().parse_args(argv)
-        terms = args.max_n - cli._IDENTITIES[args.seq].offset + 1
+        terms = args.max_n - identities.SEQUENCES[args.seq][0].first + 1
         assert len(path.read_text(encoding="ascii").splitlines()) == terms, argv
     assert capsys.readouterr().out == ""
 

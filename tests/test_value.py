@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from compparity import cli, compositions, partitions, sequences, series, verify
+from compparity import compositions, identities, partitions, sequences, series, verify
 from compparity._value import OrderedValue, Value
 
 
@@ -12,12 +12,8 @@ def route_values(*lead_ns):
     return []
 
 
-def identity_value(a, n):
-    return n
-
-
 CE = verify.Counterexample((("k", 2), ("n", 5)), 1, 0, "why")
-ROUTE = verify._Route("series", route_values)
+ROUTE = identities.Route("series", route_values)
 
 # (class, a function building one instance, the repr a frozen dataclass gives it)
 SAMPLES = [
@@ -63,14 +59,14 @@ SAMPLES = [
     (verify.VerificationReport, lambda: verify.VerificationReport("thm2", "k=1", 1, False, CE),
      "VerificationReport(name='thm2', ranges='k=1', instances=1, passed=False, "
      f"counterexample={CE!r})"),
-    (verify._Route, lambda: verify._Route("series", route_values),
-     f"_Route(name='series', values={route_values!r}, when=None)"),
-    (verify._Sweep, lambda: verify._Sweep("n=1..3", (ROUTE,), route_values, route_values),
-     f"_Sweep(grid='n=1..3', routes=({ROUTE!r},), instances={route_values!r}, "
-     f"note={route_values!r}, also=(), check=None)"),
-    (cli._Identity, lambda: cli._Identity("k", 1, identity_value),
-     f"_Identity(flags='k', offset=1, value={identity_value!r}, note=None, k_default=None, "
-     "row=None)"),
+    (identities.Route, lambda: identities.Route("series", route_values),
+     f"Route(name='series', values={route_values!r}, when=None, value=None, expand=None)"),
+    (identities.Identity,
+     lambda: identities.Identity("n=1..3", None, (ROUTE,), (), route_values, route_values,
+                                 tokens=(("t", "", None, None),)),
+     f"Identity(grid='n=1..3', params=None, routes=({ROUTE!r},), also=(), "
+     f"instances={route_values!r}, note={route_values!r}, value='closed form', "
+     "tokens=(('t', '', None, None),), series=())"),
 ]
 
 # the classes no value is built from: the bases of the restriction classes

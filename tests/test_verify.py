@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from compparity import (
-    _automaton, compositions, formulas, partition_theorems, partitions, series, verify)
+    _automaton, compositions, formulas, identities, partition_theorems, partitions, series, verify)
 from compparity.verify import (
     CHECK_NAMES,
     Counterexample,
@@ -58,7 +58,7 @@ def product_instances(name, config):
     ``config``; ``s=0..r-1`` is taken below the largest r and cut to s < r;
     a term like ``k=r-s`` is no axis.
     """
-    sweep = verify._SWEEPS[name]
+    sweep = identities.IDENTITIES[name]
     axes, ranges = [], []
     for term in sweep.grid.split():
         axis, _, text = term.partition("=")
@@ -192,8 +192,7 @@ def fail_at_two_instances(lead, ns):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_the_first_counterexample_in_parameter_order_is_reported(monkeypatch, jobs):
-    sweep = verify._Sweep(verify._SWEEPS["thm2"].grid, check=fail_at_two_instances)
-    monkeypatch.setitem(verify._SWEEPS, "thm2", sweep)
+    monkeypatch.setitem(verify._CHECKS, "thm2", fail_at_two_instances)
     report = run_check("thm2", SweepConfig(max_n=6, max_k=2, jobs=jobs))
     assert (report.passed, report.instances) == (False, 12)
     assert report.counterexample.describe() == "k=1 n=3: expected 0, got 1 (planted)"
@@ -276,16 +275,18 @@ def test_no_two_routes_read_one_tally(monkeypatch):
 
     monkeypatch.setattr(_automaton, "_counts", recording)
     found = set()
-    for name, sweep in verify._SWEEPS.items():
+    for name in CHECK_NAMES:
+        sweep = identities.IDENTITIES[name]
         if not sweep.routes:
             continue
         for lead, ns in value_rows(name):
+            p, shift = sweep.at(lead)
             for quantity, routes in (("", sweep.routes), *sweep.also):
                 keys = []
                 for route in routes:
                     read.clear()
                     if at := accepted(route, lead, ns):
-                        route.values(*lead, at)
+                        route.values(verify._row, p, shift, at)
                     keys.append((route.name, set(read)))
                 for (a, ka), (b, kb) in itertools.combinations(keys, 2):
                     if ka & kb:
@@ -299,15 +300,15 @@ def test_no_two_routes_read_one_tally(monkeypatch):
 
 def recorded(calls, name, value, when=None):
     """A route that records each row it is asked for and returns ``value(n)`` at each n."""
-    def call(*args):
-        calls.append((name, args))
-        return [value(n) for n in args[-1]]
-    return verify._Route(name, call, when)
+    def call(rows, p, shift, ns):
+        calls.append((name, (*p, ns)))
+        return [value(n) for n in ns]
+    return identities.Route(name, call, when)
 
 
 def test_compare_asks_each_route_once_per_row_and_reports_the_smallest_failing_n():
     calls = []
-    sweep = verify._Sweep("k=1..2 n=1..3", (
+    sweep = identities.Identity("k=1..2 n=1..3", None, (
         recorded(calls, "closed form", lambda n: 5),
         recorded(calls, "enumeration", lambda n: 5 + (n == 3)),
         recorded(calls, "series", lambda n: 5 - (n >= 2)),
@@ -326,7 +327,7 @@ def test_compare_asks_each_route_once_per_row_and_reports_the_smallest_failing_n
 
 def test_compare_asks_guarded_routes_only_where_accepted_and_prefixes_a_second_quantity():
     calls = []
-    sweep = verify._Sweep("r=1..5 s=0..r-1 k=r-s n=1..18", (
+    sweep = identities.Identity("r=1..5 s=0..r-1 k=r-s n=1..18", None, (
         recorded(calls, "closed form", lambda n: 1),
         recorded(calls, "enumeration", lambda n: 7, lambda r, s, n: r == 9),
         # wrong past n = 2, where its guard keeps it from being asked
@@ -350,11 +351,12 @@ def planted_sweep(planted):
     asked only for n <= 3, as thm1's enumeration only for n <= 20.
     """
     def route(quantity, name, when=None):
-        def values(k, m, ns):
+        def values(rows, p, shift, ns):
+            k, m = p
             return [k * 100 + m * 10 + n + ((quantity, name, k, m, n) in planted) for n in ns]
-        return verify._Route(name, values, when)
+        return identities.Route(name, values, when)
 
-    return verify._Sweep("k=1..3 m=0..2 n=1..6", (
+    return identities.Identity("k=1..3 m=0..2 n=1..6", None, (
         route("", "closed form"),
         route("", "enumeration"),
         route("", "second closed form", lambda k, m, n: n <= 3),
@@ -387,7 +389,7 @@ TWO_NS = {("", "series", 2, 1, 4), ("", "series", 2, 1, 6)}
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_planted_disagreements_report_the_first_instance_then_quantity_then_route(
         monkeypatch, planted, describe, jobs):
-    monkeypatch.setitem(verify._SWEEPS, "thm4", planted_sweep(planted))
+    monkeypatch.setitem(identities.IDENTITIES, "thm4", planted_sweep(planted))
     report = run_check("thm4", SweepConfig(max_k=3, max_m=2, max_n=6, jobs=jobs))
     assert report.instances == 54
     assert (report.counterexample and report.counterexample.describe()) == describe
@@ -401,12 +403,14 @@ def compare_instance(sweep, params):
     quantity's reference.
     """
     *lead, n = params
-    axes = [axis for axis, _, dots, last in verify._terms(sweep.grid) if dots or last.isdigit()]
+    axes = [axis for axis, _, dots, last in identities.grid_terms(sweep.grid)
+            if dots or last.isdigit()]
+    p, shift = sweep.at(lead)
     for quantity, routes in (("", sweep.routes), *sweep.also):
         reference = None
         for route in routes:
             if route.when is None or route.when(*params):
-                (got,) = route.values(*lead, (n,))
+                (got,) = route.values(verify._row, p, shift, (n,))
                 if reference is None:
                     reference, expected = route, got
                 elif got != expected:
@@ -418,14 +422,14 @@ def compare_instance(sweep, params):
 
 def check_instance_by_instance(name, config):
     """The report of a sweep run one instance at a time, largest first."""
-    sweep = verify._SWEEPS[name]
+    sweep, check = identities.IDENTITIES[name], verify._CHECKS.get(name)
     instances, ranges = verify.expand(name, config)
     results = []
     for params in reversed(instances):
         if name == "cor-period" and params[0] == "value":
             results.append(compare_instance(sweep, params[1:]))
-        elif sweep.check is not None:
-            results.append(sweep.check(params[:-1], params[-1:]))
+        elif check is not None:
+            results.append(check(params[:-1], params[-1:]))
         else:
             results.append(compare_instance(sweep, params))
     failure = next((r for r in reversed(results) if r is not None), None)
@@ -484,10 +488,11 @@ def test_rows_report_what_an_instance_at_a_time_loop_reports(monkeypatch, defect
 
 def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
     assert len(set(verify.ROUTES)) == len(verify.ROUTES) == 6
-    assert {name for name, s in verify._SWEEPS.items() if s.check} == {"cor-period", "pentagonal"}
-    for name, sweep in verify._SWEEPS.items():
+    assert set(verify._CHECKS) == {"cor-period", "pentagonal"}
+    for name in CHECK_NAMES:
+        sweep = identities.IDENTITIES[name]
         if not sweep.routes:
-            assert sweep.check is not None, name
+            assert name in verify._CHECKS, name
             continue
         for quantity, routes in (("", sweep.routes), *sweep.also):
             # a reference alone would let the sweep pass by comparing nothing
@@ -497,19 +502,20 @@ def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
 
 
 def test_every_route_takes_exactly_its_sweeps_grid_axes():
-    # a route lifted from one instance takes the axes; a row route takes the
-    # leading axes and the row's n; a guard takes one instance
-    for name, sweep in verify._SWEEPS.items():
-        axes = [axis for axis, _, dots, last in verify._terms(sweep.grid)
-                if dots or last.isdigit()]
+    # the parameters are the leading axes, after a k derived from them; a
+    # per-n route takes the parameters and n, and a guard one instance
+    for name in CHECK_NAMES:
+        sweep = identities.IDENTITIES[name]
+        axes = sweep.axes
+        params = axes[:-1]
+        if sweep.params not in (None, identities._lead):
+            assert list(inspect.signature(sweep.params).parameters) == params, name
+            params = ["k", *params]
         for quantity, routes in (("", sweep.routes), *sweep.also):
             for route in routes:
                 lifted = getattr(route.values, "__wrapped__", None)
-                if lifted is None:
-                    assert list(inspect.signature(route.values).parameters) == axes[:-1] + [
-                        "ns"], (name, quantity, route.name)
-                else:
-                    assert list(inspect.signature(lifted).parameters) == axes, (
+                if lifted is not None:
+                    assert list(inspect.signature(lifted).parameters) == params + ["n"], (
                         name, quantity, route.name)
                 if route.when is not None:
                     assert list(inspect.signature(route.when).parameters) == axes, (
@@ -610,15 +616,21 @@ def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
     monkeypatch.setattr(verify, "_ROWS", rows)
     for name in CHECK_NAMES:
         assert run_check(name).passed, name
-    assert [key for key, times in Counter(rows.computed).items() if times > 1] == []
+    # cor-period reads periodic_series(r), which has no s, at the sizes
+    # n+2r-s-1, and its rows, s descending, each ask for one size more: the
+    # one row that is computed again as it grows
+    again = [key for key, times in Counter(rows.computed).items() if times > 1]
+    assert {fn for fn, _ in again} == {series.periodic_series}
     assert Counter(fn.__name__ for fn, _ in rows.computed) == {
         "min_part_signed_sequence": 6,  # k=1..6, thm1's k=2 row serving thm2
         "min_part_series": 6,
         "congruent_series": 90,  # one per (k, r, s)
+        "congruent_signed_sequence": 90,
+        "periodic_series": 15,  # cor-period's, once per (r, s)
         "small_parts_series": 4,
         "guarded_series": 28,  # thm4's (k, m, t), 3 x 4 x 2, and comp3's k=1 rows
         "pentagonal_product": 1,  # legendre's; the pentagonal sweep builds its own
-        "parts_in_series": 1,  # comp1's odd parts
+        "parts_in_series": 6,  # comp1's odd parts and comp2's k=1..5
         "min_part_signed_row": 6,  # k=1..6, thm1's k=2 row serving thm2
         "min_part_count_row": 5,  # comp2's k=1..5
         # thm3's 90 (k, r, s) serve cor-rs and cor-period, but for cor-period's
@@ -636,7 +648,7 @@ def test_rows_asked_for_in_ascending_order_give_the_same_values(monkeypatch):
     # each sweep row asked for one n more at a time, so every stored row grows
     monkeypatch.setattr(verify, "_ROWS", {})
     for name in ("thm1", "thm2", "thm3", "thm4bar", "legendre"):
-        sweep = verify._SWEEPS[name]
+        sweep = identities.IDENTITIES[name]
         for lead, ns in value_rows(name):
             assert [ns[:end] for end in range(1, len(ns) + 1)
                     if verify._compare(sweep, lead, ns[:end])] == [], (name, lead)
