@@ -91,7 +91,7 @@ def _resolve(args: argparse.Namespace, ident: Identity, quantity: str,
     _flags(args, ident.flags, context)
     p, shift = ident.at([getattr(args, axis) for axis in ident.axes[:-1]], args.k)
     name = ident.value(*p) if callable(ident.value) else ident.value
-    return p, shift, functools.partial(ident.route(quantity, name).value, p)
+    return p, shift, functools.partial(ident.route(quantity, name).value, *p)
 
 
 def _fresh(fn: Callable, *lead: int, size: tuple[int, ...]):
@@ -197,7 +197,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         _flags(args, "num den", "series rational")
         ts = series.expand_rational(_polynomial(args.num), _polynomial(args.den), args.order)
     else:
-        ident, spec = SERIES[args.name]
+        _, spec, attr = SERIES[args.name]
         _flags(args, spec, f"series {args.name}")
         lead = [getattr(args, f) for f in spec.split() if not f.endswith("?")] + [args.order]
         if "y_order?" in spec:  # a table to x^order y^y_order
@@ -206,7 +206,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             if cells > _ROW_CELLS:
                 raise ValueError(f"series {args.name} to x^{args.order} y^{lead[-1]} holds "
                                  f"{cells} coefficients, more than {_ROW_CELLS}")
-        ts = ident.route("", "series").expand(*lead)
+        ts = getattr(series, attr)(*lead)
     if isinstance(ts, series.BivariateSeries):
         if args.fmt == "csv":
             print("x,y,coefficient")

@@ -8,20 +8,22 @@ so.  An entry's ``params`` maps a row's leading axes to the parameters
 they are.
 
 An entry declares its routes by kind, each named from ``verify.ROUTES``:
-``row_form`` (a ``formulas`` function listing n = 1..count, whose per-n
-form drops the ``_row``), ``per_n`` (a function of one instance),
-``tally`` (a class, counted by the enumeration oracle) and ``coefficient``
-(a ``series`` expansion, read at each size).  The offset is applied once
-per kind.  Functions are looked up on their module when called, so a
-function replaced since is the one called.
+``row_form`` (a ``formulas`` function listing n = 1..count, and the name
+of its per-n form), ``per_n`` (a function of one instance), ``tally`` (a
+class, counted by the enumeration oracle) and ``coefficient`` (a
+``series`` expansion, read at each size).  The offset is applied once per
+kind.  Functions are looked up on their module when called, so a function
+replaced since is the one called.
 
 ``verify`` runs the sweep of every entry with a grid: it compares the
-routes, and ``also`` adds a (quantity, routes) pair per further quantity.
-``cli`` serves the entry's tokens: ``value`` names the route that
-``formula`` prints and that a sequence without a row reads term by term;
-``tokens`` holds each sequence token's quantity, the route that serves its
-``bfile`` and ``period`` rows, and its stderr note; ``series`` holds each
-series token, printing the "series" route, with its flags.
+routes, and ``also`` adds a (quantity, routes) pair per further quantity;
+an entry with a ``check`` runs that ``verify`` function on its rows
+instead.  ``cli`` serves the entry's tokens: ``value`` names the route
+that ``formula`` prints and that a sequence without a row reads term by
+term; ``tokens`` holds each sequence token's quantity, the route that
+serves its ``bfile`` and ``period`` rows, and its stderr note; ``series``
+holds each series token, with its flags and the ``series`` function that
+its "series" route reads.
 """
 
 from __future__ import annotations
@@ -46,33 +48,33 @@ class Route(Value):
     size n + shift.  ``rows(fn, *lead, size=...)`` gives ``fn(*lead,
     *size)``, or a stored row that is at least that large.  ``when`` takes
     one instance, every grid axis: the route is asked only for the n it
-    accepts, or for every n of the row when it is None.  ``value(p, n)`` is
-    its per-n form and ``expand(*args)`` its series, where it has them.
+    accepts, or for every n of the row when it is None.  ``value(*p, n)``
+    is its per-n form, where it has one.  ``values.__wrapped__`` is the
+    function the route is declared with, which takes p first.
     """
 
-    __slots__ = ("name", "values", "when", "value", "expand")
+    __slots__ = ("name", "values", "when", "value")
 
     def __init__(self, name: str, values: Callable[..., list],
                  when: Callable[..., bool] | None = None,
-                 value: Callable[[tuple, int], object] | None = None,
-                 expand: Callable[..., object] | None = None) -> None:
-        super().__init__(name, values, when, value, expand)
+                 value: Callable[..., object] | None = None) -> None:
+        super().__init__(name, values, when, value)
 
 
-def row_form(name: str, attr: str) -> Route:
+def row_form(name: str, attr: str, per_n: str | None = None) -> Route:
     """``formulas.<attr>(*p, count)``, which lists n = 1..count; one row serves a sweep row.
 
-    A binomial-sum row form steps each term from one n to the next, and is
+    ``per_n`` names its per-n form, ``formulas.<per_n>(k, n, ...)``.  A
+    binomial-sum row form steps each term from one n to the next, and is
     charged and refused as its per-n calls would be, largest n first.
     """
     def values(rows, p, shift, ns):
         row = rows(getattr(formulas, attr), *p, size=(ns[-1],))
         return [row[n - 1] for n in ns]
 
-    per_n = attr.removesuffix("_row")
-    if per_n == attr:
-        return Route(name, values)
-    return Route(name, values, value=lambda p, n: getattr(formulas, per_n)(p[0], n, *p[1:]))
+    values.__wrapped__ = getattr(formulas, attr)
+    value = per_n and (lambda k, *a: getattr(formulas, per_n)(k, a[-1], *a[:-1]))
+    return Route(name, values, value=value)
 
 
 def per_n(name: str, fn: Callable[..., object], when: Callable[..., bool] | None = None) -> Route:
@@ -86,48 +88,50 @@ def per_n(name: str, fn: Callable[..., object], when: Callable[..., bool] | None
     def values(rows, p, shift, ns):
         return [fn(*p, n) for n in reversed(ns)][::-1]
 
-    return Route(name, values, when, lambda p, n: fn(*p, n))
+    return Route(name, values, when, fn)
 
 
-def tally(name: str, make: Callable[..., object], side=compositions, signed: bool = False,
+def tally(name: str, make: Callable[..., object], side=compositions, sign: int = 1,
           at_n: bool = False, when: Callable[..., bool] | None = None) -> Route:
     """The members of the class ``make(*p)`` at size n + shift, or at n with ``at_n``.
 
     ``side`` is the module of the class, ``compositions`` or ``partitions``;
-    ``signed`` counts odd minus even length.  One tally, at the row's
-    largest size, serves the row.
+    with ``sign`` -1 they count odd minus even length.  One tally, at the
+    row's largest size, serves the row.
     """
-    sign = -1 if signed else 1
-
     def values(rows, p, shift, ns):
         if at_n:
             shift = 0
         counts = side.counts_by_size(ns[-1] + shift, make(*p))
         return [counts[n + shift][0] + sign * counts[n + shift][1] for n in ns]
 
+    values.__wrapped__ = make
     return Route(name, values, when)
 
 
 def coefficient(name: str, attr: str, args: Callable[..., tuple] | None = None, sign: int = 1,
-                at_n: bool = False, y: bool = False) -> Route:
+                at_n: bool = False, y: bool = False,
+                reach: Callable[..., int] | None = None) -> Route:
     """``sign`` times the x^(n+shift) coefficient of ``series.<attr>(*args(*p), order)``.
 
     ``args`` defaults to p itself, and ``at_n`` reads x^n.  With ``y`` the
     expansion is a table to x^order y^m, m the last parameter, read at
     x^(n+shift) y^m.  One expansion, to the row's largest size, serves the
-    row.
+    row; ``reach(*p)``, where given, is the largest shift of any parameters
+    that share ``args(*p)``, so that it is expanded once for all of them.
     """
     def values(rows, p, shift, ns):
         if at_n:
             shift = 0
         lead = p if args is None else args(*p)
-        size = (ns[-1] + shift, p[-1]) if y else (ns[-1] + shift,)
-        coeffs = rows(getattr(series, attr), *lead, size=size).coeffs
+        top = ns[-1] + (shift if reach is None else reach(*p))
+        coeffs = rows(getattr(series, attr), *lead, size=(top, p[-1]) if y else (top,)).coeffs
         if y:
             return [sign * coeffs[n + shift][p[-1]] for n in ns]
         return [sign * coeffs[n + shift] for n in ns]
 
-    return Route(name, values, expand=lambda *a: getattr(series, attr)(*a))
+    values.__wrapped__ = getattr(series, attr) if args is None else args
+    return Route(name, values)
 
 
 def _lead(*lead: int) -> tuple[int, ...]:
@@ -137,11 +141,8 @@ def _lead(*lead: int) -> tuple[int, ...]:
 
 def grid_terms(grid: str) -> list[tuple[str, str, str, str]]:
     """(axis, first, "..", last) per grid term; "" where a part is absent."""
-    out = []
-    for term in grid.split():
-        axis, _, value = term.partition("=")
-        out.append((axis, *value.rpartition("..")))
-    return out
+    terms = (term.partition("=") for term in grid.split())
+    return [(axis, *value.rpartition("..")) for axis, _, value in terms]
 
 
 class Identity(Value):
@@ -155,14 +156,16 @@ class Identity(Value):
     ``instances``, which may add instances of another kind; ``note``
     extends the ranges text from the axes' effective last values.
 
-    ``routes`` holds the reference route, then the routes compared with it.
-    ``value`` is a route name, or a function of p giving one.  A token of
-    ``tokens`` is (token, quantity, row route or None, note or None), the
-    note a function of n and p; one of ``series`` is (token, flags).
+    ``routes`` holds the reference route, then the routes compared with it;
+    ``check``, where given, names the ``verify`` function that checks each
+    row in their place.  ``value`` is a route name, or a function of p
+    giving one.  A token of ``tokens`` is (token, quantity, row route or
+    None, note or None), the note a function of n and p; one of ``series``
+    is (token, flags, the ``series`` function it expands).
     """
 
-    __slots__ = ("grid", "params", "routes", "also", "instances", "note", "value", "tokens",
-                 "series")
+    __slots__ = ("grid", "params", "routes", "also", "instances", "note", "check", "value",
+                 "tokens", "series")
 
     def __init__(
         self,
@@ -172,11 +175,13 @@ class Identity(Value):
         also: tuple[tuple[str, tuple[Route, ...]], ...] = (),
         instances: Callable[[list[tuple]], list[tuple]] = lambda points: points,
         note: Callable[[dict[str, int]], str] = lambda last: "",
+        check: str | None = None,
         value: str | Callable[..., str] = "closed form",
         tokens: tuple[tuple, ...] = (),
-        series: tuple[tuple[str, str], ...] = (),
+        series: tuple[tuple[str, str, str], ...] = (),
     ) -> None:
-        super().__init__(grid, params, routes, also, instances, note, value, tokens, series)
+        super().__init__(grid, params, routes, also, instances, note, check, value, tokens,
+                         series)
 
     @property
     def axes(self) -> list[str]:
@@ -218,14 +223,6 @@ _THM1_ENUMERATED = 20  # thm1 enumerates the class only up to this n
 _SHIFT_ORDER = 60  # series order of the cor-period shift/period checks
 
 
-def _indicator(k: int, r: int, s: int, n: int) -> int:
-    return formulas.congruent_indicator(k, n, r, s)
-
-
-def _periodic(k: int, r: int, s: int, n: int) -> int:
-    return formulas.congruent_periodic(k, n, r, s)
-
-
 def _with_shift_checks(points: list[tuple]) -> list[tuple]:
     """Tag the value instances and add one shift/period check per (r, s)."""
     shifts = {("shift", r, s, _SHIFT_ORDER) for r, s, _ in points}
@@ -234,51 +231,58 @@ def _with_shift_checks(points: list[tuple]) -> list[tuple]:
 
 IDENTITIES = {
     "thm1": Identity("n=1..60", lambda: (2,), (
-        row_form("closed form", "min_part_signed_row"),
+        row_form("closed form", "min_part_signed_row", "min_part_signed"),
         per_n("second closed form", lambda k, n: 0 if n % 3 == 0 else (-1) ** ((n - 1) // 3)),
         row_form("recurrence", "min_part_signed_sequence"),
-        tally("enumeration", compositions.MinPart, signed=True,
+        tally("enumeration", compositions.MinPart, sign=-1,
               when=lambda n: n <= _THM1_ENUMERATED),
     ), note=lambda last: f" (enumeration to n={min(last['n'], _THM1_ENUMERATED)})"),
     "thm2": Identity("k=1..6 n=1..20", _lead, (
-        row_form("closed form", "min_part_signed_row"),
-        tally("enumeration", compositions.MinPart, signed=True),
+        row_form("closed form", "min_part_signed_row", "min_part_signed"),
+        tally("enumeration", compositions.MinPart, sign=-1),
         row_form("recurrence", "min_part_signed_sequence"),
         coefficient("series", "min_part_series", sign=-1),
     ), tokens=(("thm2", "", "series", lambda n, k: f"n={n}, k={k}: signed compositions of "
-                f"{n + offset(k)} with parts >= {k}"),), series=(("thm2", "k"),)),
+                f"{n + offset(k)} with parts >= {k}"),),
+        series=(("thm2", "k", "min_part_series"),)),
     "thm3": Identity("k=1..6 r=1..5 s=0..r-1 n=1..18", _lead, (
-        row_form("closed form", "congruent_signed_row"),
-        tally("enumeration", compositions.MinPartCongruent, signed=True),
+        row_form("closed form", "congruent_signed_row", "congruent_signed"),
+        tally("enumeration", compositions.MinPartCongruent, sign=-1),
         coefficient("series", "congruent_series", sign=-1),
-        per_n("second closed form", _indicator, lambda k, r, s, n: k == r - s),
-        per_n("second closed form", _periodic, lambda k, r, s, n: k == 2 * r - s),
+        per_n("second closed form", lambda k, r, s, n: formulas.congruent_indicator(k, n, r, s),
+              lambda k, r, s, n: k == r - s),
+        per_n("second closed form", lambda k, r, s, n: formulas.congruent_periodic(k, n, r, s),
+              lambda k, r, s, n: k == 2 * r - s),
         row_form("recurrence", "congruent_signed_sequence"),
     ), tokens=(("thm3", "", "recurrence", lambda n, k, r, s: f"n={n}, k={k}: signed "
                 f"compositions of {n + offset(k)} with parts >= {k} congruent to {k + s} mod "
-                f"{r}"),), series=(("thm3", "k r s"),)),
+                f"{r}"),), series=(("thm3", "k r s", "congruent_series"),)),
     "cor-rs": Identity("r=1..5 s=0..r-1 k=r-s n=1..18", lambda r, s: (r - s, r, s), (
-        per_n("closed form", _indicator),
+        per_n("closed form", lambda k, r, s, n: formulas.congruent_indicator(k, n, r, s)),
         row_form("second closed form", "congruent_signed_row"),
-        tally("enumeration", compositions.MinPartCongruent, signed=True),
+        tally("enumeration", compositions.MinPartCongruent, sign=-1),
     ), tokens=(("cor-rs", "", None, lambda n, k, r, s:
                 f"n={n}, k={k}=r-s: class on size {n + offset(k)}"),)),
     "cor-period": Identity("r=1..5 s=0..r-1 k=2r-s n=1..18", lambda r, s: (2 * r - s, r, s), (
-        per_n("closed form", _periodic),
+        per_n("closed form", lambda k, r, s, n: formulas.congruent_periodic(k, n, r, s)),
         row_form("second closed form", "congruent_signed_row"),
-        tally("enumeration", compositions.MinPartCongruent, signed=True),
-        coefficient("series", "periodic_series", lambda k, r, s: (r,), sign=-1),
+        tally("enumeration", compositions.MinPartCongruent, sign=-1),
+        # periodic_series(r) has no s: one expansion, to the size of s = 0, serves every s
+        coefficient("series", "periodic_series", lambda k, r, s: (r,), sign=-1,
+                    reach=lambda k, r, s: offset(2 * r)),
     ), instances=_with_shift_checks, note=lambda last: f"; shift/period to order {_SHIFT_ORDER}",
+        check="_check_cor_period",
         tokens=(("cor-period", "", None, lambda n, k, r, s: f"n={n}, k={k}=2r-s: class on "
-                 f"size {n + offset(k)}, period {6 * r}"),), series=(("cor-period", "r"),)),
+                 f"size {n + offset(k)}, period {6 * r}"),),
+        series=(("cor-period", "r", "periodic_series"),)),
     "thm4": Identity("k=2..4 m=0..3 n=1..16", _lead, (
-        row_form("closed form", "guarded_signed_boxed_row"),
-        row_form("second closed form", "guarded_signed_sum_row"),
-        tally("enumeration", compositions.GuardedSmall, signed=True),
+        row_form("closed form", "guarded_signed_boxed_row", "guarded_signed_boxed"),
+        row_form("second closed form", "guarded_signed_sum_row", "guarded_signed_sum"),
+        tally("enumeration", compositions.GuardedSmall, sign=-1),
         coefficient("series", "guarded_series", lambda k, m: (k, m, -1), sign=-1),
     ), also=(("unsigned", (
-        row_form("closed form", "guarded_count_boxed_row"),
-        row_form("second closed form", "guarded_count_sum_row"),
+        row_form("closed form", "guarded_count_boxed_row", "guarded_count_boxed"),
+        row_form("second closed form", "guarded_count_sum_row", "guarded_count_sum"),
         tally("enumeration", compositions.GuardedSmall),
         coefficient("series", "guarded_series", lambda k, m: (k, m, 1)),
     )),), value=lambda k, m: "closed form" if k >= 2 else "second closed form",  # boxed: k >= 2
@@ -288,12 +292,12 @@ IDENTITIES = {
                  f"of {n + offset(k)} with exactly {m} guarded parts < {k} (equivalently of "
                  f"{n} with {m} parts > {k} not 1 mod {k})"))),
     "thm4bar": Identity("k=1..4 m=0..3 n=1..16", _lead, (
-        row_form("closed form", "small_parts_signed_row"),
-        tally("enumeration", compositions.ExactSmall, signed=True),
+        row_form("closed form", "small_parts_signed_row", "small_parts_signed"),
+        tally("enumeration", compositions.ExactSmall, sign=-1),
         coefficient("series", "small_parts_series", lambda k, m: (k,), sign=-1, y=True),
     ), tokens=(("thm4bar", "", "series", lambda n, k, m: f"n={n}, k={k}: signed compositions "
                 f"of {n + offset(k)} with exactly {m} parts < {k}"),),
-        series=(("thm4bar", "k y_order?"),)),
+        series=(("thm4bar", "k y_order?", "small_parts_series"),)),
     # odd-part compositions of n and compositions of n+1 = n+k-1 into parts >= k = 2
     "comp1": Identity("n=1..22", lambda: (2,), (
         tally("enumeration", lambda k: compositions.OddParts(), at_n=True),
@@ -304,7 +308,7 @@ IDENTITIES = {
         tally("enumeration", lambda k: compositions.MinPartCongruent(1, k, 0), at_n=True),
         # at k = 1 both classes are all compositions of n: one tally
         tally("companion class", compositions.MinPart, when=lambda k, n: k >= 2),
-        row_form("closed form", "min_part_count_row"),
+        row_form("closed form", "min_part_count_row", "min_part_count"),
         # min_part_series(k, order, +1): parts >= k, each weighted +1
         coefficient("series", "parts_in_series", lambda k: (k, 1, (0,), 1)),
     ), tokens=(("munagi", "", "series", lambda n, k: f"n={n}, k={k}: compositions of "
@@ -318,8 +322,8 @@ IDENTITIES = {
         per_n("closed form", lambda n: partition_theorems.legendre_closed(n)),
         per_n("enumeration", lambda n: partition_theorems.legendre_delta(n)),
         coefficient("series", "pentagonal_product"),
-    ), tokens=(("legendre", "", None, None),), series=(("pentagonal", ""),)),
-    "pentagonal": Identity("order=100"),  # its coefficient scan is a check of ``verify``
+    ), tokens=(("legendre", "", None, None),), series=(("pentagonal", "", "pentagonal_product"),)),
+    "pentagonal": Identity("order=100", check="_check_pentagonal"),
     "euler": Identity("n=0..30", None, (
         tally("enumeration", partitions.DistinctParts, partitions),
         tally("companion class", partitions.OddParts, partitions),
@@ -329,7 +333,7 @@ IDENTITIES = {
         per_n("enumeration", lambda n: partition_theorems.odd_parts_signed(n)),
     )),), value="enumeration", tokens=(("odd-parts", "signed", None, None),)),
     "glaisher": Identity("k=1..4 n=0..30", None, (
-        tally("enumeration", partitions.MaxMultiplicity, partitions),
+        tally("enumeration", lambda k: partitions.MaxMultiplicity(k), partitions),
         tally("companion class", partitions.NoPartDivisibleBy, partitions),
     )),
     "franklin": Identity("k=1..3 m=0..3 n=0..25", None, (
@@ -366,5 +370,5 @@ _TOKENS = {token: (ident, *rest) for ident in IDENTITIES.values() for token, *re
 SEQUENCES = {token: _TOKENS[token] for token in (
     "thm2", "munagi", "thm3", "cor-rs", "cor-period", "thm4", "thm4a", "thm4bar", "distinct",
     "odd-parts", "legendre")}
-# token -> (entry, flags)
-SERIES = {token: (ident, flags) for ident in IDENTITIES.values() for token, flags in ident.series}
+# token -> (entry, flags, series function)
+SERIES = {token: (ident, *rest) for ident in IDENTITIES.values() for token, *rest in ident.series}

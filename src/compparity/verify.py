@@ -20,8 +20,8 @@ smallest failing n, and at that n it reports the first quantity and then
 the first route in order that fails, as ``<route> vs <reference>``: what
 comparing instance by instance would report.  The two checks that are not
 value comparisons, cor-period's shift/period check and the pentagonal
-coefficient scan, are written out here, in ``_CHECKS``, and run on rows
-too.
+coefficient scan, are written out here, each named by its entry's
+``check``, and run on rows too.
 
 A sweep may run its rows in a process pool; rows are pure functions of
 their parameters and results are reassembled in parameter order, so
@@ -142,10 +142,9 @@ def _row(fn: Callable, *lead: int, size: tuple[int, ...]):
     A row's entry at an index does not depend on how far the row was
     computed, so a larger request computes the row again at the
     componentwise max of the stored and requested sizes.  A sweep asks
-    once per row, at the row's largest size, so that is rare; cor-period's
-    ``periodic_series(r)``, read at a size that grows as s falls, is
-    computed once per (r, s).  Routes look ``fn`` up at call time, so a
-    function wrapped or replaced since gets an entry of its own.
+    once per row, at the row's largest size, so that is rare.  Routes look
+    ``fn`` up at call time, so a function wrapped or replaced since gets an
+    entry of its own.
     """
     stored = _ROWS.get((fn, lead))
     if stored is None or any(s > have for s, have in zip(size, stored[0])):
@@ -193,10 +192,10 @@ def _compare(sweep: Identity, lead: tuple, ns: tuple[int, ...]) -> Counterexampl
 # the two checks that are not value comparisons
 # ---------------------------------------------------------------------------
 
-def _check_cor_period(lead, ns):
+def _check_cor_period(sweep, lead, ns):
     kind, r, s = lead
     if kind == "value":
-        return _compare(IDENTITIES["cor-period"], (r, s), ns)
+        return _compare(sweep, (r, s), ns)
     (order,) = ns
     tag = (("r", r), ("s", s))
     report = series.cyclotomic_shift_check(r, s, order)
@@ -212,7 +211,7 @@ def _check_cor_period(lead, ns):
     return None
 
 
-def _check_pentagonal(lead, ns):
+def _check_pentagonal(sweep, lead, ns):
     (order,) = ns
     lhs = series.pentagonal_product(order)
     rhs = series.pentagonal_rhs(order)
@@ -227,11 +226,6 @@ def _check_pentagonal(lead, ns):
             f"coefficient {mismatch}",
         )
     return None
-
-
-# The sweeps that run a check on each row, its leading parameters and its
-# n, instead of comparing their routes.
-_CHECKS = {"cor-period": _check_cor_period, "pentagonal": _check_pentagonal}
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +291,8 @@ def _rows(instances: list[tuple]) -> list[tuple[tuple, tuple[int, ...]]]:
 
 def _dispatch(tagged):
     name, lead, ns = tagged
-    check = _CHECKS.get(name)
-    return _compare(IDENTITIES[name], lead, ns) if check is None else check(lead, ns)
+    sweep = IDENTITIES[name]
+    return (_compare if sweep.check is None else globals()[sweep.check])(sweep, lead, ns)
 
 
 def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationReport:

@@ -28,7 +28,7 @@ def test_every_row_and_series_the_cli_prints_comes_from_a_route_a_sweep_compares
     served = {("bfile", token): (name_of[id(ident)], quantity, row)
               for token, (ident, quantity, row, _) in SEQUENCES.items() if row}
     served |= {("series", token): (name_of[id(ident)], "", "series")
-               for token, (ident, _) in SERIES.items()}
+               for token, (ident, *_) in SERIES.items()}
     assert served == {
         ("bfile", "thm2"): ("thm2", "", "series"),
         ("bfile", "munagi"): ("comp2", "", "series"),
@@ -46,6 +46,18 @@ def test_every_row_and_series_the_cli_prints_comes_from_a_route_a_sweep_compares
         assert id(IDENTITIES[name].route(quantity, row)) in compared, served_as
     # the one token whose entry has no sweep yet, until distinct gets more routes
     assert [token for token, (ident, *_) in SEQUENCES.items() if not ident.grid] == ["distinct"]
+
+
+def test_each_series_token_expands_the_function_its_entrys_series_route_reads(monkeypatch):
+    # the token names its series function; the compared route must read it
+    for token, (ident, _, attr) in SERIES.items():
+        name = next(name for name, entry in IDENTITIES.items() if entry is ident)
+        real, read = getattr(series, attr), []
+        monkeypatch.setattr(series, attr, lambda *a, real=real: read.append(a) or real(*a))
+        lead, ns = verify._rows(verify.expand(name, verify.SweepConfig())[0])[-1]
+        p, shift = ident.at(lead[1:] if lead[:1] == ("value",) else lead)  # cor-period
+        ident.route("", "series").values(verify._row, p, shift, ns)
+        assert read, token
 
 
 def test_every_per_n_term_the_cli_prints_comes_from_a_route_of_its_entry():

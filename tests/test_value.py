@@ -60,12 +60,12 @@ SAMPLES = [
      "VerificationReport(name='thm2', ranges='k=1', instances=1, passed=False, "
      f"counterexample={CE!r})"),
     (identities.Route, lambda: identities.Route("series", route_values),
-     f"Route(name='series', values={route_values!r}, when=None, value=None, expand=None)"),
+     f"Route(name='series', values={route_values!r}, when=None, value=None)"),
     (identities.Identity,
      lambda: identities.Identity("n=1..3", None, (ROUTE,), (), route_values, route_values,
                                  tokens=(("t", "", None, None),)),
      f"Identity(grid='n=1..3', params=None, routes=({ROUTE!r},), also=(), "
-     f"instances={route_values!r}, note={route_values!r}, value='closed form', "
+     f"instances={route_values!r}, note={route_values!r}, check=None, value='closed form', "
      "tokens=(('t', '', None, None),), series=())"),
 ]
 

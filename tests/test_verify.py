@@ -184,7 +184,7 @@ def test_absent_axes_are_ignored():
 FAILING = {(1, 3), (2, 5)}
 
 
-def fail_at_two_instances(lead, ns):
+def fail_at_two_instances(sweep, lead, ns):
     (k,) = lead
     n = next((n for n in ns if (k, n) in FAILING), None)
     return None if n is None else Counterexample((("k", k), ("n", n)), 0, 1, "planted")
@@ -192,7 +192,9 @@ def fail_at_two_instances(lead, ns):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_the_first_counterexample_in_parameter_order_is_reported(monkeypatch, jobs):
-    monkeypatch.setitem(verify._CHECKS, "thm2", fail_at_two_instances)
+    monkeypatch.setattr(verify, "fail_at_two_instances", fail_at_two_instances, raising=False)
+    sweep = identities.Identity(identities.IDENTITIES["thm2"].grid, check="fail_at_two_instances")
+    monkeypatch.setitem(identities.IDENTITIES, "thm2", sweep)
     report = run_check("thm2", SweepConfig(max_n=6, max_k=2, jobs=jobs))
     assert (report.passed, report.instances) == (False, 12)
     assert report.counterexample.describe() == "k=1 n=3: expected 0, got 1 (planted)"
@@ -422,14 +424,14 @@ def compare_instance(sweep, params):
 
 def check_instance_by_instance(name, config):
     """The report of a sweep run one instance at a time, largest first."""
-    sweep, check = identities.IDENTITIES[name], verify._CHECKS.get(name)
+    sweep = identities.IDENTITIES[name]
     instances, ranges = verify.expand(name, config)
     results = []
     for params in reversed(instances):
         if name == "cor-period" and params[0] == "value":
             results.append(compare_instance(sweep, params[1:]))
-        elif check is not None:
-            results.append(check(params[:-1], params[-1:]))
+        elif sweep.check is not None:
+            results.append(getattr(verify, sweep.check)(sweep, params[:-1], params[-1:]))
         else:
             results.append(compare_instance(sweep, params))
     failure = next((r for r in reversed(results) if r is not None), None)
@@ -488,11 +490,13 @@ def test_rows_report_what_an_instance_at_a_time_loop_reports(monkeypatch, defect
 
 def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
     assert len(set(verify.ROUTES)) == len(verify.ROUTES) == 6
-    assert set(verify._CHECKS) == {"cor-period", "pentagonal"}
+    checked = {name: identities.IDENTITIES[name].check for name in CHECK_NAMES}
+    assert {name: check for name, check in checked.items() if check} == {
+        "cor-period": "_check_cor_period", "pentagonal": "_check_pentagonal"}
     for name in CHECK_NAMES:
         sweep = identities.IDENTITIES[name]
         if not sweep.routes:
-            assert name in verify._CHECKS, name
+            assert sweep.check is not None, name
             continue
         for quantity, routes in (("", sweep.routes), *sweep.also):
             # a reference alone would let the sweep pass by comparing nothing
@@ -502,8 +506,11 @@ def test_every_route_is_named_from_the_vocabulary_and_compared_with_another():
 
 
 def test_every_route_takes_exactly_its_sweeps_grid_axes():
-    # the parameters are the leading axes, after a k derived from them; a
-    # per-n route takes the parameters and n, and a guard one instance
+    # the parameters are the leading axes, after a k derived from them.  A
+    # route's declared function takes them first: then n for a per-n form,
+    # nothing for a class or a series's arguments, and its size for a
+    # formulas row or a series called with the parameters themselves.  A
+    # guard takes one instance.
     for name in CHECK_NAMES:
         sweep = identities.IDENTITIES[name]
         axes = sweep.axes
@@ -513,10 +520,16 @@ def test_every_route_takes_exactly_its_sweeps_grid_axes():
             params = ["k", *params]
         for quantity, routes in (("", sweep.routes), *sweep.also):
             for route in routes:
-                lifted = getattr(route.values, "__wrapped__", None)
-                if lifted is not None:
-                    assert list(inspect.signature(lifted).parameters) == params + ["n"], (
-                        name, quantity, route.name)
+                declared = route.values.__wrapped__
+                names = list(inspect.signature(declared).parameters)
+                where = (name, quantity, route.name)
+                assert names[:len(params)] == params, where
+                if declared is route.value:
+                    assert names[len(params):] == ["n"], where
+                elif declared.__module__ in ("compparity.formulas", "compparity.series"):
+                    assert names[len(params)] in ("count", "order", "x_order"), where
+                else:
+                    assert names[len(params):] == [], where
                 if route.when is not None:
                     assert list(inspect.signature(route.when).parameters) == axes, (
                         name, quantity, route.name)
@@ -616,17 +629,13 @@ def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
     monkeypatch.setattr(verify, "_ROWS", rows)
     for name in CHECK_NAMES:
         assert run_check(name).passed, name
-    # cor-period reads periodic_series(r), which has no s, at the sizes
-    # n+2r-s-1, and its rows, s descending, each ask for one size more: the
-    # one row that is computed again as it grows
-    again = [key for key, times in Counter(rows.computed).items() if times > 1]
-    assert {fn for fn, _ in again} == {series.periodic_series}
+    assert [key for key, times in Counter(rows.computed).items() if times > 1] == []
     assert Counter(fn.__name__ for fn, _ in rows.computed) == {
         "min_part_signed_sequence": 6,  # k=1..6, thm1's k=2 row serving thm2
         "min_part_series": 6,
         "congruent_series": 90,  # one per (k, r, s)
         "congruent_signed_sequence": 90,
-        "periodic_series": 15,  # cor-period's, once per (r, s)
+        "periodic_series": 5,  # cor-period's, once per r, to the size of s = 0
         "small_parts_series": 4,
         "guarded_series": 28,  # thm4's (k, m, t), 3 x 4 x 2, and comp3's k=1 rows
         "pentagonal_product": 1,  # legendre's; the pentagonal sweep builds its own
