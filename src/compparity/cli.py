@@ -178,7 +178,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     _no_bfile(args)
     ident, quantity, _, note = SEQUENCES[args.name]
     p, _, per_n = _resolve(args, ident, quantity, f"formula {args.name}")
-    value = per_n(args.n)
+    # as text before the note, so that a value too long to print is refused alone
+    value = str(per_n(args.n))
     print(f"note: {note(args.n, *p)}", file=sys.stderr)
     if args.fmt == "csv":
         flags = {f: getattr(args, f) for f in ("k", "r", "s", "m")}

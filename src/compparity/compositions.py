@@ -23,7 +23,10 @@ verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
 distinct parts about 65.  A tally to size n yields the counts of every
 size up to n, and only those counts are kept, per class, for the rest of
 the process: a smaller size is then a lookup, and a larger one tallies
-afresh.  ``counts_by_size`` hands back the counts of every size up to n.
+afresh.  ``MarkedParts`` and ``GuardedSmall`` declare a family over m
+instead, which keeps the per-state counts of its widest member tallied
+and reads every smaller m from them.  ``counts_by_size`` hands back the
+counts of every size up to n.
 
 Enumeration order is lexicographic on part tuples, so golden outputs are
 stable.  Signed counting tracks length parity: ``SignedCount.diff`` is the
@@ -89,9 +92,17 @@ class CompositionClass(Value):
     ``PartsIn`` (one state), ``MarkedParts`` (the state counts the marked
     parts), ``GuardedSmall`` (small parts and a phase) and
     ``DistinctParts`` (the set of parts used).
+
+    A class whose last field m caps a counter in its state, which no move
+    lowers and which ``accept`` asks to equal m, declares so with a method
+    ``family()``: (make, *args) such that the class is ``make(*args, m)``,
+    and m.  ``counter(state)`` reads that counter.  The tally then serves
+    every m of a family from one tally of its widest member.
     """
 
     __slots__ = ()
+
+    family = None  # a class with no counter capped by m
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         raise NotImplementedError
@@ -270,6 +281,12 @@ class MarkedParts(CompositionClass):
     def accept(self, marked: int) -> bool:
         return marked == self.m
 
+    def family(self) -> tuple[tuple, int]:
+        return (MarkedParts, self.plain, self.least), self.m
+
+    def counter(self, marked: int) -> int:
+        return marked
+
 
 # Marked-part classes, each returning a MarkedParts; classes, as above.
 class ExactSmall:
@@ -369,6 +386,12 @@ class GuardedSmall(CompositionClass):
     def accept(self, state: tuple[int, int]) -> bool:
         small, phase = state
         return small == self.m and phase != _PENDING
+
+    def family(self) -> tuple[tuple, int]:
+        return (GuardedSmall, self.k), self.m
+
+    def counter(self, state: tuple[int, int]) -> int:
+        return state[0]
 
 
 def enumerate_compositions(n: int, cls: CompositionClass) -> list[Composition]:

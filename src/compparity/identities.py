@@ -81,8 +81,8 @@ def per_n(name: str, fn: Callable[..., object], when: Callable[..., bool] | None
     """``fn(*p, n)`` at each n, asked largest n first.
 
     For per-n routes that cost O(1) or read a tally: largest first, so that
-    one that reads a tally, such as a ``partition_theorems`` delta, tallies
-    its class once.
+    one that reads a tally, such as euler's signed closed form, tallies its
+    class once.
     """
     @functools.wraps(fn)
     def values(rows, p, shift, ns):
@@ -92,21 +92,29 @@ def per_n(name: str, fn: Callable[..., object], when: Callable[..., bool] | None
 
 
 def tally(name: str, make: Callable[..., object], side=compositions, sign: int = 1,
-          at_n: bool = False, when: Callable[..., bool] | None = None) -> Route:
+          at_n: bool = False, when: Callable[..., bool] | None = None,
+          singletons: bool = False, value: Callable[..., object] | None = None) -> Route:
     """The members of the class ``make(*p)`` at size n + shift, or at n with ``at_n``.
 
-    ``side`` is the module of the class, ``compositions`` or ``partitions``;
-    with ``sign`` -1 they count odd minus even length.  One tally, at the
-    row's largest size, serves the row.
+    ``side`` is the module of the class, ``compositions`` or ``partitions``.
+    Compositions count odd + ``sign`` * even length, partitions even +
+    ``sign`` * odd: at ``sign`` -1, the signed orientation of each side.
+    With ``singletons`` a partition's parity is that of its values of
+    multiplicity one.  One tally, at the row's largest size, serves the
+    row; ``value`` is the per-n form, where it has one.
     """
     def values(rows, p, shift, ns):
         if at_n:
             shift = 0
-        counts = side.counts_by_size(ns[-1] + shift, make(*p))
-        return [counts[n + shift][0] + sign * counts[n + shift][1] for n in ns]
+        by_size = partitions.singleton_counts_by_size if singletons else side.counts_by_size
+        counts = by_size(ns[-1] + shift, make(*p))
+        pairs = [counts[n + shift] for n in ns]
+        if side is partitions:
+            return [even + sign * odd for odd, even in pairs]
+        return [odd + sign * even for odd, even in pairs]
 
     values.__wrapped__ = make
-    return Route(name, values, when)
+    return Route(name, values, when, value)
 
 
 def coefficient(name: str, attr: str, args: Callable[..., tuple] | None = None, sign: int = 1,
@@ -320,7 +328,7 @@ IDENTITIES = {
     )),
     "legendre": Identity("n=0..50", None, (
         per_n("closed form", lambda n: partition_theorems.legendre_closed(n)),
-        per_n("enumeration", lambda n: partition_theorems.legendre_delta(n)),
+        tally("enumeration", partitions.DistinctParts, partitions, sign=-1),
         coefficient("series", "pentagonal_product"),
     ), tokens=(("legendre", "", None, None),), series=(("pentagonal", "", "pentagonal_product"),)),
     "pentagonal": Identity("order=100", check="_check_pentagonal"),
@@ -330,7 +338,8 @@ IDENTITIES = {
     ), also=(("signed", (
         per_n("closed form", lambda n:
               (-1) ** n * partitions.count_partitions(n, partitions.OddParts())),
-        per_n("enumeration", lambda n: partition_theorems.odd_parts_signed(n)),
+        tally("enumeration", partitions.OddParts, partitions, sign=-1,
+              value=lambda n: partition_theorems.odd_parts_signed(n)),
     )),), value="enumeration", tokens=(("odd-parts", "signed", None, None),)),
     "glaisher": Identity("k=1..4 n=0..30", None, (
         tally("enumeration", lambda k: partitions.MaxMultiplicity(k), partitions),
@@ -339,14 +348,15 @@ IDENTITIES = {
     "franklin": Identity("k=1..3 m=0..3 n=0..25", None, (
         tally("enumeration", partitions.FranklinRepeated, partitions),
         tally("companion class", partitions.FranklinDivisible, partitions),
+        coefficient("series", "franklin_series", lambda k, m: (k,), y=True),
     )),
     "nyirenda-d": Identity("r=1..3 n=0..40", None, (
         per_n("closed form", lambda r, n: partition_theorems.nyirenda_d_closed(n, r)),
-        per_n("enumeration", lambda r, n: partition_theorems.nyirenda_d_delta(n, r)),
+        tally("enumeration", partition_theorems.nyirenda_d_class, partitions, sign=-1),
     )),
     "nyirenda-c": Identity("r=1..3 n=0..40", None, (
         per_n("closed form", lambda r, n: partition_theorems.nyirenda_c_closed(n, r)),
-        per_n("enumeration", lambda r, n: partition_theorems.nyirenda_c_delta(n, r)),
+        tally("enumeration", partition_theorems.nyirenda_c_class, partitions, sign=-1),
         per_n("second closed form", lambda r, n: partition_theorems.legendre_closed(n),
               lambda r, n: r == 1),
     )),
@@ -357,7 +367,8 @@ IDENTITIES = {
     )),
     "andrews-d": Identity("m=0..7 n=0..30", None, (
         per_n("closed form", lambda m, n: partition_theorems.andrews_singleton_closed(n, m)),
-        per_n("enumeration", lambda m, n: partition_theorems.andrews_singleton_delta(n, m)),
+        tally("enumeration", partitions.InitialTwoRepsWithMarks, partitions, sign=-1,
+              singletons=True),
     )),
     # no sweep yet: the tally is its one route
     "distinct": Identity(None, None, (

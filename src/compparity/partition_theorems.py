@@ -2,13 +2,16 @@
 
 The signed quantities on the partition side are reported as even-length
 minus odd-length, the orientation in which Legendre's theorem produces
-the pentagonal-number signs.  Each ``*_delta`` reads its signed count off
-the enumeration oracle in ``compparity.partitions``; each ``*_closed`` is
-written directly from the statement of the corresponding theorem and never
-calls the oracle.  Every function returns one int, so a sweep compares the
-two as separate routes.  The identities that equate two class counts
-(Euler, Glaisher, Franklin, Andrews) need no function here: a sweep counts
-each class with ``partitions.count_partitions``.
+the pentagonal-number signs.  The sweeps read each class's signed counts
+off the enumeration oracle in ``compparity.partitions`` by the row, one
+tally per row; the classes that take more than a constructor call, such
+as ``nyirenda_d_class``, are defined here.  Each ``*_delta`` builds the
+same class through the same function and stays the per-n form, which the
+``odd-parts`` token and the acceptance tests call.  Each ``*_closed`` is
+written directly from the statement of the corresponding theorem and
+never calls the oracle.  Both return one int per n.  The identities
+that equate two class counts (Euler, Glaisher, Franklin, Andrews) need
+no function here: a sweep reads each class's counts by size.
 """
 
 from __future__ import annotations
@@ -78,13 +81,17 @@ def _sign_at_quadratic(n: int, a: int, b: int) -> int:
     return 0
 
 
+def nyirenda_d_class(r: int) -> partitions.PartsIn:
+    """Distinct parts = 0 or 2r+-1 (mod 4r)."""
+    _check_r(r)
+    mod = 4 * r
+    return DistinctInResidues(mod, frozenset({0, (2 * r + 1) % mod, (2 * r - 1) % mod}))
+
+
 def nyirenda_d_delta(n: int, r: int) -> int:
     """Signed distinct partitions of n with parts = 0 or 2r+-1 (mod 4r)."""
     _check_n(n)
-    _check_r(r)
-    mod = 4 * r
-    residues = frozenset({0, (2 * r + 1) % mod, (2 * r - 1) % mod})
-    return _even_minus_odd(n, DistinctInResidues(mod, residues))
+    return _even_minus_odd(n, nyirenda_d_class(r))
 
 
 def nyirenda_d_closed(n: int, r: int) -> int:
@@ -94,16 +101,20 @@ def nyirenda_d_closed(n: int, r: int) -> int:
     return _sign_at_quadratic(n, 4 * r, 2)
 
 
-def nyirenda_c_delta(n: int, r: int) -> int:
-    """Signed distinct partitions of n with parts = 0 or +-r (mod 2r+1).
+def nyirenda_c_class(r: int) -> partitions.PartsIn:
+    """Distinct parts = 0 or +-r (mod 2r+1).
 
-    With r = 1 every residue is allowed and this is Legendre's theorem.
+    With r = 1 every residue is allowed: Legendre's distinct parts.
     """
-    _check_n(n)
     _check_r(r)
     mod = 2 * r + 1
-    residues = frozenset({0, r % mod, (-r) % mod})
-    return _even_minus_odd(n, DistinctInResidues(mod, residues))
+    return DistinctInResidues(mod, frozenset({0, r % mod, (-r) % mod}))
+
+
+def nyirenda_c_delta(n: int, r: int) -> int:
+    """Signed distinct partitions of n with parts = 0 or +-r (mod 2r+1)."""
+    _check_n(n)
+    return _even_minus_odd(n, nyirenda_c_class(r))
 
 
 def nyirenda_c_closed(n: int, r: int) -> int:

@@ -20,8 +20,10 @@ n = 697 (all partitions) to 1297 (distinct parts in three residues mod
 ``_automaton.MAX_TRIALS`` trials the tally raises ``ValueError``.
 Counts are kept per class and statistic, so the length parity of
 ``signed_count`` and the singleton sign of ``singleton_signed_count``
-never mix; ``counts_by_size`` hands back the length-parity counts of
-every size up to n.
+never mix; the Franklin classes and ``InitialTwoRepsWithMarks`` keep
+theirs per family over m, as ``_automaton`` describes.
+``counts_by_size`` and ``singleton_counts_by_size`` hand back the counts
+of every size up to n.
 
 Partition-side signed results are reported as even-length minus odd-length
 (the opposite orientation from the composition side); ``signed_count``
@@ -69,9 +71,13 @@ class PartitionClass(Value):
     the next state, or ``None`` when no member continues so; reading
     ``mult == 0`` past a member's largest part must leave ``accept``
     unchanged.  The defaults suit a one-state rule on each value alone.
+    A class whose last field m caps a counter declares its ``family()``
+    and ``counter(state)``, as a composition class does.
     """
 
     __slots__ = ()
+
+    family = None  # a class with no counter capped by m
 
     def contains(self, parts: tuple[int, ...]) -> bool:
         raise NotImplementedError
@@ -214,6 +220,12 @@ class FranklinRepeated(PartitionClass):
     def accept(self, repeated: int) -> bool:
         return repeated == self.m
 
+    def family(self) -> tuple[tuple, int]:
+        return (FranklinRepeated, self.k), self.m
+
+    def counter(self, repeated: int) -> int:
+        return repeated
+
 
 class FranklinDivisible(PartitionClass):
     """Exactly m distinct part values divisible by k."""
@@ -239,6 +251,12 @@ class FranklinDivisible(PartitionClass):
 
     def accept(self, divisible: int) -> bool:
         return divisible == self.m
+
+    def family(self) -> tuple[tuple, int]:
+        return (FranklinDivisible, self.k), self.m
+
+    def counter(self, divisible: int) -> int:
+        return divisible
 
 
 def has_initial_repetitions(parts: tuple[int, ...], k: int) -> bool:
@@ -312,6 +330,12 @@ class InitialTwoRepsWithMarks(PartitionClass):
     def accept(self, state: tuple[int, bool]) -> bool:
         return state[0] == self.m
 
+    def family(self) -> tuple[tuple, int]:
+        return (InitialTwoRepsWithMarks,), self.m
+
+    def counter(self, state: tuple[int, bool]) -> int:
+        return state[0]
+
 
 def enumerate_partitions(n: int, cls: PartitionClass) -> list[Partition]:
     """All partitions of n in the class, descending lex order, each once."""
@@ -342,6 +366,12 @@ def counts_by_size(n: int, cls: PartitionClass) -> tuple[tuple[int, int], ...]:
 def _is_singleton(mult: int) -> bool:
     """A value of multiplicity one flips the singleton sign."""
     return mult == 1
+
+
+def singleton_counts_by_size(n: int, cls: PartitionClass) -> tuple[tuple[int, int], ...]:
+    """(odd, even) counts by singleton values, as below, of each size 0..n, from one tally."""
+    _check_size(n)
+    return tally_partitions(n, cls, _is_singleton)[:n + 1]
 
 
 def singleton_signed_count(n: int, cls: PartitionClass) -> SignedCount:

@@ -484,7 +484,7 @@ def pentagonal_rhs(order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# bivariate series for the small-part statistic
+# bivariate series for the small-part and repeated-value statistics
 # ---------------------------------------------------------------------------
 
 class BivariateSeries(Value):
@@ -546,6 +546,35 @@ def small_parts_series(k: int, x_order: int, y_order: int) -> BivariateSeries:
         row = [-lo[0]] + [lo[b - 1] - hi[b - 1] - lo[b] for b in range(1, y_order + 1)]
         rows.append(row)
         sums.append(list(map(operator.add, hi, row)))
+    return BivariateSeries(tuple(map(tuple, rows)))
+
+
+def franklin_series(k: int, x_order: int, y_order: int) -> BivariateSeries:
+    """Product over i >= 1 of (1 + (y-1) x^(ki)) / (1 - x^i), in x and y.
+
+    A value i taken c times gives x^(ci), marked by y when c >= k: summed
+    over c, (1 - x^(ki) + y x^(ki)) / (1 - x^i).  So x^n y^m counts the
+    partitions of n with exactly m values repeated k or more times, the
+    repeated side of Franklin's identity.  The y^0 column is first filled
+    with the partition numbers, by one running sum per 1/(1 - x^i); each
+    numerator factor with ki <= x_order is then multiplied in, the rows
+    from the top down so that each reads rows not yet changed.
+    """
+    if k < 1:
+        raise ValueError(f"requires k >= 1, got k={k}")
+    if x_order < 0 or y_order < 0:
+        raise ValueError(f"orders must be >= 0, got ({x_order},{y_order})")
+    counts = [1] + [0] * x_order
+    for i in range(1, x_order + 1):
+        for a in range(i, x_order + 1):
+            counts[a] += counts[a - i]
+    rows = [[c] + [0] * y_order for c in counts]
+    for shift in range(k, x_order + 1, k):  # x^(ki)
+        for a in range(x_order, shift - 1, -1):
+            low, row = rows[a - shift], rows[a]
+            row[0] -= low[0]
+            for b in range(1, y_order + 1):
+                row[b] += low[b - 1] - low[b]
     return BivariateSeries(tuple(map(tuple, rows)))
 
 

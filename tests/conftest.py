@@ -18,9 +18,9 @@ def tallies(monkeypatch):
     calls = []
 
     def counted(tally):
-        def call(*args):
+        def call(*args, **kwargs):
             calls.append(args)
-            return tally(*args)
+            return tally(*args, **kwargs)
         return call
 
     monkeypatch.setattr(_automaton, "_COUNTS", {})

@@ -11,6 +11,7 @@ several orders.
 """
 
 import random
+import types
 
 import pytest
 
@@ -307,3 +308,133 @@ def test_a_size_past_the_limit_raises_after_a_smaller_one_was_served(
     with pytest.raises(ValueError, match="tally limit"):
         refused()
     assert served() == first
+
+
+# ---------------------------------------------------------------------------
+# capped families: one tally, read by each member's accept
+# ---------------------------------------------------------------------------
+
+CAPPED = [(side, cls) for side, classes in ((C, COMPOSITION_CLASSES), (P, PARTITION_CLASSES))
+          for cls in classes if cls.family is not None]
+
+# each side's engine and reader of one statistic, by name
+STATISTICS = {
+    (C, "length"): (lambda n, cls: _automaton._tally(n, cls), C.counts_by_size),
+    (P, "length"): (lambda n, cls: _automaton._tally_by_value(n, cls, P._flips_length),
+                    P.counts_by_size),
+    (P, "singletons"): (lambda n, cls: _automaton._tally_by_value(n, cls, P._is_singleton),
+                        P.singleton_counts_by_size),
+}
+
+
+def case_id(value):
+    """A side by its module's last name, anything else by its repr."""
+    return value.__name__.rpartition(".")[2] if isinstance(value, types.ModuleType) else repr(value)
+
+
+def families():
+    """(side, statistic, members by ascending m) of every family in the class grids."""
+    grouped = {}
+    for side, cls in CAPPED:
+        grouped.setdefault((side, cls.family()[0]), []).append(cls)
+    return [pytest.param(side, statistic, sorted(members, key=lambda cls: cls.family()[1]),
+                         id=f"{case_id(side)}-{statistic}-{members[0]!r}")
+            for (side, _), members in grouped.items()
+            for at, statistic in STATISTICS if at is side]
+
+
+def test_the_grids_hold_families_of_several_members():
+    assert {type(cls) for _, cls in CAPPED} == {
+        C.MarkedParts, C.GuardedSmall, P.FranklinRepeated, P.FranklinDivisible,
+        P.InitialTwoRepsWithMarks}
+    assert len(families()) == 12 + 2 * 7
+    assert all(len(case.values[2]) >= 4 for case in families())
+
+
+@pytest.mark.parametrize("side, statistic, members", families())
+@pytest.mark.parametrize("wide_first", [False, True])
+def test_a_family_member_reads_what_its_own_tally_gives(
+        tallies, side, statistic, members, wide_first):
+    engine, read = STATISTICS[side, statistic]
+    direct = {cls: engine(MAX_N, cls) for cls in members}
+    tallies.clear()
+    asked = members[::-1] if wide_first else members
+    for cls in asked:  # narrow-first, each wider member is tallied in turn
+        assert read(MAX_N, cls) == direct[cls], cls
+    for cls in asked:
+        for n in range(MAX_N, -1, -1):
+            assert read(n, cls) == direct[cls][:n + 1], (cls, n)
+    assert len(tallies) == (1 if wide_first else len(members))
+    assert len(_automaton._COUNTS) == 1  # the family's entry, none per member
+
+
+def reachable_moves(side, cls):
+    """Every (state, next state) move of ``cls`` on a prefix of size <= MAX_N."""
+    if side is C:
+        todo, seen = [(0, cls.start())], set()
+        while todo:
+            size, state = todo.pop()
+            for part in range(1, MAX_N - size + 1):
+                if (nxt := cls.step(state, part)) is not None:
+                    yield state, nxt
+                    if (size + part, nxt) not in seen:
+                        seen.add((size + part, nxt))
+                        todo.append((size + part, nxt))
+        return
+    layer = {(0, cls.start())}
+    for value in range(1, MAX_N + 1):
+        after = set()
+        for size, state in layer:
+            for mult in range((MAX_N - size) // value + 1):
+                if (nxt := cls.step(state, value, mult)) is not None:
+                    yield state, nxt
+                    after.add((size + mult * value, nxt))
+        layer = after
+
+
+def step_alike(side, cls, wider):
+    """The moves of ``wider`` as (state, piece, next); ``cls``'s step on the same."""
+    if side is C:
+        return [((state, part), wider.step(state, part), cls.step(state, part))
+                for state, _ in reachable_moves(side, wider) for part in range(1, MAX_N + 1)]
+    return [((state, value, mult), wider.step(state, value, mult), cls.step(state, value, mult))
+            for state, _ in reachable_moves(side, wider)
+            for value in range(1, MAX_N + 1) for mult in range(MAX_N // value + 1)]
+
+
+@pytest.mark.parametrize("side, cls", CAPPED, ids=case_id)
+def test_a_family_declaration_holds_on_every_reachable_move(side, cls):
+    (make, *lead), m = cls.family()
+    assert make(*lead, m) == cls
+    moves = list(reachable_moves(side, cls))
+    assert moves
+    for state, nxt in moves:
+        # no move lowers the counter, and m caps it
+        assert cls.counter(state) <= cls.counter(nxt) <= m, (state, nxt)
+        assert not cls.accept(nxt) or cls.counter(nxt) == m, nxt
+    # a wider member makes the same moves while the counter stays within m
+    wider = make(*lead, m + 2)
+    for at, widened, own in step_alike(side, cls, wider):
+        if cls.counter(at[0]) <= m:
+            kept = widened is not None and wider.counter(widened) <= m
+            assert own == (widened if kept else None), at
+
+
+REFUSED_AT_300 = f"size 300 is past the tally limit of {_automaton.MAX_TRIALS} trials for this class"
+
+
+@pytest.mark.parametrize("wide_first", [False, True])
+def test_a_family_refuses_a_member_exactly_where_its_own_tally_does(fresh_counts, wide_first):
+    narrow, wide = P.InitialTwoRepsWithMarks(10), P.InitialTwoRepsWithMarks(20)
+    served = C.SignedCount(*_automaton._tally_by_value(300, narrow, P._is_singleton)[300])
+
+    def refusal():
+        with pytest.raises(ValueError) as refused:
+            P.singleton_signed_count(300, wide)
+        return str(refused.value)
+
+    if wide_first:
+        assert refusal() == REFUSED_AT_300
+    assert P.singleton_signed_count(300, narrow) == served
+    assert refusal() == REFUSED_AT_300
+    assert P.singleton_signed_count(300, narrow) == served

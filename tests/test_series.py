@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from compparity import compositions as C
 from compparity import formulas as F
 from compparity import partition_theorems as PT
+from compparity import partitions
 from compparity import series as S
 
 small_polys = st.builds(
@@ -371,6 +373,22 @@ def test_small_parts_series_equals_geometric_sum():
             for y_order in range(5):
                 assert S.small_parts_series(k, x_order, y_order).coeffs == geometric_sum_of_t(
                     k, x_order, y_order), (k, x_order, y_order)
+
+
+def test_franklin_series_counts_the_values_repeated_k_times():
+    # from the partitions themselves, by the values taken k or more times
+    for k in range(1, 5):
+        bs = S.franklin_series(k, 14, 4)
+        for n in range(15):
+            repeated = Counter(sum(1 for v in set(p) if p.count(v) >= k)
+                               for p in partitions.All().iter_parts(n))
+            assert bs.coeffs[n] == tuple(repeated[m] for m in range(5)), (k, n)
+
+
+def test_franklin_series_rejects_bad_parameters():
+    for args in [(0, 5, 1), (1, -1, 1), (1, 5, -1)]:
+        with pytest.raises(ValueError):
+            S.franklin_series(*args)
 
 
 def test_bivariate_y0_slice_is_min_part_series():

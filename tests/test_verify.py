@@ -203,18 +203,22 @@ def test_the_first_counterexample_in_parameter_order_is_reported(monkeypatch, jo
 def test_every_class_is_tallied_once_per_sweep(monkeypatch, tallies):
     """A serial run of the 19 default sweeps, with every tally recorded.
 
-    Within a sweep no (side, class, statistic) is tallied twice, and a later
-    sweep tallies a class again only to reach a larger size than any stored.
-    A statistic made afresh on every call shows up as one name tallied over
-    and over, so keys are compared by the statistic's qualified name.
+    Within a sweep no (side, class or family, statistic) is tallied twice,
+    and a later sweep tallies one again only to reach a larger size than
+    any stored.  A statistic made afresh on every call shows up as one name
+    tallied over and over, so keys are compared by the statistic's
+    qualified name.  A family's members are read from one tally: the pass
+    makes 113 composition and 26 partition tallies, where one per class
+    made 149 and 51.
     """
-    stored = []  # (key, largest size) of every tally, in order
+    stored = []  # (key, size) of every tally, in order
 
     class Recording(dict):
-        def __setitem__(self, key, counts):
+        def __setitem__(self, key, entry):
             side, cls, stat = key
-            stored.append(((side, cls, getattr(stat, "__qualname__", stat)), len(counts) - 1))
-            super().__setitem__(key, counts)
+            # an entry is stored right after the one tally that made it
+            stored.append(((side, cls, getattr(stat, "__qualname__", stat)), tallies[-1][0]))
+            super().__setitem__(key, entry)
 
     monkeypatch.setattr(_automaton, "_COUNTS", Recording())
     for name in CHECK_NAMES:
@@ -224,10 +228,35 @@ def test_every_class_is_tallied_once_per_sweep(monkeypatch, tallies):
         assert [k for k, times in Counter(keys).items() if times > 1] == [], name
 
     assert len(tallies) == len(stored)
+    assert Counter(isinstance(args[1], compositions.CompositionClass) for args in tallies) == {
+        True: 113, False: 26}
     largest = {}
     for key, size in stored:
         assert size > largest.get(key, -1), (key, size)
         largest[key] = size
+
+
+def test_reading_each_member_through_the_accept_of_m_minus_1_fails_the_family_sweeps(
+        monkeypatch):
+    def planted(engine):
+        def tally(*args, by_state=False):
+            counts = engine(*args, by_state=by_state)
+            if not by_state:
+                return counts
+
+            def read(accept, n):
+                (make, *lead), m = accept.__self__.family()
+                return counts(make(*lead, m - 1).accept if m >= 1 else accept, n)
+            return read
+        return tally
+
+    monkeypatch.setattr(_automaton, "_COUNTS", {})
+    for engine in ("_tally", "_tally_by_value"):
+        monkeypatch.setattr(_automaton, engine, planted(getattr(_automaton, engine)))
+    caught = {name for name in CHECK_NAMES if not run_check(name).passed}
+    # franklin's two classes both read families, and Franklin's identity
+    # holds at m - 1 as at m: its series route catches the defect
+    assert caught == {"thm4", "thm4bar", "comp3", "franklin", "andrews-d"}
 
 
 def test_partition_sweeps_pass_on_wide_grids(monkeypatch):
@@ -637,6 +666,7 @@ def test_every_row_is_computed_once_over_the_default_sweeps(monkeypatch):
         "congruent_signed_sequence": 90,
         "periodic_series": 5,  # cor-period's, once per r, to the size of s = 0
         "small_parts_series": 4,
+        "franklin_series": 3,  # franklin's k=1..3, each to the size of m = 3
         "guarded_series": 28,  # thm4's (k, m, t), 3 x 4 x 2, and comp3's k=1 rows
         "pentagonal_product": 1,  # legendre's; the pentagonal sweep builds its own
         "parts_in_series": 6,  # comp1's odd parts and comp2's k=1..5
