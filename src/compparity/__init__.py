@@ -10,7 +10,7 @@ compositions and even minus odd for the partition identities, matching
 the usual statements of each.
 """
 
-from compparity.compositions import Composition, SignedCount, signed_count
+from compparity.compositions import SignedCount, signed_count
 from compparity.formulas import binomial, min_part_signed
 from compparity.sequences import detect_period, emit_bfile, parse_bfile
 from compparity.series import IntPolynomial, TruncatedSeries, expand_rational
@@ -18,7 +18,6 @@ from compparity.series import IntPolynomial, TruncatedSeries, expand_rational
 __version__ = "0.1.0"
 
 __all__ = [
-    "Composition",
     "SignedCount",
     "signed_count",
     "binomial",

@@ -3,11 +3,11 @@
 A subclass names its fields in ``__slots__``, a tuple, and sets them in
 its own ``__init__`` with ``object.__setattr__``, checking and
 normalising as it goes, or passes them on in slot order to
-``Value.__init__``, which sets them as they are.  ``Value`` then gives it what a frozen dataclass
-would: equality with instances of the same class only, a hash and a repr
-``Name(field=value, ...)`` from the fields in slot order, fields that
-cannot be assigned or deleted, and pickling through ``__init__``.
-``OrderedValue`` adds the four orderings, field tuple against field tuple.
+``Value.__init__``, which sets them as they are.  ``Value`` then gives
+it what a frozen dataclass would: equality with instances of the same
+class only, a hash and a repr ``Name(field=value, ...)`` from the fields
+in slot order, fields that cannot be assigned or deleted, and pickling
+through ``__init__``.
 """
 
 from __future__ import annotations
@@ -53,27 +53,3 @@ class Value:
     def __reduce__(self) -> tuple:
         # rebuilt through __init__: restoring the slots one by one would assign
         return type(self), self._fields(self)
-
-
-class OrderedValue(Value):
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields(self) < self._fields(other)
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields(self) <= self._fields(other)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields(self) > self._fields(other)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields(self) >= self._fields(other)
-        return NotImplemented

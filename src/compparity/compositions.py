@@ -38,37 +38,13 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterator
 
 from compparity._automaton import tally_compositions
-from compparity._value import OrderedValue, Value
-
-
-class Composition(OrderedValue):
-    """Ordered tuple of positive integer parts; sorts lexicographically."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
-        for i, p in enumerate(parts):
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"part {p!r} at index {i} is not a positive integer")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
+from compparity._value import Value
 
 
 class SignedCount(Value):
     """Counts of odd-length and even-length members of a finite class."""
 
     __slots__ = ("odd_count", "even_count")
-
-    def __init__(self, odd_count: int, even_count: int) -> None:
-        object.__setattr__(self, "odd_count", odd_count)
-        object.__setattr__(self, "even_count", even_count)
 
     @property
     def diff(self) -> int:
@@ -392,11 +368,6 @@ class GuardedSmall(CompositionClass):
 
     def counter(self, state: tuple[int, int]) -> int:
         return state[0]
-
-
-def enumerate_compositions(n: int, cls: CompositionClass) -> list[Composition]:
-    """All compositions of n in the class, lexicographic, each once."""
-    return [Composition(parts) for parts in cls.iter_parts(n)]
 
 
 def count_compositions(n: int, cls: CompositionClass) -> int:

@@ -36,30 +36,8 @@ from collections import Counter
 from collections.abc import Hashable, Iterator
 
 from compparity._automaton import tally_partitions
-from compparity._value import OrderedValue, Value
+from compparity._value import Value
 from compparity.compositions import SignedCount
-
-
-class Partition(OrderedValue):
-    """Weakly decreasing tuple of positive integer parts; sorts lexicographically."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
-        for i, p in enumerate(parts):
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"part {p!r} at index {i} is not a positive integer")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {parts}")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
 
 
 class PartitionClass(Value):
@@ -335,11 +313,6 @@ class InitialTwoRepsWithMarks(PartitionClass):
 
     def counter(self, state: tuple[int, bool]) -> int:
         return state[0]
-
-
-def enumerate_partitions(n: int, cls: PartitionClass) -> list[Partition]:
-    """All partitions of n in the class, descending lex order, each once."""
-    return [Partition(parts) for parts in cls.iter_parts(n)]
 
 
 def count_partitions(n: int, cls: PartitionClass) -> int:

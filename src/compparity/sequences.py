@@ -58,8 +58,7 @@ class IntegerSequence(Value):
     def __init__(self, offset: int, values: tuple[int, ...]) -> None:
         if not values:
             raise ValueError("sequence must contain at least one term")
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "values", values)
+        super().__init__(offset, values)
 
     @property
     def last_index(self) -> int:
@@ -125,13 +124,6 @@ class MatchReport(Value):
     """
 
     __slots__ = ("matched", "overlap_start", "overlap_end", "first_mismatch")
-
-    def __init__(self, matched: bool, overlap_start: int, overlap_end: int,
-                 first_mismatch: tuple[int, int, int] | None) -> None:
-        object.__setattr__(self, "matched", matched)
-        object.__setattr__(self, "overlap_start", overlap_start)
-        object.__setattr__(self, "overlap_end", overlap_end)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
 
     def describe(self) -> str:
         if self.matched:

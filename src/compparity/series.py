@@ -22,9 +22,12 @@ through the order, or ArithmeticError is raised.
 The generating functions of the signed composition counts live here too.
 They all have the shape "1 - sum over n >= 1 of value_n * x^(n+k-1)", so
 the signed value at index n is minus the series coefficient at n+k-1;
-``signed_values`` performs that extraction.  ``parts_in_series`` is the
-one builder for parts in an eventually periodic set (the class
-``compositions.PartsIn``); ``min_part_series`` and ``congruent_series`` call it.
+``signed_values`` performs that extraction.  No route in the package
+calls it: it stays as the reference the benchmark's ``rows`` checks read
+(``perfbench/checks.py``) until ROADMAP item 1b moves those checks off
+it.  ``parts_in_series`` is the one builder for parts in an eventually
+periodic set (the class ``compositions.PartsIn``); ``min_part_series``
+and ``congruent_series`` call it.
 
 Euler's product (1-x)(1-x^2)... is summed by number of distinct parts,
 sum over j of (-1)^j x^(j(j+1)/2) / ((1-x)...(1-x^j)), in nested form
@@ -43,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
 
 from compparity._value import Value
 from compparity.formulas import congruent_periodic
@@ -76,11 +78,6 @@ class IntPolynomial(Value):
         for d, v in terms.items():
             c[d] += v
         return cls(tuple(c))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
 
     def coefficient(self, d: int) -> int:
         if 0 <= d < len(self.coeffs):
@@ -118,33 +115,6 @@ class IntPolynomial(Value):
         return TruncatedSeries(tuple(c))
 
 
-def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
-    """Exact polynomial division; raises if den does not divide num."""
-    if not den.coeffs:
-        raise ValueError("division by the zero polynomial")
-    rem = list(num.coeffs)
-    ddeg = den.degree
-    lead = den.coeffs[-1]
-    qdeg = len(rem) - 1 - ddeg
-    if qdeg < 0:
-        if any(rem):
-            raise ValueError("division is not exact")
-        return IntPolynomial(())
-    quot = [0] * (qdeg + 1)
-    for d in range(qdeg, -1, -1):
-        top = rem[d + ddeg]
-        if top % lead != 0:
-            raise ValueError("division is not exact")
-        q = top // lead
-        quot[d] = q
-        if q:
-            for i, b in enumerate(den.coeffs):
-                rem[d + i] -= q * b
-    if any(rem):
-        raise ValueError("division is not exact")
-    return IntPolynomial(tuple(quot))
-
-
 class TruncatedSeries(Value):
     """Power series known exactly up to x^order."""
 
@@ -167,12 +137,6 @@ class TruncatedSeries(Value):
         if not 0 <= d <= self.order:
             raise ValueError(f"coefficient {d} beyond truncation order {self.order}")
         return self.coeffs[d]
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs[: order + 1], other.coeffs))
-        )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Product truncated at the smaller order.
@@ -579,35 +543,13 @@ def franklin_series(k: int, x_order: int, y_order: int) -> BivariateSeries:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic comparison and the shift check for the period-6r sequences
+# the shift check for the period-6r sequences
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by dividing x^n - 1 by the others."""
-    if n < 1:
-        raise ValueError(f"requires n >= 1, got n={n}")
-    num = IntPolynomial.from_terms({n: 1, 0: -1})
-    for d in range(1, n):
-        if n % d == 0:
-            num = poly_divexact(num, cyclotomic(d))
-    return num
-
 
 class ShiftCheckReport(Value):
     """Outcome of the inverse/periodicity check for a k = 2r-s sequence."""
 
     __slots__ = ("r", "s", "k", "inverse_ok", "preperiod", "period", "period_divides")
-
-    def __init__(self, r: int, s: int, k: int, inverse_ok: bool, preperiod: int | None,
-                 period: int | None, period_divides: bool) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "inverse_ok", inverse_ok)
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "period_divides", period_divides)
 
     @property
     def passed(self) -> bool:
@@ -623,8 +565,8 @@ def cyclotomic_shift_check(r: int, s: int, order: int) -> ShiftCheckReport:
     1 - x^r + x^(2r); that product is checked to the given order.  The
     unshifted sequence is also scanned over a 6*6r window and its detected
     period must divide 6r.  For r = 2, 3, 4 the polynomial 1 - x^r + x^(2r)
-    is the 6r-th cyclotomic polynomial (see ``cyclotomic``); that is
-    checked in the test suite and not decided here for general r.
+    is the 6r-th cyclotomic polynomial; that is checked in the test suite
+    and not decided here for general r.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

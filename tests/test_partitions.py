@@ -9,16 +9,6 @@ from hypothesis import strategies as st
 from compparity import partitions as P
 
 
-def test_partition_validation():
-    p = P.Partition((3, 2, 2))
-    assert p.size == 7
-    assert p.length == 3
-    with pytest.raises(ValueError):
-        P.Partition((2, 3))
-    with pytest.raises(ValueError):
-        P.Partition((1, 0))
-
-
 def test_unrestricted_counts():
     got = [P.count_partitions(n, P.All()) for n in range(11)]
     assert got == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -39,9 +29,9 @@ def test_signed_all_partitions():
 def test_distinct_in_residues():
     cls = P.DistinctInResidues(4, frozenset({0, 1, 3}))
     # parts distinct, each congruent to 0, 1 or 3 mod 4
-    for p in P.enumerate_partitions(8, cls):
-        assert len(set(p.parts)) == p.length
-        assert all(x % 4 in (0, 1, 3) for x in p.parts)
+    for parts in cls.iter_parts(8):
+        assert len(set(parts)) == len(parts)
+        assert all(x % 4 in (0, 1, 3) for x in parts)
     with pytest.raises(ValueError):
         P.DistinctInResidues(4, frozenset({4}))
     with pytest.raises(ValueError):
@@ -50,14 +40,14 @@ def test_distinct_in_residues():
 
 def test_max_multiplicity():
     cls = P.MaxMultiplicity(2)
-    for p in P.enumerate_partitions(9, cls):
-        assert all(p.parts.count(v) < 2 for v in set(p.parts))
+    for parts in cls.iter_parts(9):
+        assert all(parts.count(v) < 2 for v in set(parts))
 
 
 def test_no_part_divisible_by():
     cls = P.NoPartDivisibleBy(3)
-    for p in P.enumerate_partitions(9, cls):
-        assert all(x % 3 != 0 for x in p.parts)
+    for parts in cls.iter_parts(9):
+        assert all(x % 3 != 0 for x in parts)
 
 
 # every part set with period <= 4 and any residue set, each with no cap or
@@ -154,9 +144,9 @@ def test_initial_repetitions_predicate():
 def test_initial_two_reps_with_marks():
     cls = P.InitialTwoRepsWithMarks(1)
     # exactly one distinct part value, and initial 2-repetitions hold
-    for p in P.enumerate_partitions(6, cls):
-        assert len(set(p.parts)) == 1
-        assert P.has_initial_repetitions(p.parts, 2)
+    for parts in cls.iter_parts(6):
+        assert len(set(parts)) == 1
+        assert P.has_initial_repetitions(parts, 2)
 
 
 def test_franklin_classes_small():
@@ -169,16 +159,16 @@ def test_franklin_classes_small():
 @given(st.integers(0, 14))
 def test_enumeration_sorted_unique(n):
     # largest part first, then descending lex
-    seen = list(P.enumerate_partitions(n, P.All()))
+    seen = list(P.All().iter_parts(n))
     assert seen == sorted(set(seen), reverse=True)
-    assert all(p.size == n for p in seen)
+    assert all(sum(p) == n for p in seen)
 
 
 @given(st.integers(0, 14))
 def test_partitions_embed_in_compositions(n):
     from compparity import compositions as C
 
-    parts = {p.parts for p in P.enumerate_partitions(n, P.All())}
-    comps = {c.parts for c in C.enumerate_compositions(n, C.All())}
+    parts = set(P.All().iter_parts(n))
+    comps = set(C.All().iter_parts(n))
     weakly_decreasing = {t for t in comps if tuple(sorted(t, reverse=True)) == t}
     assert parts == weakly_decreasing

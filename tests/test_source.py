@@ -174,3 +174,42 @@ def test_boxed_and_quadruple_rows_share_no_private_helper():
     quadruple = helpers("guarded_signed_sum_row", "guarded_count_sum_row")
     assert boxed and quadruple
     assert boxed & quadruple == set()
+
+
+def names_used(node: ast.AST) -> set[str]:
+    """Every name a node uses: as a name, an attribute, an import or a string."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)  # the identity table names routes by string
+    return names
+
+
+# the acceptance tests name them; no route of the package calls them
+NAMED_ONLY_BY_TESTS = {"partition_theorems.legendre_delta",
+                       "partition_theorems.nyirenda_d_delta",
+                       "partition_theorems.nyirenda_c_delta",
+                       "partition_theorems.andrews_singleton_delta"}
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # a function or class that only tests reach serves no route, sweep,
+    # command or benchmark check
+    benchmark = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        benchmark |= names_used(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    tops = []  # (module, top-level statement, the names it uses) across src/
+    for path in sorted((ROOT / "src" / "compparity").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tops += [(path.stem, node, names_used(node)) for node in tree.body]
+    unused = {f"{module}.{node.name}" for module, node, _ in tops
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in benchmark
+              and not any(node.name in names for _, other, names in tops if other is not node)}
+    assert unused == NAMED_ONLY_BY_TESTS

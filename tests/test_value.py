@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from compparity import compositions, identities, partitions, sequences, series, verify
-from compparity._value import OrderedValue, Value
+from compparity._value import Value
 
 
 def route_values(*lead_ns):
@@ -17,8 +17,6 @@ ROUTE = identities.Route("series", route_values)
 
 # (class, a function building one instance, the repr a frozen dataclass gives it)
 SAMPLES = [
-    (compositions.Composition, lambda: compositions.Composition((2, 1)),
-     "Composition(parts=(2, 1))"),
     (compositions.SignedCount, lambda: compositions.SignedCount(3, 5),
      "SignedCount(odd_count=3, even_count=5)"),
     (compositions.PartsIn, lambda: compositions.PartsIn(2, 3, (2, 0, 2)),
@@ -28,8 +26,6 @@ SAMPLES = [
      "MarkedParts(plain=PartsIn(least=1, period=3, residues=(1,)), least=4, m=2)"),
     (compositions.GuardedSmall, lambda: compositions.GuardedSmall(2, 1),
      "GuardedSmall(k=2, m=1)"),
-    (partitions.Partition, lambda: partitions.Partition((3, 1, 1)),
-     "Partition(parts=(3, 1, 1))"),
     (partitions.PartsIn, lambda: partitions.PartsIn(4, (3, 1), 2),
      "PartsIn(period=4, residues=(1, 3), most=2)"),
     (partitions.FranklinRepeated, lambda: partitions.FranklinRepeated(2, 1),
@@ -70,7 +66,7 @@ SAMPLES = [
 ]
 
 # the classes no value is built from: the bases of the restriction classes
-BASES = {OrderedValue, compositions.CompositionClass, partitions.PartitionClass}
+BASES = {compositions.CompositionClass, partitions.PartitionClass}
 
 
 def subclasses(cls):
@@ -110,22 +106,6 @@ def test_classes_with_equal_fields_differ():
     guarded, repeated = compositions.GuardedSmall(2, 1), partitions.FranklinRepeated(2, 1)
     assert guarded != repeated and repeated != guarded
     assert guarded != (2, 1) and len({guarded: 0, repeated: 1, (2, 1): 2}) == 3
-
-
-@pytest.mark.parametrize("cls, parts", [
-    (compositions.Composition, [(2, 1), (1, 1, 1), (3,), (1, 2)]),
-    (partitions.Partition, [(2, 1), (1, 1, 1), (3,), (2, 2)]),
-])
-def test_compositions_and_partitions_sort_by_parts(cls, parts):
-    values = [cls(p) for p in parts]
-    assert [v.parts for v in sorted(values)] == sorted(parts)
-    a, b = cls((1, 1, 1)), cls((2, 1))
-    assert a < b and a <= b and b > a and b >= a and a <= cls((1, 1, 1)) and a >= cls((1, 1, 1))
-    assert not (b < a or b <= a or a > b or a >= b)
-    with pytest.raises(TypeError):
-        a < (2, 1)
-    with pytest.raises(TypeError):
-        sorted([compositions.Composition((1,)), partitions.Partition((1,))])
 
 
 def test_unordered_values_do_not_sort():
