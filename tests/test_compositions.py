@@ -15,6 +15,21 @@ from compparity import _automaton
 from compparity import compositions as C
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: C.MinPart(0), "MinPart requires k >= 1, got k=0"),
+    (lambda: C.ExactSmall(0, 1), "ExactSmall requires k >= 1, got k=0"),
+    (lambda: C.ExactSmall(2, -1), "ExactSmall requires m >= 0, got m=-1"),
+    (lambda: C.ModOneExcept(0, 0), "ModOneExcept requires k >= 1, got k=0"),
+    (lambda: C.ModOneExcept(2, -1), "ModOneExcept requires m >= 0, got m=-1"),
+    (lambda: C.GuardedSmall(0, 1), "GuardedSmall requires k >= 1, got k=0"),
+    (lambda: C.GuardedSmall(2, -1), "GuardedSmall requires m >= 0, got m=-1"),
+    (lambda: list(C.All().iter_parts(-1)), "composition size must be >= 0, got -1"),
+])
+def test_composition_validation(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_empty_composition():
     assert list(C.All().iter_parts(0)) == [()]
     assert C.All().contains(())

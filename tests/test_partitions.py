@@ -9,6 +9,20 @@ from hypothesis import strategies as st
 from compparity import partitions as P
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: P.FranklinRepeated(0, 1), "FranklinRepeated requires k >= 1, got k=0"),
+    (lambda: P.FranklinRepeated(2, -1), "FranklinRepeated requires m >= 0, got m=-1"),
+    (lambda: P.FranklinDivisible(0, 1), "FranklinDivisible requires k >= 1, got k=0"),
+    (lambda: P.FranklinDivisible(2, -1), "FranklinDivisible requires m >= 0, got m=-1"),
+    (lambda: P.InitialKReps(0), "InitialKReps requires k >= 1, got k=0"),
+    (lambda: P.InitialTwoRepsWithMarks(-1), "InitialTwoRepsWithMarks requires m >= 0, got m=-1"),
+    (lambda: list(P.All().iter_parts(-1)), "partition size must be >= 0, got -1"),
+])
+def test_partition_validation(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_unrestricted_counts():
     got = [P.count_partitions(n, P.All()) for n in range(11)]
     assert got == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

@@ -99,6 +99,13 @@ def test_expand_rational_equals_long_division(num, den, order):
     assert_expansion(num, den, order)
 
 
+@given(small_polys, unit_constant_dens, st.integers(0, 20))
+def test_expand_rational_undoes_multiplication(a, den, order):
+    # (a * den) / den is the polynomial a, cut at x^order
+    got = S.expand_rational(a * den, den, order)
+    assert got.coeffs == tuple(a.coefficient(t) for t in range(order + 1))
+
+
 P = S.IntPolynomial
 KERNEL_CASES = {  # name: (num, den, order, the recurrence that runs)
     "no step": (P((1, 2, 3)), P((1,)), 6, "_unit_recurrence"),
@@ -385,17 +392,32 @@ def test_bivariate_y0_slice_is_min_part_series():
     assert bs.y_slice(0).coeffs == S.min_part_series(2, 10).coeffs
 
 
+def cyclotomic(n: int) -> S.IntPolynomial:
+    """The product of x - w over the primitive n-th roots of unity w."""
+    coeffs = [1]  # highest degree first
+    for e in range(1, n + 1):
+        if math.gcd(e, n) == 1:
+            w = cmath.exp(2j * cmath.pi * e / n)
+            coeffs = [a - w * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return S.IntPolynomial(tuple(round(c.real) for c in reversed(coeffs)))
+
+
+def test_cyclotomic_small_indices():
+    assert cyclotomic(1) == S.IntPolynomial((-1, 1))
+    assert cyclotomic(2) == S.IntPolynomial((1, 1))
+    assert cyclotomic(6) == S.IntPolynomial((1, -1, 1))
+    # product of cyclotomics over divisors reconstitutes x^n - 1
+    for n in (4, 6, 12):
+        prod = S.IntPolynomial((1,))
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * cyclotomic(d)
+        assert prod == S.IntPolynomial.from_terms({0: -1, n: 1})
+
+
 def test_denominator_is_cyclotomic_for_small_r():
-    # the product of x - w over the primitive 6r-th roots of unity w
     for r in (2, 3, 4):
-        n = 6 * r
-        coeffs = [1]  # highest degree first
-        for e in range(1, n):
-            if math.gcd(e, n) == 1:
-                w = cmath.exp(2j * cmath.pi * e / n)
-                coeffs = [a - w * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        phi = S.IntPolynomial(tuple(round(c.real) for c in reversed(coeffs)))
-        assert phi == S.IntPolynomial.from_terms({0: 1, r: -1, 2 * r: 1})
+        assert cyclotomic(6 * r) == S.IntPolynomial.from_terms({0: 1, r: -1, 2 * r: 1})
 
 
 def test_shift_check_passes():
