@@ -10,10 +10,10 @@ a prefix of size ``s``.  A state met on two consecutive nonempty rows
 gets a list of its accepted (part, next) moves, built once on the second
 of them for the parts that fit there; every later row, with less room,
 walks that list up to its room.  A state met only once, such as each set
-of used parts of distinct compositions, is read part by part and nothing
-is kept for it.  Whether a state recurs is read from the previous
-nonempty row, so the lists follow what the tally meets, not an option of
-the class: a one-state class calls ``step`` at most 2n times, not
+of used parts of distinct compositions, gets its list for that row alone,
+and the list is not kept.  Whether a state recurs is read from the
+previous nonempty row, so the lists follow what the tally meets, not an
+option of the class: a one-state class calls ``step`` at most 2n times, not
 n(n+1)/2.  A partition is read one value at a time, 1, 2, ..., n, each
 with its multiplicity ``c >= 0``, and ``_tally_by_value`` keeps per
 state the (odd, even) counts of every size 0..n, adding them,
@@ -149,25 +149,10 @@ def _tally(n: int, cls, by_state: bool = False):
         for state, (odd, even) in row.items():
             listed = moves.get(state)
             if listed is None:
-                if state not in previous:  # met once so far: read part by part
-                    # the same additions as below, written out: a loop shared
-                    # through a generator made distinct compositions 25% slower
-                    for part in range(1, room + 1):
-                        nxt = step(state, part)
-                        if nxt is None:
-                            continue
-                        target = rows[size + part]
-                        if target is None:
-                            target = rows[size + part] = {}
-                        cell = target.get(nxt)
-                        if cell is None:
-                            target[nxt] = [even, odd]
-                        else:
-                            cell[0] += even
-                            cell[1] += odd
-                    continue
-                listed = moves[state] = [(part, nxt) for part in range(1, room + 1)
-                                         if (nxt := step(state, part)) is not None]
+                listed = [(part, nxt) for part in range(1, room + 1)
+                          if (nxt := step(state, part)) is not None]
+                if state in previous:
+                    moves[state] = listed
             for part, nxt in listed:
                 if part > room:
                     break  # a list is sorted by part

@@ -320,21 +320,18 @@ def congruent_periodic(k: int, n: int, r: int, s: int) -> int:
 # partitions inside a box, and monomial counting
 # ---------------------------------------------------------------------------
 
-def boxed_partitions(
-    width: int, height: int, max_size: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """All partitions fitting in the box, including the empty one.
+def boxed_partitions(width: int, height: int, max_size: int) -> Iterator[tuple[int, ...]]:
+    """The partitions fitting in the box of size at most ``max_size``, the empty one too.
 
     Each is a weakly decreasing tuple of at most ``height`` parts in
-    1..``width``.  With ``max_size``, only those of size at most
-    ``max_size``; the walk never enters a larger one.  Each partition comes
-    before its extensions by one more part, and larger parts before smaller
-    ones.  The walk keeps its own stack, so a tall box cannot exhaust the
+    1..``width``; the walk never enters one larger than ``max_size``.
+    Each partition comes before its extensions by one more part, and
+    larger parts before smaller ones.  The walk keeps its own stack, so a tall box cannot exhaust the
     recursion limit.
     """
     if width < 0 or height < 0:
         raise ValueError(f"box must be nonnegative, got {width}x{height}")
-    room = width * height if max_size is None else max_size
+    room = max_size
     parts: list[int] = []
     while True:
         yield tuple(parts)

@@ -317,7 +317,7 @@ IDENTITIES = {
         # at k = 1 both classes are all compositions of n: one tally
         tally("companion class", compositions.MinPart, when=lambda k, n: k >= 2),
         row_form("closed form", "min_part_count_row", "min_part_count"),
-        # min_part_series(k, order, +1): parts >= k, each weighted +1
+        # (1-x) / (1-x-x^k): parts >= k, each weighted +1
         coefficient("series", "parts_in_series", lambda k: (k, 1, (0,), 1)),
     ), tokens=(("munagi", "", "series", lambda n, k: f"n={n}, k={k}: compositions of "
                 f"{n + offset(k)} with parts >= {k}"),)),

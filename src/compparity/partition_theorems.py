@@ -131,8 +131,8 @@ def andrews_singleton_delta(n: int, m: int) -> int:
     part values, sums (-1)^(number of values of multiplicity one).
     """
     _check_n(n)
-    sc = partitions.singleton_signed_count(n, InitialTwoRepsWithMarks(m))
-    return sc.even_count - sc.odd_count
+    odd, even = partitions.singleton_counts_by_size(n, InitialTwoRepsWithMarks(m))[n]
+    return even - odd
 
 
 def andrews_singleton_closed(n: int, m: int) -> int:

@@ -19,7 +19,7 @@ n = 697 (all partitions) to 1297 (distinct parts in three residues mod
 8), the further the fewer multiplicities it accepts; past
 ``_automaton.MAX_TRIALS`` trials the tally raises ``ValueError``.
 Counts are kept per class and statistic, so the length parity of
-``signed_count`` and the singleton sign of ``singleton_signed_count``
+``signed_count`` and the singleton sign of ``singleton_counts_by_size``
 never mix; the Franklin classes and ``InitialTwoRepsWithMarks`` keep
 theirs per family over m, as ``_automaton`` describes.
 ``counts_by_size`` and ``singleton_counts_by_size`` hand back the counts
@@ -284,7 +284,7 @@ class InitialTwoRepsWithMarks(PartitionClass):
     """Initial 2-repetitions and exactly m distinct part values.
 
     The interesting statistic on this class is the number of part values of
-    multiplicity one; see ``singleton_signed_count``.
+    multiplicity one; see ``singleton_counts_by_size``.
     """
 
     __slots__ = ("m",)
@@ -342,16 +342,7 @@ def _is_singleton(mult: int) -> bool:
 
 
 def singleton_counts_by_size(n: int, cls: PartitionClass) -> tuple[tuple[int, int], ...]:
-    """(odd, even) counts by singleton values, as below, of each size 0..n, from one tally."""
+    """(odd, even) counts of each size 0..n by values of multiplicity one, from one tally."""
     _check_size(n)
     return tally_partitions(n, cls, _is_singleton)[:n + 1]
 
-
-def singleton_signed_count(n: int, cls: PartitionClass) -> SignedCount:
-    """Tally partitions in the class by the parity of their values of multiplicity one.
-
-    ``odd_count`` and ``even_count`` count the members with an odd and an
-    even number of such values.
-    """
-    _check_size(n)
-    return SignedCount(*tally_partitions(n, cls, _is_singleton)[n])

@@ -2,8 +2,7 @@
 
 All coefficients are Python ints, so every identity checked through this
 module is exact.  A ``TruncatedSeries`` of order N carries coefficients
-c_0..c_N; arithmetic between mismatched orders truncates to the smaller
-order.  Rational-function expansion requires the denominator to have
+c_0..c_N.  Rational-function expansion requires the denominator to have
 constant term +1 or -1, which keeps the recurrence for the coefficients
 integral.
 
@@ -73,11 +72,7 @@ class IntPolynomial(Value):
     def from_terms(cls, terms: dict[int, int]) -> "IntPolynomial":
         if any(d < 0 for d in terms):
             raise ValueError(f"negative degree in {terms}")
-        size = max(terms, default=-1) + 1
-        c = [0] * size
-        for d, v in terms.items():
-            c[d] += v
-        return cls(tuple(c))
+        return _up_to(max(terms, default=-1), *terms.items())
 
     def coefficient(self, d: int) -> int:
         if 0 <= d < len(self.coeffs):
@@ -125,10 +120,6 @@ class TruncatedSeries(Value):
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,) + (0,) * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -137,27 +128,6 @@ class TruncatedSeries(Value):
         if not 0 <= d <= self.order:
             raise ValueError(f"coefficient {d} beyond truncation order {self.order}")
         return self.coeffs[d]
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Product truncated at the smaller order.
-
-        Loops over the nonzero terms of the sparser operand, so a product
-        with a sparse series (a rational denominator) is linear in the order.
-        A term +1 or -1 adds or subtracts the other operand without a multiply.
-        """
-        order = min(self.order, other.order)
-        a, b = self.coeffs[: order + 1], other.coeffs[: order + 1]
-        if a.count(0) < b.count(0):
-            a, b = b, a
-        out = [0] * (order + 1)
-        for i, v in enumerate(a):  # map stops at the end of out[i:]
-            if v == 1:
-                out[i:] = map(operator.add, out[i:], b)
-            elif v == -1:
-                out[i:] = map(operator.sub, out[i:], b)
-            elif v:
-                out[i:] = map(operator.add, out[i:], [v * w for w in b[: order + 1 - i]])
-        return TruncatedSeries(tuple(out))
 
 
 def expand_rational(num: IntPolynomial, den: IntPolynomial, order: int) -> TruncatedSeries:
@@ -306,15 +276,15 @@ def parts_in_series(least: int, period: int, residues: tuple[int, ...], t: int,
     return expand_rational(num, den, order)
 
 
-def min_part_series(k: int, order: int, t: int = -1) -> TruncatedSeries:
-    """(1-x) / (1-x-t x^k), every part >= k weighted by t.
+def min_part_series(k: int, order: int) -> TruncatedSeries:
+    """(1-x) / (1-x+x^k), every part >= k weighted by -1.
 
-    With t = -1 the coefficient at x^(n+k-1) is minus the signed min-part-k
-    count at index n, and with t = +1 it is the count itself (Munagi).
+    The coefficient at x^(n+k-1) is minus the signed min-part-k count at
+    index n.
     """
     if k < 1:
         raise ValueError(f"requires k >= 1, got k={k}")
-    return parts_in_series(k, 1, (0,), t, order)
+    return parts_in_series(k, 1, (0,), -1, order)
 
 
 def congruent_series(k: int, r: int, s: int, order: int) -> TruncatedSeries:
@@ -577,10 +547,10 @@ def cyclotomic_shift_check(r: int, s: int, order: int) -> ShiftCheckReport:
     need = max(order + s + 1, window)
     vals = [congruent_periodic(k, n, r, s) for n in range(1, need + 1)]
 
-    shifted = TruncatedSeries(tuple(vals[s : s + order + 1]))
+    shifted = IntPolynomial(tuple(vals[s : s + order + 1]))
     phi_like = IntPolynomial.from_terms({0: 1, r: -1, 2 * r: 1})
-    product = shifted * phi_like.as_series(order)
-    inverse_ok = product.coeffs == TruncatedSeries.one(order).coeffs
+    product = (phi_like * shifted).as_series(order)
+    inverse_ok = product.coeffs == (1,) + (0,) * order
 
     found = detect_period(vals[:window])
     if found is None:

@@ -222,6 +222,18 @@ def test_a_one_state_tally_reads_each_part_at_most_twice(cls, listed):
     assert counted.calls == 0
 
 
+def test_a_state_met_once_reads_each_part_that_fits_once():
+    # a set of used parts is met on one row only, at its sum s, and reads
+    # the parts 1..30-s there: q(s) such sets, q counting distinct partitions
+    counted = CountedSteps(C.DistinctParts())
+    counts = _automaton._tally(30, counted)
+    sets = [sum(1 for _ in P.DistinctParts().iter_parts(s)) for s in range(31)]
+    assert counted.calls == sum(q * (30 - s) for s, q in enumerate(sets)) == 10770
+    for n in range(MAX_N + 1):
+        expected = parity_count(C.DistinctParts().iter_parts(n))
+        assert counts[n] == (expected.odd_count, expected.even_count), n
+
+
 # ---------------------------------------------------------------------------
 # the stored counts: one tally per class, any request order
 # ---------------------------------------------------------------------------
@@ -430,11 +442,11 @@ def test_a_family_refuses_a_member_exactly_where_its_own_tally_does(fresh_counts
 
     def refusal():
         with pytest.raises(ValueError) as refused:
-            P.singleton_signed_count(300, wide)
+            P.singleton_counts_by_size(300, wide)
         return str(refused.value)
 
     if wide_first:
         assert refusal() == REFUSED_AT_300
-    assert P.singleton_signed_count(300, narrow) == served
+    assert C.SignedCount(*P.singleton_counts_by_size(300, narrow)[300]) == served
     assert refusal() == REFUSED_AT_300
-    assert P.singleton_signed_count(300, narrow) == served
+    assert C.SignedCount(*P.singleton_counts_by_size(300, narrow)[300]) == served

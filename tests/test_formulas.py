@@ -168,7 +168,7 @@ def test_congruent_periodic_matches_general_formula():
 
 def test_boxed_partitions_and_specialization():
     # partitions fitting a 2-wide, height-3 box, larger parts first
-    assert list(F.boxed_partitions(2, 3)) == [
+    assert list(F.boxed_partitions(2, 3, 6)) == [
         (), (2,), (2, 2), (2, 2, 2), (2, 2, 1), (2, 1), (2, 1, 1), (1,), (1, 1), (1, 1, 1)]
     assert F.monomial_specialization((1, 1), 3) == 3  # choose which variable sits out
     assert F.monomial_specialization((2, 1), 3) == 6
@@ -178,7 +178,7 @@ def test_boxed_partitions_and_specialization():
 def test_boxed_walk_yields_each_partition_of_the_box_once():
     for width in range(6):
         for height in range(6):
-            walk = list(F.boxed_partitions(width, height))
+            walk = list(F.boxed_partitions(width, height, width * height))
             assert len(set(walk)) == len(walk) == F.binomial(width + height, height)
             for parts in walk:
                 assert len(parts) <= height
@@ -189,7 +189,7 @@ def test_boxed_walk_yields_each_partition_of_the_box_once():
 def test_monomial_specialization_counts_the_distinct_monomials():
     for width in range(4):
         for height in range(5):
-            for parts in F.boxed_partitions(width, height):
+            for parts in F.boxed_partitions(width, height, width * height):
                 exponents = parts + (0,) * (height - len(parts))
                 want = len(set(itertools.permutations(exponents)))
                 assert F.monomial_specialization(parts, height) == want, (parts, height)
@@ -224,7 +224,7 @@ def test_guarded_boxed_form_walks_a_box_taller_than_the_recursion_limit():
 def test_size_bound_walks_exactly_the_small_box_partitions():
     for width in range(5):
         for height in range(6):
-            whole = list(F.boxed_partitions(width, height))
+            whole = list(F.boxed_partitions(width, height, width * height))
             for top in range(width * height + 2):
                 small = [p for p in whole if sum(p) <= top]
                 assert list(F.boxed_partitions(width, height, top)) == small
