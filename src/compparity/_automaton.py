@@ -24,27 +24,32 @@ and one add; no count exceeds p(n) < exp(pi*sqrt(2n/3)) (Apostol 1976,
 Thm 14.5), so w = isqrt(14n) + 1 > log2 p(n), in whole bytes, suffices.
 Neither tally recurses, a tally to size n yields every size 0..n, and both
 use only the class's membership rule, never a closed form; ``iter_parts``
-remains the definition the tests hold them to.  ``tally_compositions``
-and ``tally_partitions`` keep those counts, never the states, per (side,
-class, parity statistic): a smaller size is a lookup, a larger one
-tallies afresh.  The sweeps in ``compparity.verify`` read a class's
-counts once per row of a sweep, at the row's largest size.
+remains the definition the tests hold them to.
 
-A class may declare a family instead, with ``family()``: its last field
-m caps a counter in its state that no move lowers, and ``accept`` asks
-for counter = m.  A member's path to a state it accepts never passes m,
-so every member with a larger cap makes the same moves on it, to the same
-state: the member with the largest m holds every smaller m in its final
-states.  Such a family keeps one entry per (side, family, statistic), the
-per-state counts of every size 0..N of the widest member tallied so far,
-m = M: two lists a state for compositions, the packed ints above for
-partitions.  A member with m <= M and n <= N is read from the entry
-through its own ``accept`` and gets no entry of its own.  Any other
-request tallies the member itself, never a wider one, and that tally
-becomes the entry: a wider member costs more trials, so it may be
-refused at a size the member reaches (``InitialTwoRepsWithMarks`` at
-size 300 is served up to m = 13), and tallying it instead would move the
-refused sizes and their messages.
+Both tallies give one kind of store: ``{bucket: (odd list, even list)}``
+over sizes 0..n, each state's counts added into the bucket that
+``bucket(state)`` names; the partition tally unpacks its ints once per
+bucket, at the end.  ``tally_compositions`` and ``tally_partitions`` keep
+that store, never the states, per (side, class, parity statistic), as
+``(m, N, buckets)``.  A class is bucketed by its own ``accept``, so it
+keeps at most two buckets and m = 0.  A class may declare a family
+instead, with ``family()``: its last field m caps a counter in its state
+that no move lowers, and ``accept`` asks for counter = m.  A member's path
+to a state it accepts never passes m, so every member with a larger cap
+makes the same moves on it, to the same state: the member with the
+largest m holds every smaller m in its final states.  A family is
+bucketed by state, and its entry holds the widest member tallied so far,
+m = M, to the largest size N.  One reader, ``_read``, serves both: it sums
+the buckets whose key the member takes, True for a class and its
+``accept`` for a family member, and hands a single bucket back as it is
+kept, so a loop reading size by size never re-sums a row.  A request with
+m <= M and n <= N is read from the entry; any other tallies the member
+itself, never a wider one, and that tally becomes the entry: a wider
+member costs more trials, so it may be refused at a size the member
+reaches (``InitialTwoRepsWithMarks`` at size 300 is served up to m = 13),
+and tallying it instead would move the refused sizes and their messages.
+The sweeps in ``compparity.verify`` read a class's counts once per row of
+a sweep, at the row's largest size.
 
 A tally that would make more than ``MAX_TRIALS`` trials raises
 ``ValueError``.  A composition trial is a state of a row tried against a
@@ -63,83 +68,56 @@ parts, whose states are the sets of parts used, reach about 65.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Hashable
 
 MAX_TRIALS = 2_000_000
 
+# bucket -> its (odd, even) counts of sizes 0..n
+Buckets = dict[Hashable, tuple[list[int], list[int]]]
 
-# (side, class or family, parity statistic) -> what its tallies left: a
-# class's (odd, even) counts of sizes 0..N, for the largest N tallied in
-# this process; a family's (m, N, read) of its widest member tallied so
-# far, where ``read(accept, n)`` sums that member's per-state counts
-_COUNTS: dict[tuple, tuple] = {}
+# (side, class or family, parity statistic) -> (m, N, buckets) of the
+# widest member tallied so far, m = 0 for a class, to the largest size N
+_COUNTS: dict[tuple, tuple[int, int, Buckets]] = {}
 
 
 def _past_limit(n: int) -> ValueError:
     return ValueError(f"size {n} is past the tally limit of {MAX_TRIALS} trials for this class")
 
 
-def _accepted(row: dict, accept: Callable[[Hashable], bool]) -> tuple[int, int]:
-    odd = even = 0
-    for state, (o, e) in row.items():
-        if accept(state):
-            odd += o
-            even += e
-    return odd, even
-
-
-def _keep(states: dict, row: dict, size: int, n: int) -> None:
-    """Set each state's (odd, even) counts at ``size`` in its two lists of sizes 0..n."""
+def _keep(buckets: Buckets, bucket: Callable, row: dict, size: int, n: int) -> None:
+    """Add each state's (odd, even) counts at ``size`` into its bucket's lists of sizes 0..n."""
     for state, (odd, even) in row.items():
-        lists = states.get(state)
+        lists = buckets.get(key := bucket(state))
         if lists is None:
-            lists = states[state] = [0] * (n + 1), [0] * (n + 1)
-        lists[0][size] = odd
-        lists[1][size] = even
+            lists = buckets[key] = [0] * (n + 1), [0] * (n + 1)
+        lists[0][size] += odd
+        lists[1][size] += even
 
 
-def _read_lists(states: dict, accept: Callable[[Hashable], bool],
-                n: int) -> tuple[tuple[int, int], ...]:
-    """(odd, even) counts of sizes 0..n, summed over the accepted states' lists."""
-    odd, even = [0] * (n + 1), [0] * (n + 1)
-    for state, (odds, evens) in states.items():
-        if accept(state):
-            odd = [a + b for a, b in zip(odd, odds)]
-            even = [a + b for a, b in zip(even, evens)]
-    return tuple(zip(odd, even))
-
-
-def _tally(n: int, cls, by_state: bool = False):
-    """(odd, even) counts of accepted compositions of each size 0..n.
+def _tally(n: int, cls, bucket: Callable[[Hashable], Hashable]) -> Buckets:
+    """(odd, even) counts of the compositions of each size 0..n, by the bucket of their state.
 
     A composition is read one part at a time, and every part flips the
-    length parity.  With ``by_state`` it keeps every state's counts
-    instead and returns their reader, ``read(accept, n)``.
+    length parity.
     """
     # the start row's charge, as below, made before the rows are allocated
     if n * (n + 1) // 2 > MAX_TRIALS:
         raise _past_limit(n)
-    step, accept = cls.step, cls.accept
+    step = cls.step
     rows: list[dict | None] = [None] * (n + 1)
     rows[0] = {cls.start(): [0, 1]}  # the empty composition has even length
     moves = {}  # state -> its accepted (part, next), parts 1..room of its second row
     previous = {}  # the last nonempty row
-    counts = []
-    states = {}  # with by_state: state -> its odd and even counts of sizes 0..n
+    buckets = {}
     work = 0
     for size in range(n):
         row = rows[size]
         if row is None:
-            counts.append((0, 0))
             continue
         rows[size] = None
         # no later part reaches this row
-        if by_state:
-            _keep(states, row, size, n)
-        else:
-            counts.append(_accepted(row, accept))
+        _keep(buckets, bucket, row, size, n)
         room = n - size
         # this row's trials, plus those its states would still make with a
         # single successor on every later row
@@ -166,11 +144,8 @@ def _tally(n: int, cls, by_state: bool = False):
                     cell[0] += even
                     cell[1] += odd
         previous = row
-    if by_state:
-        _keep(states, rows[n] or {}, n, n)
-        return functools.partial(_read_lists, states)
-    counts.append(_accepted(rows[n] or {}, accept))
-    return tuple(counts)
+    _keep(buckets, bucket, rows[n] or {}, n, n)
+    return buckets
 
 
 def _slot_bits(n: int) -> int:
@@ -178,25 +153,21 @@ def _slot_bits(n: int) -> int:
     return -(-(math.isqrt(14 * n) + 1) // 8) * 8
 
 
-def _read_packed(states: dict, width: int, accept: Callable[[Hashable], bool],
-                 n: int) -> tuple[tuple[int, int], ...]:
-    """(odd, even) counts of sizes 0..n, summed over the accepted states' packed ints."""
-    size, low = width // 8, (1 << (n + 1) * width) - 1
-    odd, even = ((x & low).to_bytes((n + 1) * size, "little")
-                 for x in _accepted(states, accept))
-    odds = [int.from_bytes(odd[i:i + size], "little") for i in range(0, len(odd), size)]
-    evens = [int.from_bytes(even[i:i + size], "little") for i in range(0, len(even), size)]
-    return tuple(zip(odds, evens))
+def _unpack(packed: int, width: int, n: int) -> list[int]:
+    """The counts of sizes 0..n packed ``width`` bits a size into ``packed``."""
+    size = width // 8
+    data = packed.to_bytes((n + 1) * size, "little")
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
 
 
-def _tally_by_value(n: int, cls, flip: Callable[[int], bool], by_state: bool = False):
-    """(odd, even) counts of accepted partitions of each size 0..n, read by value.
+def _tally_by_value(n: int, cls, bucket: Callable[[Hashable], Hashable],
+                    flip: Callable[[int], bool]) -> Buckets:
+    """(odd, even) counts of the partitions of each size 0..n, read by value, by bucket.
 
     Size s sits in bits s*w..s*w+w-1 of a state's odd and even ints.  Its
     slot counts distinct partitions of s <= n, below 2^w, so it never
     carries, nor does it in a sum over states; the slots above n, masked
-    off once per value, carry only up.  With ``by_state`` it returns the
-    reader of every state's counts, ``read(accept, n)``.
+    off once per value, carry only up.
     """
     # the step calls are not charged, so n is first held to where `All`
     # would pass the limit at value 1 alone
@@ -226,9 +197,23 @@ def _tally_by_value(n: int, cls, flip: Callable[[int], bool], by_state: bool = F
             o, e = after.get(nxt, (0, 0))
             after[nxt] = (o + (odd << shift), e + (even << shift))
         states = {state: (o & mask, e & mask) for state, (o, e) in after.items()}
-    if by_state:
-        return functools.partial(_read_packed, states, width)
-    return _read_packed(states, width, cls.accept, n)
+    packed = {}
+    for state, (odd, even) in states.items():
+        o, e = packed.get(key := bucket(state), (0, 0))
+        packed[key] = o + odd, e + even
+    return {key: (_unpack(odd, width, n), _unpack(even, width, n))
+            for key, (odd, even) in packed.items()}
+
+
+def _read(take: Callable[[Hashable], bool], n: int,
+          buckets: Buckets) -> tuple[list[int], list[int]]:
+    """(odd, even) counts of sizes 0..n over the buckets ``take`` accepts; one is not copied."""
+    taken = [lists for key, lists in buckets.items() if take(key)]
+    if len(taken) == 1:
+        return taken[0]
+    zero = [0] * (n + 1)
+    return ([sum(column) for column in zip(zero, *(odds for odds, _ in taken))],
+            [sum(column) for column in zip(zero, *(evens for _, evens in taken))])
 
 
 def _key(side: str, cls, statistic) -> tuple:
@@ -236,31 +221,31 @@ def _key(side: str, cls, statistic) -> tuple:
     return side, cls if cls.family is None else cls.family()[0], statistic
 
 
-def _counts(key: tuple, n: int, cls, tally: Callable, *args) -> tuple[tuple[int, int], ...]:
+def _counts(key: tuple, n: int, cls, tally: Callable, *args) -> tuple[list[int], list[int]]:
     """(odd, even) counts of ``cls`` at sizes 0..N, N >= n, from the entry under ``key``.
 
-    A class's entry is ``tally(n, cls, *args)``, made again for a larger n.
-    A member of a family with m <= M and n <= N, the entry's, is read from
-    it through the member's ``accept``; any other is tallied itself, by
-    state, and that tally becomes the entry.
+    The lists are the store's own, for the caller to read, never to change.
+    A class is bucketed by its ``accept`` and read from the True bucket; a
+    family member is bucketed by state and read through its ``accept``.
+    The member itself is tallied, and its tally becomes the entry, when
+    the entry's m or N falls short.
     """
-    stored = _COUNTS.get(key)
     if cls.family is None:
-        if stored is None or len(stored) <= n:
-            stored = _COUNTS[key] = tally(n, cls, *args)
-        return stored
-    m = cls.family()[1]
+        m, bucket, take = 0, cls.accept, bool
+    else:
+        m, bucket, take = cls.family()[1], lambda state: state, cls.accept
+    stored = _COUNTS.get(key)
     if stored is None or stored[0] < m or stored[1] < n:
-        stored = _COUNTS[key] = m, n, tally(n, cls, *args, by_state=True)
-    return stored[2](cls.accept, n)
+        stored = _COUNTS[key] = m, n, tally(n, cls, bucket, *args)
+    return _read(take, *stored[1:])
 
 
-def tally_compositions(n: int, cls) -> tuple[tuple[int, int], ...]:
+def tally_compositions(n: int, cls) -> tuple[list[int], list[int]]:
     """(odd-length, even-length) member counts of a composition class, sizes 0..N, N >= n."""
     return _counts(_key("compositions", cls, None), n, cls, _tally)
 
 
-def tally_partitions(n: int, cls, flip: Callable[[int], bool]) -> tuple[tuple[int, int], ...]:
+def tally_partitions(n: int, cls, flip: Callable[[int], bool]) -> tuple[list[int], list[int]]:
     """(odd, even) member counts of a partition class, sizes 0..N, N >= n.
 
     A value of multiplicity c flips the parity when ``flip(c)``, false at

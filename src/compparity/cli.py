@@ -85,13 +85,14 @@ FORMULA_NAMES = tuple(token for token, (*_, note) in SEQUENCES.items() if note)
 
 
 def _resolve(args: argparse.Namespace, ident: Identity, quantity: str,
-             context: str) -> tuple[tuple, int, Callable[[int], object]]:
+             context: str) -> tuple[tuple, int, str, Callable[[int], object]]:
     """Check the token's flags; its parameters, with a --k given in place of the
-    default, their size shift and the term at index n that ``formula`` prints."""
+    default, their size shift, and the name of the route whose term at index n
+    ``formula`` prints, with that term."""
     _flags(args, ident.flags, context)
     p, shift = ident.at([getattr(args, axis) for axis in ident.axes[:-1]], args.k)
     name = ident.value(*p) if callable(ident.value) else ident.value
-    return p, shift, functools.partial(ident.route(quantity, name).value, *p)
+    return p, shift, name, functools.partial(ident.route(quantity, name).value, *p)
 
 
 def _fresh(fn: Callable, *lead: int, size: tuple[int, ...]):
@@ -115,15 +116,15 @@ def sequence_terms(args: argparse.Namespace, count: int) -> list[int]:
     ``args`` holds every token flag, None when absent, as the parser sets
     them.  A token with a row route is served whole from it, once its
     first ``_SPOT_CHECKS`` terms agree with the per-n form; a mismatch
-    raises ArithmeticError.  Otherwise, and past ``_ROW_CELLS``, every term
-    comes from the per-n form, the last index first, so that a tallied
-    class such as ``distinct`` is tallied once.
+    raises ArithmeticError, which names both routes.  Otherwise, and past
+    ``_ROW_CELLS``, every term comes from the per-n form, the last index
+    first, so that a tallied class such as ``distinct`` is tallied once.
     """
     ident, quantity, row, _ = SEQUENCES[args.seq]
     first = ident.first
     if count < 1:
         raise ValueError(f"empty index range {first}..{first + count - 1}")
-    p, shift, value = _resolve(args, ident, quantity, f"sequence {args.seq}")
+    p, shift, name, value = _resolve(args, ident, quantity, f"sequence {args.seq}")
     if row is None or (count + p[0]) * ((args.m or 0) + 1) > _ROW_CELLS:
         return [value(n) for n in range(first + count - 1, first - 1, -1)][::-1]
     # closed form first, so that a bad parameter fails with its message
@@ -132,8 +133,7 @@ def sequence_terms(args: argparse.Namespace, count: int) -> list[int]:
     for n, (want, got) in enumerate(zip(spot, terms), start=first):
         if want != got:
             raise ArithmeticError(
-                f"sequence {args.seq}: the generating function gives {got} at n={n}, "
-                f"the closed form {want}")
+                f"sequence {args.seq}: the {row} gives {got} at n={n}, the {name} {want}")
     return terms
 
 
@@ -177,7 +177,7 @@ def _cmd_signed(args: argparse.Namespace) -> int:
 def _cmd_formula(args: argparse.Namespace) -> int:
     _no_bfile(args)
     ident, quantity, _, note = SEQUENCES[args.name]
-    p, _, per_n = _resolve(args, ident, quantity, f"formula {args.name}")
+    p, _, _, per_n = _resolve(args, ident, quantity, f"formula {args.name}")
     # as text before the note, so that a value too long to print is refused alone
     value = str(per_n(args.n))
     print(f"note: {note(args.n, *p)}", file=sys.stderr)

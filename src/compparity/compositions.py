@@ -21,11 +21,11 @@ against which every formula and generating function in this package is
 verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
 ``ValueError``: one-state classes reach n = 1999, compositions into
 distinct parts about 65.  A tally to size n yields the counts of every
-size up to n, and only those counts are kept, per class, for the rest of
-the process: a smaller size is then a lookup, and a larger one tallies
-afresh.  ``MarkedParts`` and ``GuardedSmall`` declare a family over m
-instead, which keeps the per-state counts of its widest member tallied
-and reads every smaller m from them.  ``counts_by_size`` hands back the
+size up to n, kept in one store per class for the rest of the process: a
+smaller size is then a lookup, and a larger one tallies afresh.
+``MarkedParts`` and ``GuardedSmall`` declare a family over m, whose store
+keeps the counts of each state of its widest member tallied, so that
+every smaller m is read from it.  ``counts_by_size`` hands back the
 counts of every size up to n.
 
 Enumeration order is lexicographic on part tuples, so golden outputs are
@@ -381,13 +381,15 @@ def signed_count(n: int, cls: CompositionClass) -> SignedCount:
     ``signed_count(0, All()).diff == -1``.
     """
     _check_size(n)
-    return SignedCount(*tally_compositions(n, cls)[n])
+    odd, even = tally_compositions(n, cls)
+    return SignedCount(odd[n], even[n])
 
 
 def counts_by_size(n: int, cls: CompositionClass) -> tuple[tuple[int, int], ...]:
     """(odd-length, even-length) member counts of each size 0..n, from one tally."""
     _check_size(n)
-    return tally_compositions(n, cls)[:n + 1]
+    odd, even = tally_compositions(n, cls)
+    return tuple(zip(odd[:n + 1], even[:n + 1]))
 
 
 def signed_count_distinct(n: int) -> int:

@@ -21,7 +21,8 @@ n = 697 (all partitions) to 1297 (distinct parts in three residues mod
 Counts are kept per class and statistic, so the length parity of
 ``signed_count`` and the singleton sign of ``singleton_counts_by_size``
 never mix; the Franklin classes and ``InitialTwoRepsWithMarks`` keep
-theirs per family over m, as ``_automaton`` describes.
+theirs state by state, in one store per family over m, as ``_automaton``
+describes.
 ``counts_by_size`` and ``singleton_counts_by_size`` hand back the counts
 of every size up to n.
 
@@ -327,13 +328,15 @@ def _flips_length(mult: int) -> bool:
 def signed_count(n: int, cls: PartitionClass) -> SignedCount:
     """Tally partitions in the class by length parity over its automaton."""
     _check_size(n)
-    return SignedCount(*tally_partitions(n, cls, _flips_length)[n])
+    odd, even = tally_partitions(n, cls, _flips_length)
+    return SignedCount(odd[n], even[n])
 
 
 def counts_by_size(n: int, cls: PartitionClass) -> tuple[tuple[int, int], ...]:
     """(odd-length, even-length) partition counts of each size 0..n, from one tally."""
     _check_size(n)
-    return tally_partitions(n, cls, _flips_length)[:n + 1]
+    odd, even = tally_partitions(n, cls, _flips_length)
+    return tuple(zip(odd[:n + 1], even[:n + 1]))
 
 
 def _is_singleton(mult: int) -> bool:
@@ -344,5 +347,6 @@ def _is_singleton(mult: int) -> bool:
 def singleton_counts_by_size(n: int, cls: PartitionClass) -> tuple[tuple[int, int], ...]:
     """(odd, even) counts of each size 0..n by values of multiplicity one, from one tally."""
     _check_size(n)
-    return tally_partitions(n, cls, _is_singleton)[:n + 1]
+    odd, even = tally_partitions(n, cls, _is_singleton)
+    return tuple(zip(odd[:n + 1], even[:n + 1]))
 

@@ -12,8 +12,10 @@ def tallies(monkeypatch):
     """The arguments of every tally made in the test, from an empty store.
 
     Both engines are recorded: ``_tally`` (compositions, by size) and
-    ``_tally_by_value`` (partitions, by value); the size is the first
-    argument of either.
+    ``_tally_by_value`` (partitions, by value).  Either takes the size
+    first, then the class and the key of its buckets (the class's own
+    ``accept``, or each state itself for a family), and returns the
+    store of its counts by bucket.
     """
     calls = []
 

@@ -54,6 +54,12 @@ def parity_count(members) -> C.SignedCount:
     return C.SignedCount(odd, even)
 
 
+def own_counts(buckets, n: int) -> tuple[tuple[int, int], ...]:
+    """(odd, even) per size 0..n of a tally bucketed by the class's own ``accept``."""
+    odds, evens = buckets.get(True, ([0] * (n + 1), [0] * (n + 1)))
+    return tuple(zip(odds, evens))
+
+
 def all_members(side, n: int) -> list[tuple[int, ...]]:
     return list(side.All().iter_parts(n))
 
@@ -210,7 +216,7 @@ class CountedSteps:
 def test_a_one_state_tally_reads_each_part_at_most_twice(cls, listed):
     # the start row reads parts 1..300, the state's second row lists them once
     counted = CountedSteps(cls)
-    counts = _automaton._tally(300, counted)
+    counts = own_counts(_automaton._tally(300, counted, counted.accept), 300)
     assert counted.calls <= 2 * 300
     for n in range(listed + 1):
         expected = parity_count(cls.iter_parts(n))
@@ -218,7 +224,7 @@ def test_a_one_state_tally_reads_each_part_at_most_twice(cls, listed):
     # past the limit, refused before any step
     counted = CountedSteps(cls)
     with pytest.raises(ValueError, match="tally limit"):
-        _automaton._tally(2000, counted)
+        _automaton._tally(2000, counted, counted.accept)
     assert counted.calls == 0
 
 
@@ -226,7 +232,7 @@ def test_a_state_met_once_reads_each_part_that_fits_once():
     # a set of used parts is met on one row only, at its sum s, and reads
     # the parts 1..30-s there: q(s) such sets, q counting distinct partitions
     counted = CountedSteps(C.DistinctParts())
-    counts = _automaton._tally(30, counted)
+    counts = own_counts(_automaton._tally(30, counted, counted.accept), 30)
     sets = [sum(1 for _ in P.DistinctParts().iter_parts(s)) for s in range(31)]
     assert counted.calls == sum(q * (30 - s) for s, q in enumerate(sets)) == 10770
     for n in range(MAX_N + 1):
@@ -329,13 +335,16 @@ def test_a_size_past_the_limit_raises_after_a_smaller_one_was_served(
 CAPPED = [(side, cls) for side, classes in ((C, COMPOSITION_CLASSES), (P, PARTITION_CLASSES))
           for cls in classes if cls.family is not None]
 
-# each side's engine and reader of one statistic, by name
+# each side's engine, bucketing a member by its own accept, and reader of
+# one statistic, by name
 STATISTICS = {
-    (C, "length"): (lambda n, cls: _automaton._tally(n, cls), C.counts_by_size),
-    (P, "length"): (lambda n, cls: _automaton._tally_by_value(n, cls, P._flips_length),
-                    P.counts_by_size),
-    (P, "singletons"): (lambda n, cls: _automaton._tally_by_value(n, cls, P._is_singleton),
-                        P.singleton_counts_by_size),
+    (C, "length"): (lambda n, cls: own_counts(_automaton._tally(n, cls, cls.accept), n),
+                    C.counts_by_size),
+    (P, "length"): (lambda n, cls: own_counts(
+        _automaton._tally_by_value(n, cls, cls.accept, P._flips_length), n), P.counts_by_size),
+    (P, "singletons"): (lambda n, cls: own_counts(
+        _automaton._tally_by_value(n, cls, cls.accept, P._is_singleton), n),
+        P.singleton_counts_by_size),
 }
 
 
@@ -438,7 +447,8 @@ REFUSED_AT_300 = f"size 300 is past the tally limit of {_automaton.MAX_TRIALS} t
 @pytest.mark.parametrize("wide_first", [False, True])
 def test_a_family_refuses_a_member_exactly_where_its_own_tally_does(fresh_counts, wide_first):
     narrow, wide = P.InitialTwoRepsWithMarks(10), P.InitialTwoRepsWithMarks(20)
-    served = C.SignedCount(*_automaton._tally_by_value(300, narrow, P._is_singleton)[300])
+    own = _automaton._tally_by_value(300, narrow, narrow.accept, P._is_singleton)
+    served = C.SignedCount(*own_counts(own, 300)[300])
 
     def refusal():
         with pytest.raises(ValueError) as refused:

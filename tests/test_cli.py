@@ -586,17 +586,32 @@ def test_thm4_rows_equal_closed_form_at_every_index(seq, boxed, quadruple, k, m)
     assert row == [closed(k, n, m) for n in range(1, count + 1)]
 
 
-@pytest.mark.parametrize("argv", [
-    "bfile emit --seq thm2 --k 2 --max-n 40",
-    "period --seq thm2 --k 2 --max-n 40",
-    "bfile check --seq thm2 --k 2 --file {fixtures}/minpart2_signed.txt",
-])
-def test_row_disagreeing_with_closed_form_exits_1(capsys, monkeypatch, argv):
-    exact = formulas.min_part_signed
-    monkeypatch.setattr(formulas, "min_part_signed", lambda k, n: exact(k, n) + (n == 7))
+# the row's route and the per-n route it is spot-checked against: the
+# token's row route, and the one its entry's ``value`` names at p
+ROW_MISMATCHES = [
+    ("bfile emit --seq thm2 --k 2 --max-n 40", "min_part_signed", 7, "series", "closed form"),
+    ("period --seq thm2 --k 2 --max-n 40", "min_part_signed", 7, "series", "closed form"),
+    ("bfile check --seq thm2 --k 2 --file {fixtures}/minpart2_signed.txt", "min_part_signed", 7,
+     "series", "closed form"),
+    ("bfile emit --seq thm3 --k 2 --r 3 --s 1 --max-n 20", "congruent_signed", 5,
+     "recurrence", "closed form"),
+    # boxed below k = 2: the sum is the per-n form
+    ("bfile emit --seq thm4 --k 1 --m 1 --max-n 20", "guarded_signed_sum", 5,
+     "series", "second closed form"),
+]
+
+
+@pytest.mark.parametrize("argv, planted, at, row, per_n", ROW_MISMATCHES,
+                         ids=[case[0] for case in ROW_MISMATCHES])
+def test_row_disagreeing_with_closed_form_exits_1(capsys, monkeypatch, argv, planted, at,
+                                                   row, per_n):
+    exact = getattr(formulas, planted)
+    monkeypatch.setattr(formulas, planted, lambda k, n, *rest: exact(k, n, *rest) + (n == at))
     code, out, err = run_cli(capsys, *argv.format(fixtures=ROOT / "tests" / "fixtures").split())
     assert (code, out) == (1, "")
-    assert err.startswith("error: sequence thm2: ") and "at n=7" in err
+    seq = argv.split("--seq ")[1].split()[0]
+    assert err.startswith(f"error: sequence {seq}: the {row} gives ")
+    assert f" at n={at}, the {per_n} " in err
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -101,7 +101,7 @@ def test_a_size_offset_shifted_by_one_fails_every_sweep_that_reads_it(monkeypatc
     }
     # the rows the CLI serves read the same offset, and fail their spot checks
     assert cli.main("bfile emit --seq thm2 --k 2 --max-n 40".split()) == 1
-    assert capsys.readouterr().err.startswith("error: sequence thm2: the generating function")
+    assert capsys.readouterr().err.startswith("error: sequence thm2: the series gives")
 
 
 @pytest.mark.parametrize("name, module, attr, route", [

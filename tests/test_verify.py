@@ -236,23 +236,51 @@ def test_every_class_is_tallied_once_per_sweep(monkeypatch, tallies):
         largest[key] = size
 
 
+def test_the_store_keeps_one_entry_shape_and_hands_back_a_single_bucket(monkeypatch):
+    """After every default sweep, from an empty store, every entry is
+    (m, N, buckets) with lists of sizes 0..N; a class, or a ``MarkedParts``
+    member, read size by size gets the kept lists themselves, not a sum."""
+    monkeypatch.setattr(_automaton, "_COUNTS", {})
+    for name in CHECK_NAMES:
+        assert run_check(name).passed, name
+    read = {"compositions": lambda n, cls, statistic: _automaton.tally_compositions(n, cls),
+            "partitions": _automaton.tally_partitions}
+    reads = Counter()
+    for (side, held, statistic), (m, top, buckets) in _automaton._COUNTS.items():
+        assert buckets, held
+        for odds, evens in buckets.values():
+            assert len(odds) == len(evens) == top + 1, held
+        if isinstance(held, tuple):
+            if held[0] is not compositions.MarkedParts:
+                continue
+            make, *lead = held
+            # member m' takes the one state m', where any member reached it
+            members = [(make(*lead, marked), buckets[marked])
+                       for marked in range(m + 1) if marked in buckets]
+        else:
+            assert m == 0 and set(buckets) <= {True, False}, held
+            members = [(held, buckets[True])]
+        for cls, kept in members:
+            for n in range(top, -1, -1):
+                odds, evens = read[side](n, cls, statistic)
+                assert odds is kept[0] and evens is kept[1], (cls, n)
+            reads[isinstance(held, tuple)] += 1
+    assert reads[False] and reads[True]
+
+
 def test_reading_each_member_through_the_accept_of_m_minus_1_fails_the_family_sweeps(
         monkeypatch):
-    def planted(engine):
-        def tally(*args, by_state=False):
-            counts = engine(*args, by_state=by_state)
-            if not by_state:
-                return counts
+    read = _automaton._read
 
-            def read(accept, n):
-                (make, *lead), m = accept.__self__.family()
-                return counts(make(*lead, m - 1).accept if m >= 1 else accept, n)
-            return read
-        return tally
+    def planted(take, *entry):
+        if take is not bool:  # a family member's accept
+            (make, *lead), m = take.__self__.family()
+            if m >= 1:
+                take = make(*lead, m - 1).accept
+        return read(take, *entry)
 
     monkeypatch.setattr(_automaton, "_COUNTS", {})
-    for engine in ("_tally", "_tally_by_value"):
-        monkeypatch.setattr(_automaton, engine, planted(getattr(_automaton, engine)))
+    monkeypatch.setattr(_automaton, "_read", planted)
     caught = {name for name in CHECK_NAMES if not run_check(name).passed}
     # franklin's two classes both read families, and Franklin's identity
     # holds at m - 1 as at m: its series route catches the defect
