@@ -8,7 +8,8 @@ stderr.
 Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
 parameter error.  ``--format plain|csv|bfile`` selects rendering; bfile
 rendering only applies to univariate series output, and ``bfile`` takes
-plain only.
+plain only.  ``--format`` is checked first, before any work, for every
+subcommand.
 
 Formula and verify subcommands index theorems by n while the underlying
 composition class lives on size n+k-1; a note restating the actual size
@@ -145,49 +146,50 @@ def _polynomial(text: str) -> series.IntPolynomial:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _no_bfile(args: argparse.Namespace) -> None:
-    if args.fmt == "bfile":
+# the series tokens whose output is one row, the ones ``--format bfile`` renders
+_UNIVARIATE = {"rational"} | {
+    token for token, (_, spec, _) in SERIES.items() if "y_order?" not in spec}
+
+
+def _check_format(args: argparse.Namespace) -> None:
+    """Refuse a ``--format`` the command cannot render; ``main`` calls it first."""
+    if args.command == "bfile" and args.fmt != "plain":
+        raise ValueError(f"bfile does not use --format {args.fmt}")
+    if args.fmt == "bfile" and not (args.command == "series" and args.name in _UNIVARIATE):
         raise ValueError("--format bfile only applies to univariate series output")
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    _no_bfile(args)
-    cls = _composition_class(args)
-    value = compositions.count_compositions(args.n, cls)
-    if args.fmt == "csv":
-        print("class,n,count")
-        print(f"{args.class_name},{args.n},{value}")
+def _one_row(fmt: str, header: str, cells: tuple, plain: object) -> None:
+    """Print a one-row table: the csv ``header`` and ``cells``, None as empty, or ``plain``."""
+    if fmt == "csv":
+        print(header)
+        print(",".join("" if c is None else str(c) for c in cells))
     else:
-        print(value)
+        print(plain)
+
+
+def _cmd_count(args: argparse.Namespace) -> int:
+    value = compositions.count_compositions(args.n, _composition_class(args))
+    _one_row(args.fmt, "class,n,count", (args.class_name, args.n, value), value)
     return 0
 
 
 def _cmd_signed(args: argparse.Namespace) -> int:
-    _no_bfile(args)
-    cls = _composition_class(args)
-    sc = compositions.signed_count(args.n, cls)
-    if args.fmt == "csv":
-        print("class,n,odd,even,diff")
-        print(f"{args.class_name},{args.n},{sc.odd_count},{sc.even_count},{sc.diff}")
-    else:
-        print(f"odd={sc.odd_count} even={sc.even_count} diff={sc.diff}")
+    sc = compositions.signed_count(args.n, _composition_class(args))
+    _one_row(args.fmt, "class,n,odd,even,diff",
+             (args.class_name, args.n, sc.odd_count, sc.even_count, sc.diff),
+             f"odd={sc.odd_count} even={sc.even_count} diff={sc.diff}")
     return 0
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
-    _no_bfile(args)
     ident, quantity, _, note = SEQUENCES[args.name]
     p, _, _, per_n = _resolve(args, ident, quantity, f"formula {args.name}")
     # as text before the note, so that a value too long to print is refused alone
     value = str(per_n(args.n))
     print(f"note: {note(args.n, *p)}", file=sys.stderr)
-    if args.fmt == "csv":
-        flags = {f: getattr(args, f) for f in ("k", "r", "s", "m")}
-        cols = ",".join("" if v is None else str(v) for v in flags.values())
-        print("name,k,r,s,m,n,value")
-        print(f"{args.name},{cols},{args.n},{value}")
-    else:
-        print(value)
+    _one_row(args.fmt, "name,k,r,s,m,n,value",
+             (args.name, args.k, args.r, args.s, args.m, args.n, value), value)
     return 0
 
 
@@ -214,8 +216,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
             for a in range(ts.x_order + 1):
                 for b in range(ts.y_order + 1):
                     print(f"{a},{b},{ts.coeffs[a][b]}")
-        elif args.fmt == "bfile":
-            raise ValueError("--format bfile only applies to univariate series output")
         else:
             for b in range(ts.y_order + 1):
                 print(f"y^{b}: " + ",".join(str(c) for c in ts.y_slice(b).coeffs))
@@ -231,7 +231,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _no_bfile(args)
     fields = ("max_n", "max_k", "max_r", "max_m")
     axes = fields if args.name == "all" else overrides(args.name)
     _flags(args, " ".join(f + "?" for f in axes), f"verify {args.name}", known=fields)
@@ -265,26 +264,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
-    _no_bfile(args)
     vals = sequence_terms(args, args.max_n - SEQUENCES[args.seq][0].first + 1)
     found = sequences.detect_period(vals)
-    if args.fmt == "csv":
-        print("preperiod,period")
-        if found is None:
-            print("aperiodic,aperiodic")
-        else:
-            print(f"{found[0]},{found[1]}")
+    if found is None:
+        _one_row(args.fmt, "preperiod,period", ("aperiodic", "aperiodic"),
+                 f"aperiodic within window of {len(vals)} terms")
     else:
-        if found is None:
-            print(f"aperiodic within window of {len(vals)} terms")
-        else:
-            print(f"preperiod={found[0]} period={found[1]}")
+        _one_row(args.fmt, "preperiod,period", found,
+                 f"preperiod={found[0]} period={found[1]}")
     return 0
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
-    if args.fmt != "plain":
-        raise ValueError(f"bfile does not use --format {args.fmt}")
     offset = args.offset
     if offset is None:
         offset = SEQUENCES[args.seq][0].first
@@ -345,17 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="count a composition class")
-    p.add_argument("--class", dest="class_name", required=True, choices=CLASS_NAMES)
-    p.add_argument("--n", type=int, required=True, help="composition size")
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser(
-        "signed", parents=[common], help="odd/even length tallies for a class"
-    )
-    p.add_argument("--class", dest="class_name", required=True, choices=CLASS_NAMES)
-    p.add_argument("--n", type=int, required=True, help="composition size")
-    p.set_defaults(handler=_cmd_signed)
+    for name, handler, text in (("count", _cmd_count, "count a composition class"),
+                                ("signed", _cmd_signed, "odd/even length tallies for a class")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("--class", dest="class_name", required=True, choices=CLASS_NAMES)
+        p.add_argument("--n", type=int, required=True, help="composition size")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("formula", parents=[common], help="evaluate a closed formula")
     p.add_argument("name", choices=FORMULA_NAMES)
@@ -406,11 +392,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_format(args)
         return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # two routes disagree: a failed check

@@ -123,7 +123,11 @@ class MatchReport(Value):
     ``first_mismatch`` is (index, computed, file value), or None on a match.
     """
 
-    __slots__ = ("matched", "overlap_start", "overlap_end", "first_mismatch")
+    __slots__ = ("overlap_start", "overlap_end", "first_mismatch")
+
+    @property
+    def matched(self) -> bool:
+        return self.first_mismatch is None
 
     def describe(self) -> str:
         if self.matched:
@@ -147,5 +151,5 @@ def compare(seq: IntegerSequence, record: IntegerSequence) -> MatchReport:
     for i in range(lo, hi + 1):
         a, b = seq.term(i), record.term(i)
         if a != b:
-            return MatchReport(False, lo, hi, (i, a, b))
-    return MatchReport(True, lo, hi, None)
+            return MatchReport(lo, hi, (i, a, b))
+    return MatchReport(lo, hi, None)

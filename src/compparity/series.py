@@ -6,8 +6,19 @@ c_0..c_N.  Rational-function expansion requires the denominator to have
 constant term +1 or -1, which keeps the recurrence for the coefficients
 integral.
 
-``expand_rational`` is the one kernel every rational series goes
-through.  Its recurrence runs a head, the indices below the largest lag
+``expand_rational`` is the kernel the univariate rational series go
+through: ``parts_in_series``, ``periodic_series``, ``guarded_series``
+and the CLI's ``series rational``.  Three builders fill their rows by
+recurrences of their own and do not use it.  ``small_parts_series`` and
+``franklin_series`` are bivariate: each coefficient of x^a is a
+polynomial in y, which the kernel's integer recurrence does not carry,
+so the first fills its table from S = 1 + T*S by running column sums,
+and the second sums the partition numbers and then multiplies each
+numerator factor in.  ``pentagonal_product`` is a product, not a
+quotient of two given polynomials; each of its levels divides by
+1 - x^j as one running sum per residue class, in place, where a kernel
+call would copy the row and check a product at every level.
+The kernel's recurrence runs a head, the indices below the largest lag
 of the denominator, where only the shorter lags reach back, and then a
 steady state with no bounds test.  The denominators built here have one
 or two terms +1 or -1 besides the constant (all but 1 - 2x, at k = 1),

@@ -80,17 +80,14 @@ class Counterexample(Value):
 
 
 class VerificationReport(Value):
-    """One sweep's outcome: a failed report carries its first counterexample."""
+    """One sweep's outcome: a failed report carries its first counterexample,
+    a passed one None."""
 
-    __slots__ = ("name", "ranges", "instances", "passed", "counterexample")
+    __slots__ = ("name", "ranges", "instances", "counterexample")
 
-    def __init__(self, name: str, ranges: str, instances: int, passed: bool,
-                 counterexample: Counterexample | None) -> None:
-        if not passed and counterexample is None:
-            raise ValueError("failed report must carry a counterexample")
-        if passed and counterexample is not None:
-            raise ValueError("passed report must not carry a counterexample")
-        super().__init__(name, ranges, instances, passed, counterexample)
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 def render_report(report: VerificationReport, fmt: str = "plain") -> str:
@@ -310,10 +307,4 @@ def run_check(name: str, config: SweepConfig = SweepConfig()) -> VerificationRep
         results = [_dispatch(row) for row in rows]
     results.reverse()
     first_failure = next((r for r in results if r is not None), None)
-    return VerificationReport(
-        name=name,
-        ranges=ranges,
-        instances=len(instances),
-        passed=first_failure is None,
-        counterexample=first_failure,
-    )
+    return VerificationReport(name, ranges, len(instances), first_failure)

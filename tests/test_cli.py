@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compparity import cli, formulas, identities, series
+from compparity import cli, compositions, formulas, identities, sequences, series
 from compparity.verify import CHECK_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -238,12 +238,57 @@ def test_series_bivariate(capsys):
     assert out == "y^0: 1,0,-1,-1,0\ny^1: 0,-1,0,2,2\n"
 
 
-def test_bfile_format_rejected_outside_series(capsys):
-    code, _, err = run_cli(
-        capsys, "count", "--class", "all", "--n", "4", "--format", "bfile"
-    )
-    assert code == 2
-    assert "univariate series" in err
+class Work(Exception):
+    """Raised by a patched builder: the command started its work."""
+
+
+UNIVARIATE_ONLY = "--format bfile only applies to univariate series output"
+FIXTURE = str(ROOT / "tests" / "fixtures" / "minpart2_signed.txt")
+
+
+FORMAT_REFUSALS = [
+    ("count --class all --n 4", "bfile", UNIVARIATE_ONLY),
+    ("signed --class minpart --k 2 --n 5", "bfile", UNIVARIATE_ONLY),
+    ("formula thm2 --k 2 --n 4", "bfile", UNIVARIATE_ONLY),
+    ("series thm4bar --k 2 --order 4", "bfile", UNIVARIATE_ONLY),
+    ("series thm4bar --k 3 --order 999999 --y-order 1", "bfile", UNIVARIATE_ONLY),
+    ("verify thm2", "bfile", UNIVARIATE_ONLY),
+    ("verify all", "bfile", UNIVARIATE_ONLY),
+    ("period --seq thm2 --k 2 --max-n 60", "bfile", UNIVARIATE_ONLY),
+    ("bfile emit --seq thm2 --k 2 --max-n 3", "csv", "bfile does not use --format csv"),
+    (f"bfile check --seq thm2 --k 2 --file {FIXTURE}", "bfile",
+     "bfile does not use --format bfile"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, message", FORMAT_REFUSALS,
+                         ids=[f"{argv.split(' --file')[0]} --format {fmt}"
+                              for argv, fmt, _ in FORMAT_REFUSALS])
+def test_format_is_refused_before_any_work(capsys, monkeypatch, argv, fmt, message):
+    def work(*args, **kwargs):
+        raise Work
+    for module, name in [(series, "small_parts_series"), (cli, "sequence_terms"),
+                         (cli, "run_check"), (cli, "_resolve"),
+                         (compositions, "signed_count"), (compositions, "count_compositions"),
+                         (sequences, "parse_bfile")]:
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(Work):  # a format it takes reaches the patched work
+        cli.main(argv.split())
+    capsys.readouterr()
+    assert run_cli(capsys, *argv.split(), "--format", fmt) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "series thm4bar --k 2 --order -1",
+    "series thm4bar --order 4",
+    "series thm4bar --k 2 --r 1 --order 4",
+    "series thm4bar --k 2 --order 5 --y-order 1000000000",
+    "series thm4bar --k 0 --order 4",
+    "series thm4bar --k 2 --order 4 --y-order -1",
+])
+def test_series_format_error_comes_before_a_second_fault(capsys, argv):
+    assert run_cli(capsys, *argv.split(), "--format", "bfile") == (
+        2, "", f"error: {UNIVARIATE_ONLY}\n")
 
 
 def test_period_periodic_sequence(capsys):

@@ -46,14 +46,14 @@ SAMPLES = [
      "period_divides=True)"),
     (sequences.IntegerSequence, lambda: sequences.parse_bfile("1 4\n2 5\n"),
      "IntegerSequence(offset=1, values=(4, 5))"),
-    (sequences.MatchReport, lambda: sequences.MatchReport(False, 1, 3, (2, 5, 6)),
-     "MatchReport(matched=False, overlap_start=1, overlap_end=3, first_mismatch=(2, 5, 6))"),
+    (sequences.MatchReport, lambda: sequences.MatchReport(1, 3, (2, 5, 6)),
+     "MatchReport(overlap_start=1, overlap_end=3, first_mismatch=(2, 5, 6))"),
     (verify.SweepConfig, lambda: verify.SweepConfig(max_n=8),
      "SweepConfig(max_n=8, max_k=None, max_r=None, max_m=None, jobs=1)"),
     (verify.Counterexample, lambda: verify.Counterexample((("k", 2), ("n", 5)), 1, 0, "why"),
      "Counterexample(params=(('k', 2), ('n', 5)), expected=1, actual=0, detail='why')"),
-    (verify.VerificationReport, lambda: verify.VerificationReport("thm2", "k=1", 1, False, CE),
-     "VerificationReport(name='thm2', ranges='k=1', instances=1, passed=False, "
+    (verify.VerificationReport, lambda: verify.VerificationReport("thm2", "k=1", 1, CE),
+     "VerificationReport(name='thm2', ranges='k=1', instances=1, "
      f"counterexample={CE!r})"),
     (identities.Route, lambda: identities.Route("series", route_values),
      f"Route(name='series', values={route_values!r}, when=None, value=None)"),
