@@ -51,7 +51,8 @@ and tallying it instead would move the refused sizes and their messages.
 The sweeps in ``compparity.verify`` read a class's counts once per row of
 a sweep, at the row's largest size.
 
-A tally that would make more than ``MAX_TRIALS`` trials raises
+A tally is charged on ``_budget`` at ``_TRIAL`` a trial, and one that
+would make more than ``_budget.LIMIT // _TRIAL`` = 2,000,000 trials raises
 ``ValueError``.  A composition trial is a state of a row tried against a
 part that still fits, and a row's states are also charged as if each had
 one successor on every later row, so a one-state class past the limit is
@@ -71,7 +72,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Hashable
 
-MAX_TRIALS = 2_000_000
+from compparity import _budget
+
+# the work of one trial, in ``_budget``'s unit
+_TRIAL = 40
+# what a refused tally is named in its message
+_TALLY = "the tally to size {} of this class"
 
 # bucket -> its (odd, even) counts of sizes 0..n
 Buckets = dict[Hashable, tuple[list[int], list[int]]]
@@ -79,10 +85,6 @@ Buckets = dict[Hashable, tuple[list[int], list[int]]]
 # (side, class or family, parity statistic) -> (m, N, buckets) of the
 # widest member tallied so far, m = 0 for a class, to the largest size N
 _COUNTS: dict[tuple, tuple[int, int, Buckets]] = {}
-
-
-def _past_limit(n: int) -> ValueError:
-    return ValueError(f"size {n} is past the tally limit of {MAX_TRIALS} trials for this class")
 
 
 def _keep(buckets: Buckets, bucket: Callable, row: dict, size: int, n: int) -> None:
@@ -102,8 +104,7 @@ def _tally(n: int, cls, bucket: Callable[[Hashable], Hashable]) -> Buckets:
     length parity.
     """
     # the start row's charge, as below, made before the rows are allocated
-    if n * (n + 1) // 2 > MAX_TRIALS:
-        raise _past_limit(n)
+    _budget.charge(_TRIAL * (n * (n + 1) // 2), _TALLY, n)
     step = cls.step
     rows: list[dict | None] = [None] * (n + 1)
     rows[0] = {cls.start(): [0, 1]}  # the empty composition has even length
@@ -121,8 +122,7 @@ def _tally(n: int, cls, bucket: Callable[[Hashable], Hashable]) -> Buckets:
         room = n - size
         # this row's trials, plus those its states would still make with a
         # single successor on every later row
-        if work + len(row) * room * (room + 1) // 2 > MAX_TRIALS:
-            raise _past_limit(n)
+        _budget.charge(_TRIAL * (work + len(row) * room * (room + 1) // 2), _TALLY, n)
         work += len(row) * room
         for state, (odd, even) in row.items():
             listed = moves.get(state)
@@ -171,8 +171,7 @@ def _tally_by_value(n: int, cls, bucket: Callable[[Hashable], Hashable],
     """
     # the step calls are not charged, so n is first held to where `All`
     # would pass the limit at value 1 alone
-    if (n + 1) * (n + 2) // 2 > MAX_TRIALS:
-        raise _past_limit(n)
+    _budget.charge(_TRIAL * ((n + 1) * (n + 2) // 2), _TALLY, n)
     width = _slot_bits(n)
     mask = (1 << (n + 1) * width) - 1
     step = cls.step
@@ -187,8 +186,7 @@ def _tally_by_value(n: int, cls, bucket: Callable[[Hashable], Hashable],
                 if nxt is not None:
                     moves.append((counts, mult, nxt))
                     work += n + 1 - mult * value
-        if work > MAX_TRIALS:
-            raise _past_limit(n)
+        _budget.charge(_TRIAL * work, _TALLY, n)
         after = {}
         for (odd, even), mult, nxt in moves:
             shift = mult * value * width

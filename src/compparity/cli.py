@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
 parameter error.  ``--format plain|csv|bfile`` selects rendering; bfile
 rendering only applies to univariate series output, and ``bfile`` takes
 plain only.  ``--format`` is checked first, before any work, for every
-subcommand.
+subcommand.  A ``series`` table, a sequence and a sweep's grid are charged
+on ``compparity._budget`` at ``_CELL`` a cell before they are built, so an
+output past the budget exits 2 at once.
 
 Formula and verify subcommands index theorems by n while the underlying
 composition class lives on size n+k-1; a note restating the actual size
@@ -26,13 +28,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from collections.abc import Callable
 
-from compparity import compositions, sequences, series
+from compparity import _budget, compositions, sequences, series
 from compparity.identities import SEQUENCES, SERIES, Identity
-from compparity.verify import CHECK_NAMES, SweepConfig, expand, overrides, render_report, run_check
+from compparity.verify import (_CELL, CHECK_NAMES, SweepConfig, expand, overrides,
+                               render_report, run_check)
 
 # Parameter flags a token may use; any other one given is rejected.
 _TOKEN_FLAGS = ("k", "r", "s", "m", "y_order", "num", "den")
@@ -103,30 +107,31 @@ def _fresh(fn: Callable, *lead: int, size: tuple[int, ...]):
 
 # Indices, from the first, at which a row is checked against the per-n form.
 _SPOT_CHECKS = 32
-# Most coefficients a row's series may compute, (count+k) x (m+1): the
-# thm4bar table holds that many, and the thm4 series divides a row of
-# count+k coefficients by m+1 factors.  A longer row, which a large k or m
-# pads with slices nobody reads, is not built; its terms come from the
-# per-n form.  ``series thm4bar`` refuses a table of more cells than this.
-_ROW_CELLS = 2_000_000
 
 
 def sequence_terms(args: argparse.Namespace, count: int) -> list[int]:
     """The first ``count`` terms of the sequence named by ``args.seq``.
 
     ``args`` holds every token flag, None when absent, as the parser sets
-    them.  A token with a row route is served whole from it, once its
-    first ``_SPOT_CHECKS`` terms agree with the per-n form; a mismatch
-    raises ArithmeticError, which names both routes.  Otherwise, and past
-    ``_ROW_CELLS``, every term comes from the per-n form, the last index
-    first, so that a tallied class such as ``distinct`` is tallied once.
+    them.  The terms are charged on ``_budget`` at ``_CELL`` a term before
+    any is computed.  A token with a row route is served whole from it,
+    once its first ``_SPOT_CHECKS`` terms agree with the per-n form; a
+    mismatch raises ArithmeticError, which names both routes.  The row's
+    series computes (count+k) x (m+1) coefficients: the thm4bar table holds
+    that many, and the thm4 series divides a row of count+k coefficients by
+    m+1 factors.  A row past the budget at ``_CELL`` a coefficient, which a
+    large k or m pads with slices nobody reads, is not built.  Then, and
+    for a token with no row route, every term comes from the per-n form,
+    the last index first, so that a tallied class such as ``distinct`` is
+    tallied once.
     """
     ident, quantity, row, _ = SEQUENCES[args.seq]
     first = ident.first
     if count < 1:
         raise ValueError(f"empty index range {first}..{first + count - 1}")
     p, shift, name, value = _resolve(args, ident, quantity, f"sequence {args.seq}")
-    if row is None or (count + p[0]) * ((args.m or 0) + 1) > _ROW_CELLS:
+    _budget.charge(_CELL * count, "sequence {} of {} terms", args.seq, count)
+    if row is None or _CELL * (count + p[0]) * ((args.m or 0) + 1) > _budget.LIMIT:
         return [value(n) for n in range(first + count - 1, first - 1, -1)][::-1]
     # closed form first, so that a bad parameter fails with its message
     spot = [value(n) for n in range(first, first + min(count, _SPOT_CHECKS))]
@@ -198,18 +203,19 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise ValueError(f"--order must be >= 0, got {args.order}")
     if args.name == "rational":
         _flags(args, "num den", "series rational")
-        ts = series.expand_rational(_polynomial(args.num), _polynomial(args.den), args.order)
+        build, lead = series.expand_rational, [_polynomial(args.num), _polynomial(args.den)]
     else:
         _, spec, attr = SERIES[args.name]
         _flags(args, spec, f"series {args.name}")
-        lead = [getattr(args, f) for f in spec.split() if not f.endswith("?")] + [args.order]
-        if "y_order?" in spec:  # a table to x^order y^y_order
-            lead.append(3 if args.y_order is None else args.y_order)
-            cells = (args.order + 1) * (lead[-1] + 1)
-            if cells > _ROW_CELLS:
-                raise ValueError(f"series {args.name} to x^{args.order} y^{lead[-1]} holds "
-                                 f"{cells} coefficients, more than {_ROW_CELLS}")
-        ts = getattr(series, attr)(*lead)
+        build = getattr(series, attr)
+        lead = [getattr(args, f) for f in spec.split() if not f.endswith("?")]
+    orders = [args.order]
+    if args.name not in _UNIVARIATE:  # a table to x^order y^y_order
+        orders.append(3 if args.y_order is None else args.y_order)
+    cells = math.prod(order + 1 for order in orders)
+    _budget.charge(_CELL * cells, "series {} to {} ({} coefficients)", args.name,
+                   " ".join(f"{v}^{order}" for v, order in zip("xy", orders)), cells)
+    ts = build(*lead, *orders)
     if isinstance(ts, series.BivariateSeries):
         if args.fmt == "csv":
             print("x,y,coefficient")

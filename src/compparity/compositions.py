@@ -18,7 +18,7 @@ by length parity over (size, state) in ``compparity._automaton``.  The
 tests hold that tally to a parity count taken straight from
 ``iter_parts``; it uses no closed form, so it stays the enumeration route
 against which every formula and generating function in this package is
-verified.  A tally past ``_automaton.MAX_TRIALS`` trials raises
+verified.  A tally past the work budget of ``compparity._budget`` raises
 ``ValueError``: one-state classes reach n = 1999, compositions into
 distinct parts about 65.  A tally to size n yields the counts of every
 size up to n, kept in one store per class for the rest of the process: a

@@ -11,7 +11,8 @@ conventions are deliberate and fixed:
   size n + k - 1.  Signed values are odd-length minus even-length.
 * Diophantine index sets are swept by direct bounded iteration (the
   Theorem-4 forms gather theirs by size first), and every loop is charged
-  before it runs by ``_check_work`` and refused with ValueError past a limit.
+  on ``_budget`` before it runs by ``_check_work``, and refused with
+  ValueError past its limit.
 * A closed form that a sweep reads at every n of a row also has a row form,
   ``<name>_row(lead..., count)``, giving its values at n = 1..count.  It
   steps each binomial term from one n to the next by its term ratio, a
@@ -29,6 +30,8 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterator
+
+from compparity import _budget
 
 
 def binomial(a: int, b: int) -> int:
@@ -56,22 +59,22 @@ def _check_rs(r: int, s: int) -> None:
         raise ValueError(f"requires 0 <= s < r, got s={s}, r={r}")
 
 
-# Most work one evaluation may do.  Each loop is charged before it runs:
-# its terms times 16 + b * bitlen(a // b + 1), where a bounds the upper
-# index and b the width min(b', a - b') of every C(a', b') the loop
-# evaluates, once per such binomial a term evaluates.  The product is about
+# Each loop is charged on ``_budget`` before it runs: its terms times
+# 16 + b * bitlen(a // b + 1), where a bounds the upper index and b the width
+# min(b', a - b') of every C(a', b') the loop evaluates, once per such
+# binomial a term evaluates, at ``_TERM_BITS`` a unit.  The product is about
 # the bit length of the longest binomial, which sets its time, and 16 is a
-# term's fixed cost in the same unit.  A call just under the limit takes
-# about 1 s on a 2-core x86 machine.
-MAX_BINOMIAL_WORK = 16_000_000
+# term's fixed cost in the same unit.  ``_budget.LIMIT // _TERM_BITS`` is
+# 16,000,000 units.
+_TERM_BITS = 5
 
 
 def _check_work(terms: int, top: int, width: int, spent: int = 0, binomials: int = 1) -> int:
-    """The work charged so far with this loop added, or ValueError past the limit."""
+    """The work charged so far with this loop added, or ValueError past the budget."""
     work = spent + binomials * terms * (16 + width * (top // max(width, 1) + 1).bit_length())
-    if work > MAX_BINOMIAL_WORK:
-        raise ValueError(f"the sum takes at least {terms} terms of C(a, b) with a <= {top}, "
-                         f"min(b, a-b) <= {width}, past the work limit of {MAX_BINOMIAL_WORK}")
+    _budget.charge(_TERM_BITS * work,
+                   "the sum of at least {} terms of C(a, b) with a <= {}, min(b, a-b) <= {}",
+                   terms, top, width)
     return work
 
 
@@ -431,7 +434,7 @@ def _guarded_boxed(k: int, n: int, m: int, signed: bool) -> int:
     room = n - (k + 1) * m
     if room < 0:  # no box partition fits
         return 0
-    limit = MAX_BINOMIAL_WORK // 16  # the most terms any loop can afford
+    limit = _budget.LIMIT // (_TERM_BITS * 16)  # the most terms any loop can afford
     sizes = _box_size_counts(k - 2, m, room, limit)
     spent = _check_work(limit + 1 if sizes is None else sum(sizes), m, m)
     # every size up to the row's end has a partition, so no weight is 0
@@ -471,7 +474,7 @@ def _guarded_boxed_row(k: int, m: int, count: int, signed: bool) -> list[int]:
     top = count - (k + 1) * m  # the row's largest room
     if top < 0:
         return [0] * count
-    limit = MAX_BINOMIAL_WORK // 16
+    limit = _budget.LIMIT // (_TERM_BITS * 16)
     sizes = _box_size_counts(k - 2, m, top, limit)
     spent = _check_work(limit + 1 if sizes is None else sum(sizes), m, m)
 

@@ -16,8 +16,8 @@ and cap each value's multiplicity: one class, ``PartsIn``, that ``All``,
 the tally to ``iter_parts``.  It is the oracle for the classical partition
 identities checked elsewhere in the package.  A one-state class reaches
 n = 697 (all partitions) to 1297 (distinct parts in three residues mod
-8), the further the fewer multiplicities it accepts; past
-``_automaton.MAX_TRIALS`` trials the tally raises ``ValueError``.
+8), the further the fewer multiplicities it accepts; a tally past the
+work budget of ``compparity._budget`` raises ``ValueError``.
 Counts are kept per class and statistic, so the length parity of
 ``signed_count`` and the singleton sign of ``singleton_counts_by_size``
 never mix; the Franklin classes and ``InitialTwoRepsWithMarks`` keep

@@ -46,9 +46,9 @@ level outward.  Each level is one shift and one running sum per residue
 class, one addition per coefficient, about (2/3) order * sqrt(2 order)
 in all to x^order.  The signs cancel level by level, so the rows stay
 small: below 2^27 at order 20000, single-digit ints for CPython, where
-the terms of the plain sum reach 354 bits.  A call charged
-more than ``MAX_PRODUCT_ADDITIONS`` is refused with ValueError before
-anything is allocated.
+the terms of the plain sum reach 354 bits.  A call is charged on
+``_budget`` before anything is allocated, and refused with ValueError
+past its limit.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import itertools
 import math
 import operator
 
+from compparity import _budget
 from compparity._value import Value
 from compparity.formulas import congruent_periodic
 from compparity.sequences import detect_period
@@ -363,11 +364,12 @@ def guarded_series(k: int, m: int, t: int, order: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * shift + num.as_series(low).coeffs)
 
 
-# Most additions one ``pentagonal_product`` call may make, charged before
-# it allocates: sum over j <= J of order - j(j-1)/2, one per coefficient of
-# each level.  The largest order served is 121644, which takes about
-# 1.4 s on a 2-core x86 machine.
-MAX_PRODUCT_ADDITIONS = 40_000_000
+# The work of one addition of ``pentagonal_product``, charged on
+# ``_budget`` before it allocates: sum over j <= J of order - j(j-1)/2,
+# one per coefficient of each level.  ``_budget.LIMIT // _ADDITION`` is
+# 40,000,000 additions; the largest order served is 121644, which takes
+# about 1.4 s on a 2-core x86 machine.
+_ADDITION = 2
 
 
 def pentagonal_product(order: int) -> TruncatedSeries:
@@ -386,7 +388,7 @@ def pentagonal_product(order: int) -> TruncatedSeries:
     class mod j, and the constant term.  The row holds R_j times a sign
     that flips at every level and ends at +1 on R_0, so no level negates.
     That is sum over j <= J of order - j(j-1)/2 additions, about
-    (2/3) order * sqrt(2 order), refused past ``MAX_PRODUCT_ADDITIONS``.
+    (2/3) order * sqrt(2 order), charged on ``_budget``.
     The signs cancel level by level, so the rows stay small: the largest
     coefficient of any level had 27 bits at order 20000, 64 at order
     100000 and 71 at order 121644, against 354 bits for the terms of the
@@ -397,9 +399,7 @@ def pentagonal_product(order: int) -> TruncatedSeries:
         raise ValueError(f"order must be >= 0, got {order}")
     top = (math.isqrt(8 * order + 1) - 1) // 2
     additions = top * order - (top - 1) * top * (top + 1) // 6
-    if additions > MAX_PRODUCT_ADDITIONS:
-        raise ValueError(f"the product to x^{order} takes {additions} additions, "
-                         f"past the limit of {MAX_PRODUCT_ADDITIONS}")
+    _budget.charge(_ADDITION * additions, "the product to x^{} ({} additions)", order, additions)
     sign = -1 if top % 2 else 1
     row = [sign] + [0] * (order - top * (top + 1) // 2)  # sign * R_top
     for j in range(top, 0, -1):

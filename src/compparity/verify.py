@@ -36,7 +36,7 @@ import itertools
 import os
 from collections.abc import Callable
 
-from compparity import series
+from compparity import _budget, series
 from compparity._value import Value
 from compparity.identities import IDENTITIES, Identity, grid_terms
 
@@ -249,11 +249,17 @@ def overrides(name: str) -> tuple[str, ...]:
     )
 
 
+# The work of one cell of a sweep's grid, a table or a sequence, in
+# ``_budget``'s unit: ``_budget.LIMIT // _CELL`` is 2,000,000 cells.
+_CELL = 40
+
+
 def expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
     """The sweep's instances, sorted, and the ranges text of its report.
 
-    Raises ValueError for an unknown name and for a grid with no instances,
-    so a sweep can never pass vacuously.
+    Each axis's points are charged on ``_budget``, at ``_CELL`` a point,
+    before they are built.  Raises ValueError for an unknown name and for
+    a grid with no instances, so a sweep can never pass vacuously.
     """
     sweep = _sweep(name)
     points: list[tuple[int, ...]] = [()]
@@ -262,16 +268,20 @@ def expand(name: str, config: SweepConfig) -> tuple[list[tuple], str]:
     text: list[str] = []
     for axis, first, dots, top in grid_terms(sweep.grid):
         if top.isdigit():
-            position[axis] = len(position)
             override = getattr(config, _OVERRIDE[axis])
             top = last[axis] = int(top) if override is None else override
-            values = range(int(first) if dots else top, top + 1)
-            points = [(*p, v) for p in points for v in values]
+            spans = [(int(first) if dots else top, top)] * len(points)
         elif dots:  # bounded by an earlier axis, as in s=0..r-1
-            position[axis] = len(position)
             ref, _, minus = top.partition("-")
             at, lo, less = position[ref], int(first), int(minus)
-            points = [(*p, v) for p in points for v in range(lo, p[at] - less + 1)]
+            spans = [(lo, p[at] - less) for p in points]
+        else:  # text only, as in k=r-s
+            spans = None
+        if spans is not None:  # each point's (first, last) value on this axis
+            position[axis] = len(position)
+            size = sum(max(0, hi - lo + 1) for lo, hi in spans)
+            _budget.charge(_CELL * size, "check {} over {} points", name, size)
+            points = [(*p, v) for p, (lo, hi) in zip(points, spans) for v in range(lo, hi + 1)]
         text.append(f"{axis}={first}{dots}{top}")
     instances = sweep.instances(points)
     ranges = " ".join(text) + sweep.note(last)

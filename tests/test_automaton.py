@@ -11,17 +11,22 @@ several orders.
 """
 
 import random
+import re
 import types
 
 import pytest
 
-from compparity import _automaton
+from compparity import _automaton, _budget
 from compparity import compositions as C
 from compparity import formulas
 from compparity import partition_theorems as PT
 from compparity import partitions as P
 
 MAX_N = 16
+
+# the budget's refusal of a tally, at a size
+REFUSED = (r"the tally to size {} of this class needs at least \d+ units of work, "
+           r"past the budget of 80000000")
 MAX_N_ALL_COMPOSITIONS = 12  # the predicate check walks 2^(n-1) compositions per class
 
 COMPOSITION_CLASSES = (
@@ -151,7 +156,7 @@ def test_tally_reaches_size_1001_across_routes():
     lambda: PT.andrews_singleton_delta(10**9, 3),
 ])
 def test_sizes_past_the_tally_limit_raise(call):
-    with pytest.raises(ValueError, match="tally limit"):
+    with pytest.raises(ValueError, match=REFUSED.format(r"\d+")):
         call()
 
 
@@ -169,7 +174,8 @@ def partition_numbers(n: int, distinct: bool = False) -> list[int]:
 def test_a_packed_count_slot_holds_every_partition_count():
     # 1998 is the largest size the partition tally's first check admits
     last = 1998
-    assert (last + 1) * (last + 2) // 2 <= _automaton.MAX_TRIALS < (last + 2) * (last + 3) // 2
+    trials = _budget.LIMIT // _automaton._TRIAL
+    assert (last + 1) * (last + 2) // 2 <= trials < (last + 2) * (last + 3) // 2
     for n, p in enumerate(partition_numbers(last)):
         assert _automaton._slot_bits(n) >= p.bit_length(), n
 
@@ -183,7 +189,7 @@ def test_partition_counts_are_exact_at_the_sizes_with_the_widest_slots(fresh_cou
 def test_one_state_classes_reach_the_tally_limit():
     # parts 50, 100, ...: compositions of 1950 are those of 39, scaled
     assert C.count_compositions(1950, C.MinPartCongruent(50, 50, 0)) == 2**38
-    with pytest.raises(ValueError, match="tally limit"):
+    with pytest.raises(ValueError, match=REFUSED.format(2000)):
         C.count_compositions(2000, C.MinPartCongruent(50, 50, 0))
 
 
@@ -223,7 +229,7 @@ def test_a_one_state_tally_reads_each_part_at_most_twice(cls, listed):
         assert counts[n] == (expected.odd_count, expected.even_count), n
     # past the limit, refused before any step
     counted = CountedSteps(cls)
-    with pytest.raises(ValueError, match="tally limit"):
+    with pytest.raises(ValueError, match=REFUSED.format(2000)):
         _automaton._tally(2000, counted, counted.accept)
     assert counted.calls == 0
 
@@ -323,7 +329,7 @@ def test_length_and_singleton_statistics_keep_their_own_counts(fresh_counts, m):
 def test_a_size_past_the_limit_raises_after_a_smaller_one_was_served(
         fresh_counts, served, refused):
     first = served()
-    with pytest.raises(ValueError, match="tally limit"):
+    with pytest.raises(ValueError, match=REFUSED.format(r"\d+")):
         refused()
     assert served() == first
 
@@ -441,14 +447,15 @@ def test_a_family_declaration_holds_on_every_reachable_move(side, cls):
             assert own == (widened if kept else None), at
 
 
-REFUSED_AT_300 = f"size 300 is past the tally limit of {_automaton.MAX_TRIALS} trials for this class"
-
-
 @pytest.mark.parametrize("wide_first", [False, True])
 def test_a_family_refuses_a_member_exactly_where_its_own_tally_does(fresh_counts, wide_first):
     narrow, wide = P.InitialTwoRepsWithMarks(10), P.InitialTwoRepsWithMarks(20)
     own = _automaton._tally_by_value(300, narrow, narrow.accept, P._is_singleton)
     served = C.SignedCount(*own_counts(own, 300)[300])
+    with pytest.raises(ValueError) as own_refusal:
+        _automaton._tally_by_value(300, wide, wide.accept, P._is_singleton)
+    refused_at_300 = str(own_refusal.value)
+    assert re.fullmatch(REFUSED.format(300), refused_at_300)
 
     def refusal():
         with pytest.raises(ValueError) as refused:
@@ -456,7 +463,7 @@ def test_a_family_refuses_a_member_exactly_where_its_own_tally_does(fresh_counts
         return str(refused.value)
 
     if wide_first:
-        assert refusal() == REFUSED_AT_300
+        assert refusal() == refused_at_300
     assert C.SignedCount(*P.singleton_counts_by_size(300, narrow)[300]) == served
-    assert refusal() == REFUSED_AT_300
+    assert refusal() == refused_at_300
     assert C.SignedCount(*P.singleton_counts_by_size(300, narrow)[300]) == served

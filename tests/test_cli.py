@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compparity import cli, compositions, formulas, identities, sequences, series
+from compparity import _budget, cli, compositions, formulas, identities, sequences, series
 from compparity.verify import CHECK_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -27,6 +27,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def over_budget(what, cost):
+    """The error line of work named ``what`` refused at ``cost`` units."""
+    return (f"error: {what} needs at least {cost} units of work, "
+            f"past the budget of {_budget.LIMIT}\n")
+
+
+# the budget's refusal of a closed-form sum
+SUM_OVER_BUDGET = (r"error: the sum of at least \d+ terms of C\(a, b\) with a <= \d+, "
+                   r"min\(b, a-b\) <= \d+ needs at least \d+ units of work, "
+                   r"past the budget of 80000000\n")
 
 
 def test_signed_minpart(capsys):
@@ -95,7 +107,8 @@ def test_boxed_form_past_its_term_limit_exits_2_at_once(argv, message):
     proc = run_capped_cli(*argv.split())
     assert time.perf_counter() - t0 < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(f"error: the sum takes {message} ")
+    assert proc.stderr.startswith(f"error: the sum of {message} ")
+    assert re.fullmatch(SUM_OVER_BUDGET, proc.stderr)
 
 
 @pytest.mark.parametrize("argv", [
@@ -119,7 +132,7 @@ def test_binomial_sum_past_its_work_limit_exits_2_at_once(argv):
     proc = run_capped_cli(*argv.split())
     assert time.perf_counter() - t0 < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: the sum takes ") and "work limit" in proc.stderr
+    assert re.fullmatch(SUM_OVER_BUDGET, proc.stderr)
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -187,19 +200,27 @@ def test_series_pentagonal_reaches_order_20000_within_2_s(capsys):
     assert (code, out) == (0, ",".join(map(str, series.pentagonal_rhs(20000).coeffs)) + "\n")
 
 
-def test_series_pentagonal_reaches_order_100000_within_3_s(capsys):
+def test_series_pentagonal_reaches_order_100000_within_3_s():
+    # timed in a child interpreter, its start included, as a user runs it
     t0 = time.perf_counter()
-    code, out, _ = run_cli(capsys, "series", "pentagonal", "--order", "100000")
+    proc = run_capped_cli("series", "pentagonal", "--order", "100000")
     assert time.perf_counter() - t0 < 3.0
-    assert (code, out) == (0, ",".join(map(str, series.pentagonal_rhs(100000).coeffs)) + "\n")
+    assert (proc.returncode, proc.stdout) == (
+        0, ",".join(map(str, series.pentagonal_rhs(100000).coeffs)) + "\n")
 
 
-def test_series_pentagonal_past_its_limit_exits_2_within_1_s(capsys):
+@pytest.mark.parametrize("order, what, cost", [
+    # one past the largest order the product is served at: 40,000,174 additions
+    (121645, "the product to x^121645 (40000174 additions)", 2 * 40000174),
+    # the row alone passes the budget, before the product is charged
+    (1000000000, "series pentagonal to x^1000000000 (1000000001 coefficients)",
+     40 * 1000000001),
+])
+def test_series_pentagonal_past_its_limit_exits_2_within_1_s(capsys, order, what, cost):
     t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, "series", "pentagonal", "--order", "1000000000")
+    code, out, err = run_cli(capsys, "series", "pentagonal", "--order", str(order))
     assert time.perf_counter() - t0 < 1.0
-    assert (code, out) == (2, "")
-    assert "past the limit" in err
+    assert (code, out, err) == (2, "", over_budget(what, cost))
 
 
 def test_series_rational(capsys):
@@ -544,7 +565,8 @@ def test_sizes_past_the_tally_limit_exit_2_at_once(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (2, "")
-    assert err.startswith("error: size ") and "tally limit" in err
+    assert re.fullmatch(r"error: the tally to size \d+ of this class needs at least \d+ units "
+                        r"of work, past the budget of 80000000\n", err)
 
 
 @pytest.mark.parametrize("seq, max_n", [("distinct", 30), ("odd-parts", 60)])
@@ -680,10 +702,11 @@ def test_row_spot_check_stops_before_the_last_index(monkeypatch):
 
 
 def test_row_past_the_cell_limit_comes_from_the_closed_form(monkeypatch):
-    monkeypatch.setattr(cli, "_ROW_CELLS", 100)
+    # 20 terms fit a budget of 100 cells, but the row pads them to 20 + k = 120
+    monkeypatch.setattr(_budget, "LIMIT", 40 * 100)
     monkeypatch.setattr(cli.series, "min_part_series", None)  # not called
-    assert cli.sequence_terms(seq_args("thm2", k=2), 120) == [
-        formulas.min_part_signed(2, n) for n in range(1, 121)]
+    assert cli.sequence_terms(seq_args("thm2", k=100), 20) == [
+        formulas.min_part_signed(100, n) for n in range(1, 21)]
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +716,19 @@ def test_row_past_the_cell_limit_comes_from_the_closed_form(monkeypatch):
 ADDRESS_SPACE = 1 << 30  # an oversized table fails to allocate under this cap
 
 
-def run_capped_cli(*argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+def run_capped_cli(*argv, timeout=60):
+    """The CLI in a child interpreter under ``ADDRESS_SPACE``.
+
+    The child runs without development mode, whose debug allocator
+    doubles the time of a long run, whatever flags run the tests.
+    """
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("PYTHONDEVMODE", "PYTHONMALLOC")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     return subprocess.run(
         [sys.executable, "-m", "compparity.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(
             resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE)),
     )
@@ -717,14 +747,47 @@ def test_series_with_a_huge_exponent_answers_at_once(argv, out):
 def test_series_thm4bar_past_the_cell_limit_exits_2():
     proc = run_capped_cli(*"series thm4bar --k 2 --order 5 --y-order 1000000000".split())
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: series thm4bar to x^5 y^1000000000 holds 6000000006 "
-                           "coefficients, more than 2000000\n")
+    assert proc.stderr == over_budget(
+        "series thm4bar to x^5 y^1000000000 (6000000006 coefficients)", 40 * 6000000006)
 
 
 def test_series_thm4bar_cell_limit_edge(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_ROW_CELLS", 24)
+    monkeypatch.setattr(_budget, "LIMIT", 40 * 24)
     code, out, _ = run_cli(capsys, *"series thm4bar --k 2 --order 5 --y-order 3".split())
     assert (code, len(out.splitlines())) == (0, 4)
     code, out, err = run_cli(capsys, *"series thm4bar --k 2 --order 5 --y-order 4".split())
     assert (code, out) == (2, "")
-    assert err.startswith("error: series thm4bar to x^5 y^4 holds 30 coefficients")
+    assert err == over_budget("series thm4bar to x^5 y^4 (30 coefficients)", 40 * 30)
+
+
+# (argv, what the budget names, the cells it charges): each output alone
+# passes the budget; unbounded, the series crashed with a MemoryError
+# under a 2 GB address space, the sequences ran past 20 s and the grids
+# crashed after 5-9 s
+OUTPUTS_PAST_THE_BUDGET = [
+    ("series thm2 --k 2 --order 1000000000",
+     "series thm2 to x^1000000000 (1000000001 coefficients)", 1000000001),
+    ("series rational --num 1 --den 1,-1 --order 1000000000",
+     "series rational to x^1000000000 (1000000001 coefficients)", 1000000001),
+    ("series cor-period --r 2 --order 1000000000",
+     "series cor-period to x^1000000000 (1000000001 coefficients)", 1000000001),
+    ("bfile emit --seq legendre --max-n 100000000",
+     "sequence legendre of 100000001 terms", 100000001),  # from n = 0
+    ("bfile emit --seq cor-rs --r 2 --s 1 --max-n 100000000",
+     "sequence cor-rs of 100000000 terms", 100000000),
+    ("period --seq cor-period --r 2 --s 1 --max-n 100000000",
+     "sequence cor-period of 100000000 terms", 100000000),
+    ("verify legendre --max-n 100000000", "check legendre over 100000001 points", 100000001),
+    ("verify thm1 --max-n 100000000", "check thm1 over 100000000 points", 100000000),
+    # every grid is expanded before any sweep runs; thm1's is the first
+    ("verify all --max-n 100000000", "check thm1 over 100000000 points", 100000000),
+]
+
+
+@pytest.mark.parametrize("argv, what, cells", OUTPUTS_PAST_THE_BUDGET,
+                         ids=[case[0] for case in OUTPUTS_PAST_THE_BUDGET])
+def test_an_output_past_the_budget_exits_2_at_once(argv, what, cells):
+    t0 = time.perf_counter()
+    proc = run_capped_cli(*argv.split(), timeout=2)
+    assert time.perf_counter() - t0 < 2.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", over_budget(what, 40 * cells))

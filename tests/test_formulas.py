@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compparity import _budget
 from compparity import compositions as C
 from compparity import formulas as F
 
@@ -234,11 +235,11 @@ def test_size_bound_walks_exactly_the_small_box_partitions():
 
 def _served_at_the_limit_refused_one_below(monkeypatch, forms, others, args, work):
     want = [other(*args) for other in others]  # taken before the limit is lowered
-    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work)
+    monkeypatch.setattr(_budget, "LIMIT", F._TERM_BITS * work)
     assert [form(*args) for form in forms] == want
-    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work - 1)
+    monkeypatch.setattr(_budget, "LIMIT", F._TERM_BITS * (work - 1))
     for form in forms:
-        with pytest.raises(ValueError, match=f"past the work limit of {work - 1}"):
+        with pytest.raises(ValueError, match=f"past the budget of {F._TERM_BITS * (work - 1)}$"):
             form(*args)
 
 
@@ -261,7 +262,7 @@ def test_boxed_form_counts_a_large_box_before_walking_it(monkeypatch):
     # (5, 22, 3): the whole 3 x 3 box holds 20 partitions, ten of them small
     # enough, so at a limit of 9 terms of the least cost, 16, the sizes are
     # counted and nothing is walked
-    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", 9 * 16)
+    monkeypatch.setattr(_budget, "LIMIT", F._TERM_BITS * 9 * 16)
     monkeypatch.setattr(F, "boxed_partitions", None)
     with pytest.raises(ValueError, match="at least 10 terms"):
         F.guarded_signed_boxed(5, 22, 3)
@@ -478,7 +479,7 @@ def test_row_form_is_refused_where_a_per_n_call_is_with_its_message(monkeypatch,
     row, per_n, *_ = ROW_FORMS[sweep]
     refused = 0
     for work in [*range(0, 400, 7), *range(400, 5000, 97)]:
-        monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", work)
+        monkeypatch.setattr(_budget, "LIMIT", F._TERM_BITS * work)
         for count in (1, 9, 23, 40):
             want = _values_or_error(
                 lambda: [per_n(*lead, n) for n in range(count, 0, -1)][::-1])
@@ -490,7 +491,7 @@ def test_row_form_is_refused_where_a_per_n_call_is_with_its_message(monkeypatch,
 def test_a_row_refused_below_its_last_n_names_the_largest_refused_n(monkeypatch):
     # at (k, r, s) = (2, 2, 0) an odd target n-1 has no terms and is not
     # charged, so at a limit of 0 the row to n = 40 is refused at n = 39
-    monkeypatch.setattr(F, "MAX_BINOMIAL_WORK", 0)
+    monkeypatch.setattr(_budget, "LIMIT", 0)
     assert F.congruent_signed(2, 40, 2, 0) == 0
     with pytest.raises(ValueError) as at_39:
         F.congruent_signed(2, 39, 2, 0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compparity import _budget
 from compparity import compositions as C
 from compparity import formulas as F
 from compparity import partition_theorems as PT
@@ -458,6 +459,7 @@ def test_pentagonal_product_is_refused_past_its_addition_limit():
         return sum(order - j * (j - 1) // 2 for j in range(1, top + 1))
 
     edge = 121644
-    assert additions(edge) <= S.MAX_PRODUCT_ADDITIONS < additions(edge + 1)
-    with pytest.raises(ValueError, match="additions"):
+    assert S._ADDITION * additions(edge) <= _budget.LIMIT < S._ADDITION * additions(edge + 1)
+    with pytest.raises(ValueError, match=rf"^the product to x\^{edge + 1} \({additions(edge + 1)} "
+                       rf"additions\) needs at least {S._ADDITION * additions(edge + 1)} units"):
         S.pentagonal_product(edge + 1)

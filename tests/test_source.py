@@ -97,6 +97,12 @@ def test_only_the_oracle_modules_import_the_automaton():
     assert importers == {"compositions.py", "partitions.py"}
 
 
+def test_the_budget_imports_nothing_from_the_package():
+    # every route charges on it, so it must not join two of them
+    imported = imported_modules(ROOT / "src" / "compparity" / "_budget.py")
+    assert [name for name in imported if name.startswith("compparity")] == []
+
+
 def test_verify_builds_counterexamples_only_in_the_comparison_loop_and_two_checks():
     # a value comparison is a sweep's route list, compared by _compare; a
     # hand-written one would grow its own detail text back
